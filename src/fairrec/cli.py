@@ -28,7 +28,7 @@ from .io import (
     tradeoff_csv_rows,
     write_rows_csv,
 )
-from .lp import LPSolverError
+from .lp import LPSolverError, LPStatus
 from .numerics import NonConvergenceError
 from .optimizer import (
     Scope,
@@ -278,6 +278,7 @@ def cmd_validate(args) -> int:
     if max_if_err >= VALIDATE_TOL or max_uf_err >= VALIDATE_TOL:
         print(f"FAIL: deviation exceeds {VALIDATE_TOL:g}", file=sys.stderr)
         raise LPSolverError(
+            LPStatus.FAILED,
             f"closed-form validation failed: if_err={max_if_err:.3g} uf_err={max_uf_err:.3g}"
         )
     print("closed form and LP agree")

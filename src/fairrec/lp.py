@@ -1,26 +1,29 @@
-"""Dense linear programs with a deterministic, vertex-producing solver.
+"""Sparse linear programs with a deterministic, vertex-producing solver.
 
-All programs are stated as maximization over variables with default bounds
-[0, inf).  The backend is HiGHS dual simplex via scipy, which is
-deterministic for a fixed instance and returns basic feasible solutions, so
-optimal points are vertices of the feasible polyhedron.  Optimal points are
-re-checked against the constraints before being reported; a check failure is
-surfaced as a distinct FAILED status rather than a silent wrong answer.
+A feasible set is one ``Region``: sparse equality and ``<=`` rows plus
+per-variable bounds, [0, inf) by default.  Programs maximize a linear
+objective over a region.  The max-min and sum-of-k-smallest objectives are
+lifted to linear programs by appending an epigraph block (new variables and
+``<=`` rows) to the region.  The backend is HiGHS dual simplex via scipy,
+which is deterministic for a fixed instance and returns basic feasible
+solutions, so optimal points are vertices of the feasible polyhedron.
+Optimal points are re-checked against the region before being reported; a
+check failure is surfaced as a distinct FAILED status rather than a silent
+wrong answer.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import Any
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import coo_array, issparse
 
 # Feasibility and optimality tolerances of the solver contract.
 FEAS_TOL = 1e-7
 OPT_TOL = 1e-7
-
-LE, EQ, GE = "<=", "==", ">="
-_RELATIONS = (LE, EQ, GE)
 
 
 class LPStatus(Enum):
@@ -30,46 +33,73 @@ class LPStatus(Enum):
     FAILED = "failed"
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
-    """coeffs . x  <relation>  bound"""
-
-    coeffs: np.ndarray
-    relation: str
-    bound: float
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=float)
-        if coeffs.ndim != 1:
-            raise ValueError("constraint coefficients must be a 1-D vector")
-        if self.relation not in _RELATIONS:
-            raise ValueError(f"relation must be one of {_RELATIONS}, got {self.relation!r}")
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "bound", float(self.bound))
+def _coo(a: Any, num_cols: int) -> coo_array:
+    if a is None:
+        return coo_array((0, num_cols))
+    if isinstance(a, coo_array):
+        return a
+    if issparse(a):
+        return coo_array(a)
+    return coo_array(np.atleast_2d(np.asarray(a, dtype=float)))
 
 
 @dataclass(frozen=True)
-class LPInstance:
-    """A maximization LP.  ``var_bounds`` defaults to [0, inf) per variable."""
+class Region:
+    """{x : a_eq @ x == b_eq, a_ub @ x <= b_ub, lb <= x <= ub}.
+
+    Constraint blocks may be given dense or sparse and are stored as COO
+    arrays; ``lb`` and ``ub`` broadcast to one entry per variable.
+    """
 
     num_vars: int
-    objective: np.ndarray
-    constraints: tuple[LinearConstraint, ...] = ()
-    var_bounds: tuple[tuple[float | None, float | None], ...] | None = None
+    a_eq: Any = None
+    b_eq: Any = ()
+    a_ub: Any = None
+    b_ub: Any = ()
+    lb: Any = 0.0
+    ub: Any = np.inf
 
     def __post_init__(self):
-        objective = np.asarray(self.objective, dtype=float)
-        if objective.shape != (self.num_vars,):
-            raise ValueError(f"objective has shape {objective.shape}, expected ({self.num_vars},)")
-        object.__setattr__(self, "objective", objective)
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-        for c in self.constraints:
-            if c.coeffs.shape != (self.num_vars,):
-                raise ValueError(
-                    f"constraint over {c.coeffs.shape[0]} variables in an LP with {self.num_vars}"
-                )
-        if self.var_bounds is not None and len(self.var_bounds) != self.num_vars:
-            raise ValueError("var_bounds length does not match num_vars")
+        nv = self.num_vars
+        for a_key, b_key in (("a_eq", "b_eq"), ("a_ub", "b_ub")):
+            a = _coo(getattr(self, a_key), nv)
+            b = np.asarray(getattr(self, b_key), dtype=float)
+            if a.shape[1] != nv:
+                raise ValueError(f"{a_key} has {a.shape[1]} columns in a region with {nv} variables")
+            if b.shape != (a.shape[0],):
+                raise ValueError(f"{b_key} has shape {b.shape}, expected ({a.shape[0]},)")
+            object.__setattr__(self, a_key, a)
+            object.__setattr__(self, b_key, b)
+        for key in ("lb", "ub"):
+            bound = np.asarray(getattr(self, key), dtype=float)
+            if bound.ndim and bound.shape != (nv,):
+                raise ValueError(f"{key} has shape {bound.shape}, expected ({nv},)")
+            object.__setattr__(self, key, np.broadcast_to(bound, (nv,)))
+
+    def extend(self, a_ub: Any, b_ub: Any, lb: Any = (), ub: Any = ()) -> Region:
+        """This region with ``len(lb)`` new variables, bounded by ``lb`` and
+        ``ub``, and the rows ``a_ub @ x <= b_ub`` over old and new variables."""
+        nv = self.num_vars + len(lb)
+        old, new = self.a_ub, _coo(a_ub, nv)
+        a = coo_array(
+            (
+                np.concatenate([old.data, new.data]),
+                (np.concatenate([old.row, new.row + old.shape[0]]), np.concatenate([old.col, new.col])),
+            ),
+            shape=(old.shape[0] + new.shape[0], nv),
+        )
+        eq = self.a_eq
+        if nv > self.num_vars:
+            eq = coo_array((eq.data, (eq.row, eq.col)), shape=(eq.shape[0], nv))
+        return Region(
+            nv,
+            eq,
+            self.b_eq,
+            a,
+            np.concatenate([self.b_ub, np.asarray(b_ub, dtype=float)]),
+            np.concatenate([self.lb, np.asarray(lb, dtype=float)]),
+            np.concatenate([self.ub, np.asarray(ub, dtype=float)]),
+        )
 
 
 @dataclass(frozen=True)
@@ -89,57 +119,31 @@ class LPSolverError(RuntimeError):
         super().__init__(f"LP solve failed with status {status.value}: {message}")
 
 
-def feasible_region(
-    num_vars: int,
-    constraints: tuple[LinearConstraint, ...] = (),
-    var_bounds: tuple[tuple[float | None, float | None], ...] | None = None,
-) -> LPInstance:
-    """An LPInstance used purely as a constraint container (objective ignored)."""
-    return LPInstance(num_vars, np.zeros(num_vars), constraints, var_bounds)
-
-
-def _violation(instance: LPInstance, x: np.ndarray) -> float:
+def _violation(region: Region, x: np.ndarray) -> float:
     """Largest constraint or bound violation at x."""
-    worst = 0.0
-    for c in instance.constraints:
-        lhs = float(c.coeffs @ x)
-        if c.relation == LE:
-            worst = max(worst, lhs - c.bound)
-        elif c.relation == GE:
-            worst = max(worst, c.bound - lhs)
-        else:
-            worst = max(worst, abs(lhs - c.bound))
-    bounds = instance.var_bounds or ((0.0, None),) * instance.num_vars
-    for xi, (lo, hi) in zip(x, bounds):
-        if lo is not None:
-            worst = max(worst, lo - xi)
-        if hi is not None:
-            worst = max(worst, xi - hi)
-    return worst
+    return float(
+        max(
+            np.max(region.a_ub @ x - region.b_ub, initial=0.0),
+            np.max(np.abs(region.a_eq @ x - region.b_eq), initial=0.0),
+            np.max(region.lb - x, initial=0.0),
+            np.max(x - region.ub, initial=0.0),
+        )
+    )
 
 
-def solve_lp(instance: LPInstance) -> LPSolution:
-    """Solve a maximization LP.  Deterministic: identical instances produce
-    bitwise-identical optimal points."""
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    for c in instance.constraints:
-        if c.relation == LE:
-            a_ub.append(c.coeffs)
-            b_ub.append(c.bound)
-        elif c.relation == GE:
-            a_ub.append(-c.coeffs)
-            b_ub.append(-c.bound)
-        else:
-            a_eq.append(c.coeffs)
-            b_eq.append(c.bound)
-    bounds = list(instance.var_bounds) if instance.var_bounds is not None else [(0, None)] * instance.num_vars
+def solve_lp(objective: np.ndarray, region: Region) -> LPSolution:
+    """Maximize ``objective @ x`` over the region.  Deterministic: identical
+    programs produce bitwise-identical optimal points."""
+    objective = np.asarray(objective, dtype=float)
+    if objective.shape != (region.num_vars,):
+        raise ValueError(f"objective has shape {objective.shape}, expected ({region.num_vars},)")
     res = linprog(
-        -instance.objective,
-        A_ub=np.array(a_ub) if a_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(a_eq) if a_eq else None,
-        b_eq=np.array(b_eq) if b_eq else None,
-        bounds=bounds,
+        -objective,
+        A_ub=region.a_ub,
+        b_ub=region.b_ub,
+        A_eq=region.a_eq,
+        b_eq=region.b_eq,
+        bounds=np.column_stack([region.lb, region.ub]),
         method="highs-ds",
     )
     if res.status == 2:
@@ -149,10 +153,10 @@ def solve_lp(instance: LPInstance) -> LPSolution:
     if res.status != 0 or res.x is None:
         return LPSolution(LPStatus.FAILED, message=res.message)
     x = np.asarray(res.x, dtype=float)
-    viol = _violation(instance, x)
-    if viol > FEAS_TOL:
+    viol = _violation(region, x)
+    if not viol <= FEAS_TOL:
         return LPSolution(LPStatus.FAILED, message=f"reported optimum violates constraints by {viol:.3e}")
-    value = float(instance.objective @ x)
+    value = float(objective @ x)
     # Dual simplex returns a basic feasible solution of the stated program.
     return LPSolution(LPStatus.OPTIMAL, point=x, value=value, is_vertex=True, message=res.message)
 
@@ -163,65 +167,95 @@ def _require_optimal(solution: LPSolution) -> LPSolution:
     return solution
 
 
-def _pad(c: LinearConstraint, extra: int) -> LinearConstraint:
-    return LinearConstraint(np.concatenate([c.coeffs, np.zeros(extra)]), c.relation, c.bound)
+def _check_rows(rows: Any, region: Region):
+    rows = rows if issparse(rows) else np.atleast_2d(np.asarray(rows, dtype=float))
+    if rows.shape[1] != region.num_vars:
+        raise ValueError(f"rows have {rows.shape[1]} coefficients, region has {region.num_vars} variables")
+    return rows
 
 
-def solve_maxmin_linear(rows: np.ndarray, region: LPInstance) -> tuple[float, np.ndarray]:
+def _epigraph_rows(rows: Any, nv: int, slacks: bool) -> coo_array:
+    """Rows ``t - row_r . x (- s_r) <= 0`` over (x, t[, s]), t at column nv."""
+    r = _coo(rows, nv)
+    m = r.shape[0]
+    idx = np.arange(m)
+    data, row, col = [-r.data, np.ones(m)], [r.row, idx], [r.col, np.full(m, nv)]
+    if slacks:
+        data.append(-np.ones(m))
+        row.append(idx)
+        col.append(nv + 1 + idx)
+    return coo_array(
+        (np.concatenate(data), (np.concatenate(row), np.concatenate(col))),
+        shape=(m, nv + 1 + (m if slacks else 0)),
+    )
+
+
+def solve_maxmin_linear(rows: Any, region: Region) -> tuple[float, np.ndarray, LPSolution]:
     """Maximize the minimum of linear functionals over a feasible region.
 
     Standard epigraph lift: maximize t subject to row_r . x >= t for every
-    row, plus the region constraints.  Returns (value, point) where point has
-    region.num_vars entries.  Raises LPSolverError when the region is empty
-    or the lifted program is unbounded.
+    row, plus the region constraints.  Returns (value, point, solution)
+    where point has region.num_vars entries and solution is the lifted
+    program's LPSolution.  Raises LPSolverError when the region is empty or
+    the lifted program is unbounded.
     """
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    nv = region.num_vars
-    if rows.shape[1] != nv:
-        raise ValueError(f"rows have {rows.shape[1]} coefficients, region has {nv} variables")
+    rows = _check_rows(rows, region)
+    nv, m = region.num_vars, rows.shape[0]
+    lifted = region.extend(_epigraph_rows(rows, nv, slacks=False), np.zeros(m), [-np.inf], [np.inf])
     objective = np.zeros(nv + 1)
     objective[nv] = 1.0
-    constraints = [_pad(c, 1) for c in region.constraints]
-    for r in rows:
-        constraints.append(LinearConstraint(np.concatenate([r, [-1.0]]), GE, 0.0))
-    base_bounds = region.var_bounds if region.var_bounds is not None else ((0, None),) * nv
-    bounds = tuple(base_bounds) + ((None, None),)
-    sol = _require_optimal(solve_lp(LPInstance(nv + 1, objective, tuple(constraints), bounds)))
+    sol = _require_optimal(solve_lp(objective, lifted))
     point = sol.point[:nv]
     # Report the value attained by the returned point, not the lifted
     # variable: downstream code reuses it as a constraint bound and needs it
     # to be exactly achievable.
-    return float(np.min(rows @ point)), point
+    return float(np.min(rows @ point)), point, sol
 
 
-def sum_k_smallest_epigraph(rows: np.ndarray, k: int, region: LPInstance) -> tuple[float, np.ndarray]:
+def _sum_k_bounds(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """t is free, every s_r is nonnegative."""
+    return np.concatenate([[-np.inf], np.zeros(m)]), np.full(1 + m, np.inf)
+
+
+def sum_k_smallest_epigraph(rows: Any, k: int, region: Region) -> tuple[float, np.ndarray, LPSolution]:
     """Maximize the sum of the k smallest of the given linear functionals.
 
     Lift: maximize k*t - sum_r s_r with s_r >= t - row_r . x and s_r >= 0.
     At the optimum t is the k-th smallest value and the objective equals the
-    sum of the k smallest rows.
+    sum of the k smallest rows.  Returns (value, point, solution) as
+    solve_maxmin_linear does.
     """
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    rows = _check_rows(rows, region)
     nrows = rows.shape[0]
     if not 1 <= k <= nrows:
         raise ValueError(f"k must lie in [1, {nrows}], got {k}")
     nv = region.num_vars
-    if rows.shape[1] != nv:
-        raise ValueError(f"rows have {rows.shape[1]} coefficients, region has {nv} variables")
-    total = nv + 1 + nrows  # x, t, s
-    objective = np.zeros(total)
+    lifted = region.extend(_epigraph_rows(rows, nv, slacks=True), np.zeros(nrows), *_sum_k_bounds(nrows))
+    objective = np.zeros(nv + 1 + nrows)
     objective[nv] = float(k)
     objective[nv + 1 :] = -1.0
-    constraints = [_pad(c, 1 + nrows) for c in region.constraints]
-    for r_idx, r in enumerate(rows):
-        coeffs = np.zeros(total)
-        coeffs[:nv] = r
-        coeffs[nv] = -1.0
-        coeffs[nv + 1 + r_idx] = 1.0
-        constraints.append(LinearConstraint(coeffs, GE, 0.0))  # row . x - t + s_r >= 0
-    base_bounds = region.var_bounds if region.var_bounds is not None else ((0, None),) * nv
-    bounds = tuple(base_bounds) + ((None, None),) + ((0, None),) * nrows
-    sol = _require_optimal(solve_lp(LPInstance(total, objective, tuple(constraints), bounds)))
+    sol = _require_optimal(solve_lp(objective, lifted))
     point = sol.point[:nv]
     vals = np.sort(rows @ point)
-    return float(vals[:k].sum()), point
+    return float(vals[:k].sum()), point, sol
+
+
+def sum_k_smallest_floor(rows: Any, k: int, bound: float, region: Region) -> Region:
+    """The region lifted by certificate variables (t, s) so that its points
+    keep the sum of the k smallest of ``rows @ x`` at or above ``bound``:
+    k*t - sum_r s_r >= bound with s_r >= t - row_r . x and s_r >= 0."""
+    rows = _check_rows(rows, region)
+    nv, m = region.num_vars, rows.shape[0]
+    epi = _epigraph_rows(rows, nv, slacks=True)
+    # Row 0 is the certificate row -k*t + sum_r s_r <= -bound.
+    block = coo_array(
+        (
+            np.concatenate([[-float(k)], np.ones(m), epi.data]),
+            (
+                np.concatenate([np.zeros(1 + m, dtype=int), epi.row + 1]),
+                np.concatenate([nv + np.arange(1 + m), epi.col]),
+            ),
+        ),
+        shape=(m + 1, nv + 1 + m),
+    )
+    return region.extend(block, np.concatenate([[-bound], np.zeros(m)]), *_sum_k_bounds(m))

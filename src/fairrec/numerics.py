@@ -2,19 +2,16 @@
 
 Contains the Euclidean simplex projection, Dykstra's alternating projection
 method for nearest points in an intersection of convex sets, and a
-maximizer for weighted sums of logarithms of affine functionals over either
-a product of simplices (projected gradient ascent) or a general linear
-region (Frank-Wolfe with a linear-minimization oracle).  Both concave paths
-terminate on the Frank-Wolfe duality gap, which upper-bounds the distance
-to the optimum value.
+maximizer for weighted sums of logarithms of affine functionals over a
+product of simplices (projected gradient ascent).  The ascent terminates on
+the Frank-Wolfe duality gap, which upper-bounds the distance to the optimum
+value.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import lp
 
 # Default certificate tolerance for the concave solver.
 GAP_TOL = 1e-6
@@ -50,17 +47,6 @@ class HalfspaceSet:
         if gap <= 0:
             return x
         return x + (gap / float(self.a @ self.a)) * self.a
-
-
-@dataclass(frozen=True)
-class HyperplaneSet:
-    """{x : a . x == b}"""
-
-    a: np.ndarray
-    b: float
-
-    def project(self, x):
-        return x + ((self.b - float(self.a @ x)) / float(self.a @ self.a)) * self.a
 
 
 @dataclass(frozen=True)
@@ -243,36 +229,6 @@ def _ascend_simplex_product(objective, region, start, tol, max_iter) -> ConcaveR
     return ConcaveResult(fx, x, gap, max_iter, False)
 
 
-def _frank_wolfe_region(objective, region: lp.LPInstance, start, tol, max_iter) -> ConcaveResult:
-    x = start.copy()
-    fx = objective.value(x)
-    if not np.isfinite(fx):
-        raise ValueError("starting point is not strictly feasible for the log objective")
-    gap = np.inf
-    lmo_cap = min(max_iter, 20_000)  # every step solves one LP
-    for it in range(1, lmo_cap + 1):
-        g = objective.gradient(x)
-        sol = lp.solve_lp(lp.LPInstance(region.num_vars, g, region.constraints, region.var_bounds))
-        if sol.status is not lp.LPStatus.OPTIMAL:
-            raise lp.LPSolverError(sol.status, "linear oracle failed inside Frank-Wolfe")
-        s = sol.point
-        gap = float(g @ (s - x))
-        if gap <= tol * (1.0 + abs(fx)):
-            return ConcaveResult(fx, x, gap, it, True)
-        step = 1.0
-        d = s - x
-        while True:
-            xn = x + step * d
-            fn = objective.value(xn)
-            if _armijo_accept(fn, fx, g, xn, x):
-                break
-            step *= 0.5
-            if step < 1e-18:
-                return ConcaveResult(fx, x, gap, it, False)
-        x, fx = xn, fn
-    return ConcaveResult(fx, x, gap, lmo_cap, False)
-
-
 def nash_concave_solve(
     objective: LogObjective,
     region,
@@ -282,18 +238,13 @@ def nash_concave_solve(
 ) -> ConcaveResult:
     """Maximize a weighted sum of logs of affine functionals over ``region``.
 
-    ``region`` is either a SimplexProduct (projected gradient ascent with
-    backtracking line search) or an LPInstance of linear constraints
-    (Frank-Wolfe, objective field ignored).  Returns the point, the value,
-    and the final Frank-Wolfe gap certificate; convergence means
+    ``region`` is a SimplexProduct; the solver is projected gradient ascent
+    with backtracking line search.  Returns the point, the value, and the
+    final Frank-Wolfe gap certificate; convergence means
     gap <= tol * (1 + |value|), and ``converged`` is False when the
     iteration cap is exhausted first.
     """
-    if isinstance(region, SimplexProduct):
-        x0 = region.uniform() if start is None else np.asarray(start, dtype=float).copy()
-        return _ascend_simplex_product(objective, region, x0, tol, max_iter)
-    if isinstance(region, lp.LPInstance):
-        if start is None:
-            raise ValueError("a strictly feasible start is required for a general linear region")
-        return _frank_wolfe_region(objective, region, np.asarray(start, dtype=float), tol, max_iter)
-    raise TypeError(f"unsupported region type {type(region).__name__}")
+    if not isinstance(region, SimplexProduct):
+        raise TypeError(f"unsupported region type {type(region).__name__}")
+    x0 = region.uniform() if start is None else np.asarray(start, dtype=float).copy()
+    return _ascend_simplex_product(objective, region, x0, tol, max_iter)

@@ -7,11 +7,13 @@ policy row per user type; averaging the rows of any feasible policy within
 a type changes no item utility and never hurts the worst-off user, so the
 reduction is lossless.
 
-For the max-min measure the item-fairness optimum is computed by a single
-linear program that forces all item utilities to a common value lambda and
-maximizes it; every max-min item-optimal policy equalizes the items, which
-makes the gamma = 1 constraint expressible as plain inequalities.  The sum
-of the k smallest utilities uses the standard epigraph lift on both sides.
+Both sides are sparse linear programs over the flattened K x n policy.  For
+the max-min measure the item-fairness optimum is the epigraph program
+max lambda subject to lambda <= I_j for every item, the same max-min lift
+the user side uses; every max-min item-optimal policy equalizes the items,
+which makes the gamma = 1 constraint expressible as plain inequalities.  The
+sum of the k smallest utilities uses the standard epigraph lift on both
+sides.
 Nash welfare (sum of logs) is handled by a first-order concave maximizer
 plus Lagrangian bisection on the item constraint.
 """
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.sparse import coo_array
 
 from . import lp
 from .core import (
@@ -80,25 +83,17 @@ class TypeReduction:
 def reduce_by_types(w: UtilityMatrix) -> TypeReduction:
     """Group users into types by the type annotation or by exact row equality."""
     if w.type_of is not None:
-        ids = w.type_of
+        keys = w.type_of
     else:
-        seen: dict[bytes, int] = {}
-        ids = np.empty(w.m, dtype=int)
-        for i in range(w.m):
-            key = w.values[i].tobytes()
-            ids[i] = seen.setdefault(key, len(seen))
+        values = np.ascontiguousarray(w.values)
+        keys = values.view(np.dtype((np.void, values.itemsize * w.n))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     # Renumber in first-occurrence order so the reduction is deterministic.
-    order: dict[int, int] = {}
-    user_to_type = np.empty(w.m, dtype=int)
-    for i, t in enumerate(ids):
-        user_to_type[i] = order.setdefault(int(t), len(order))
-    k = len(order)
-    rows = np.empty((k, w.n))
-    counts = np.zeros(k, dtype=int)
-    for i in range(w.m):
-        rows[user_to_type[i]] = w.values[i]
-        counts[user_to_type[i]] += 1
-    return TypeReduction(UtilityMatrix(rows), counts, user_to_type)
+    rank = np.empty(first.size, dtype=int)
+    rank[np.argsort(first)] = np.arange(first.size)
+    user_to_type = rank[inverse.ravel()]
+    rows = w.values[np.sort(first)]
+    return TypeReduction(UtilityMatrix(rows), np.bincount(user_to_type), user_to_type)
 
 
 def expand_policy(rows_by_type: np.ndarray, reduction: TypeReduction) -> np.ndarray:
@@ -118,31 +113,23 @@ def _item_share_rows(wt: np.ndarray, counts: np.ndarray, model: ItemUtilityModel
     return weighted / weighted.sum(axis=0, keepdims=True)
 
 
-def _flatten_user_rows(b: np.ndarray) -> np.ndarray:
+def _user_rows(b: np.ndarray) -> coo_array:
     """(K, K*n) coefficient rows for the per-type user utilities."""
     k, n = b.shape
-    rows = np.zeros((k, k * n))
-    for t in range(k):
-        rows[t, t * n : (t + 1) * n] = b[t]
-    return rows
+    idx = np.arange(k * n)
+    return coo_array((b.ravel(), (idx // n, idx)), shape=(k, k * n))
 
 
-def _flatten_item_rows(a: np.ndarray) -> np.ndarray:
+def _item_rows(a: np.ndarray) -> coo_array:
     """(n, K*n) coefficient rows for the item utilities."""
     k, n = a.shape
-    rows = np.zeros((n, k * n))
-    for j in range(n):
-        rows[j, j::n] = a[:, j]
-    return rows
+    idx = np.arange(k * n)
+    return coo_array((a.ravel(), (idx % n, idx)), shape=(n, k * n))
 
 
-def _simplex_constraints(k: int, n: int) -> list[lp.LinearConstraint]:
-    out = []
-    for t in range(k):
-        coeffs = np.zeros(k * n)
-        coeffs[t * n : (t + 1) * n] = 1.0
-        out.append(lp.LinearConstraint(coeffs, lp.EQ, 1.0))
-    return out
+def _simplex_region(k: int, n: int) -> lp.Region:
+    """Row-stochastic K x n policies, flattened row by row."""
+    return lp.Region(k * n, a_eq=_user_rows(np.ones((k, n))), b_eq=np.ones(k))
 
 
 def _validate_measure(measure: FairnessMeasure, m: int, n: int) -> None:
@@ -197,29 +184,16 @@ def compute_if_star(
     red = reduce_by_types(w)
     k, n = red.k, w.n
     a = _item_share_rows(red.matrix.values, red.counts, model)
-    item_rows = _flatten_item_rows(a)
+    item_rows = _item_rows(a)
     lp_solution = None
     gap = None
     if measure.kind is MeasureKind.MAX_MIN:
-        # One LP: maximize lambda subject to every item utility equaling it.
-        nv = k * n + 1
-        objective = np.zeros(nv)
-        objective[-1] = 1.0
-        constraints = [_pad_one(c) for c in _simplex_constraints(k, n)]
-        for j in range(n):
-            coeffs = np.concatenate([item_rows[j], [-1.0]])
-            constraints.append(lp.LinearConstraint(coeffs, lp.EQ, 0.0))
-        bounds = ((0, None),) * (k * n) + ((None, None),)
-        lp_solution = lp.solve_lp(lp.LPInstance(nv, objective, tuple(constraints), bounds))
-        if lp_solution.status is not lp.LPStatus.OPTIMAL:
-            raise lp.LPSolverError(lp_solution.status, "item-fairness program has no optimum")
-        point = lp_solution.point[: k * n]
+        _, point, lp_solution = lp.solve_maxmin_linear(item_rows, _simplex_region(k, n))
     elif measure.kind is MeasureKind.SUM_K_MIN:
-        region = lp.feasible_region(k * n, tuple(_simplex_constraints(k, n)))
-        _, point = lp.sum_k_smallest_epigraph(item_rows, measure.k, region)
+        _, point, lp_solution = lp.sum_k_smallest_epigraph(item_rows, measure.k, _simplex_region(k, n))
     else:
         res = nash_concave_solve(
-            LogObjective(item_rows, None, None), SimplexProduct(k, n), tol=NASH_GAP_TOL
+            LogObjective(item_rows.toarray(), None, None), SimplexProduct(k, n), tol=NASH_GAP_TOL
         )
         if not res.converged:
             raise NonConvergenceError("item-side Nash optimization hit the iteration cap")
@@ -232,10 +206,6 @@ def compute_if_star(
         _IF_STAR_CACHE.clear()
     _IF_STAR_CACHE[key] = result
     return result
-
-
-def _pad_one(c: lp.LinearConstraint) -> lp.LinearConstraint:
-    return lp.LinearConstraint(np.concatenate([c.coeffs, [0.0]]), c.relation, c.bound)
 
 
 @dataclass(frozen=True)
@@ -318,30 +288,30 @@ def compute_uf_star(
     k, n = red.k, w.n
     b = _user_norm_rows(red.matrix.values)
     a = _item_share_rows(red.matrix.values, red.counts, model)
-    user_rows = _flatten_user_rows(b)
-    item_rows = _flatten_item_rows(a)
+    user_rows = _user_rows(b)
+    item_rows = _item_rows(a)
     if_value = if_star.value if if_star is not None else None
 
     if measure.kind is MeasureKind.MAX_MIN:
         if_target = gamma * if_value if gamma > 0 else 0.0
-        constraints = _simplex_constraints(k, n)
+        region = _simplex_region(k, n)
         if gamma > 0:
-            for j in range(n):
-                constraints.append(lp.LinearConstraint(item_rows[j], lp.GE, if_target - SLACK))
-        region = lp.feasible_region(k * n, tuple(constraints))
-        value, point = lp.solve_maxmin_linear(user_rows, region)
+            region = region.extend(-item_rows, np.full(n, SLACK - if_target))
+        _, point, _ = lp.solve_maxmin_linear(user_rows, region)
         rows = point.reshape(k, n)
         if tie_break is TieBreak.CANONICAL:
             if gamma == 0:
                 rows = _argmax_mixing_rows(red.matrix.values)
             else:
-                rows = _canonical_maxmin_rows(user_rows, item_rows, point, if_target, k, n)
+                rows = _canonical_maxmin_rows(
+                    user_rows.toarray(), item_rows.toarray(), point, if_target, k, n
+                )
     elif measure.kind is MeasureKind.SUM_K_MIN:
         if_target = gamma * if_value if gamma > 0 else 0.0
-        rows = _sum_k_min_rows(red, b, item_rows, gamma, if_target, measure, k, n)
+        rows = _sum_k_min_rows(red, user_rows, item_rows, gamma, if_target, measure, k, n)
     else:
         if_target = (if_value / gamma) if gamma > 0 else -np.inf
-        rows = _nash_uf_rows(red, user_rows, item_rows, gamma, if_target, k, n)
+        rows = _nash_uf_rows(red, user_rows.toarray(), item_rows.toarray(), gamma, if_target, k, n)
 
     policy_rows = RecommendationPolicy.from_solver(rows, reduced=True).rows
     value = measure_value((b * policy_rows).sum(axis=1), measure, weights=red.counts)
@@ -349,40 +319,17 @@ def compute_uf_star(
     return UfStarResult(value, policy, policy_rows, gamma, if_value, if_target, measure, model.delta)
 
 
-def _sum_k_min_rows(red, b, item_rows, gamma, if_target, measure, k, n):
+def _sum_k_min_rows(red, user_rows, item_rows, gamma, if_target, measure, k, n):
     """Epigraph program for the sum of the k smallest user utilities, with a
     certificate block encoding the item-side constraint when gamma > 0."""
-    nv = k * n
+    region = _simplex_region(k, n)
     if gamma > 0:
-        # Extra variables tv, sv_j certify that the sum of the k smallest
-        # item utilities reaches the target.
-        total = nv + 1 + n
-        constraints = [_pad_many(c, 1 + n) for c in _simplex_constraints(k, n)]
-        cert = np.zeros(total)
-        cert[nv] = float(measure.k)
-        cert[nv + 1 :] = -1.0
-        constraints.append(lp.LinearConstraint(cert, lp.GE, if_target - SLACK))
-        for j in range(n):
-            coeffs = np.zeros(total)
-            coeffs[:nv] = item_rows[j]
-            coeffs[nv] = -1.0
-            coeffs[nv + 1 + j] = 1.0
-            constraints.append(lp.LinearConstraint(coeffs, lp.GE, 0.0))
-        bounds = ((0, None),) * nv + ((None, None),) + ((0, None),) * n
-        region = lp.feasible_region(total, tuple(constraints), bounds)
-    else:
-        total = nv
-        region = lp.feasible_region(nv, tuple(_simplex_constraints(k, n)))
+        region = lp.sum_k_smallest_floor(item_rows, measure.k, if_target - SLACK, region)
     # One epigraph row per user, so type multiplicities count.
-    per_user = np.repeat(_flatten_user_rows(b), red.counts, axis=0)
-    if total > nv:
-        per_user = np.hstack([per_user, np.zeros((per_user.shape[0], total - nv))])
-    _, point = lp.sum_k_smallest_epigraph(per_user, measure.k, region)
-    return point[:nv].reshape(k, n)
-
-
-def _pad_many(c: lp.LinearConstraint, extra: int) -> lp.LinearConstraint:
-    return lp.LinearConstraint(np.concatenate([c.coeffs, np.zeros(extra)]), c.relation, c.bound)
+    per_user = coo_array(user_rows.tocsr()[np.repeat(np.arange(k), red.counts)])
+    per_user.resize((per_user.shape[0], region.num_vars))
+    _, point, _ = lp.sum_k_smallest_epigraph(per_user, measure.k, region)
+    return point[: k * n].reshape(k, n)
 
 
 def _nash_uf_rows(red, user_rows, item_rows, gamma, target, k, n):
@@ -544,7 +491,8 @@ def tradeoff_sweep(
     The item-side optimum is computed once and shared by every row.  A
     failing gamma is recorded in its row and the sweep continues.  The
     user-fairness column is checked to be nonincreasing; a violation means
-    the solver contract is broken and raises.
+    the solver contract is broken and raises LPSolverError with status
+    FAILED.
     """
     model = item_model or ItemUtilityModel()
     gammas = [float(g) for g in gammas]
@@ -556,23 +504,24 @@ def tradeoff_sweep(
         start = time.perf_counter()
         try:
             r = compute_uf_star(w, g, model, measure, if_star=ifres, tie_break=tie_break)
-            elapsed = (time.perf_counter() - start) * 1000.0
-            i_vals = (a * r.rows_by_type).sum(axis=0)
-            if measure.kind is MeasureKind.NASH_WELFARE and np.any(i_vals <= 0.0):
-                # a starved item puts the log-welfare at its floor
-                if_achieved = -np.inf
-            else:
-                if_achieved = measure_value(i_vals, measure)
-            if r.value > prev_ok + SWEEP_TOL * (1.0 + abs(prev_ok)):
-                raise RuntimeError(
-                    f"user fairness increased along the sweep at gamma = {g}: "
-                    f"{r.value} after {prev_ok}"
-                )
-            prev_ok = r.value
-            rows.append(TradeoffRow(g, r.if_target, r.value, if_achieved, "ok", elapsed))
         except (lp.LPSolverError, NonConvergenceError) as exc:
             elapsed = (time.perf_counter() - start) * 1000.0
             rows.append(TradeoffRow(g, np.nan, np.nan, np.nan, f"error: {exc}", elapsed))
+            continue
+        elapsed = (time.perf_counter() - start) * 1000.0
+        i_vals = (a * r.rows_by_type).sum(axis=0)
+        if measure.kind is MeasureKind.NASH_WELFARE and np.any(i_vals <= 0.0):
+            # a starved item puts the log-welfare at its floor
+            if_achieved = -np.inf
+        else:
+            if_achieved = measure_value(i_vals, measure)
+        if r.value > prev_ok + SWEEP_TOL * (1.0 + abs(prev_ok)):
+            raise lp.LPSolverError(
+                lp.LPStatus.FAILED,
+                f"user fairness increased along the sweep at gamma = {g}: {r.value} after {prev_ok}",
+            )
+        prev_ok = r.value
+        rows.append(TradeoffRow(g, r.if_target, r.value, if_achieved, "ok", elapsed))
     provenance = {
         "tool": "fairrec",
         "measure": measure.kind.value,

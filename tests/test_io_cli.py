@@ -220,6 +220,38 @@ def test_cli_solver_error_exit_and_record(tmp_path, monkeypatch):
     assert record["error"] == "LPSolverError"
 
 
+def test_cli_failed_validation_exit_and_record(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "VALIDATE_TOL", -1.0)
+    out = tmp_path / "report.csv"
+    code = run(["validate-closed-form", "--values", "3,2,1", "--alpha", "1",
+                "--users", "10", "--out", str(out)])
+    assert code == 3
+    record = json.loads((tmp_path / "error.json").read_text())
+    assert record["exit_code"] == 3
+    assert record["error"] == "LPSolverError"
+
+
+def test_cli_rising_sweep_exit_and_record(tmp_path, monkeypatch):
+    import dataclasses
+
+    import fairrec.optimizer as opt
+
+    real = opt.compute_uf_star
+
+    def rising(w, gamma, *args, **kwargs):
+        return dataclasses.replace(real(w, gamma, *args, **kwargs), value=1.0 + gamma)
+
+    monkeypatch.setattr(opt, "compute_uf_star", rising)
+    out = tmp_path / "c.csv"
+    code = run(["tradeoff", "--values", "3,2,1", "--alpha", "0.5",
+                "--users", "10", "--out", str(out)])
+    assert code == 3
+    record = json.loads((tmp_path / "error.json").read_text())
+    assert record["exit_code"] == 3
+    assert record["error"] == "LPSolverError"
+    assert "increased along the sweep" in record["message"]
+
+
 def test_cli_rejects_unknown_subcommand():
     with pytest.raises(SystemExit) as err:
         run(["frobnicate"])

@@ -5,66 +5,60 @@ import pytest
 from oracles import grid_maxmin, simplex_grid
 
 from fairrec.lp import (
-    EQ,
-    GE,
-    LE,
-    LinearConstraint,
-    LPInstance,
     LPSolverError,
     LPStatus,
-    feasible_region,
+    Region,
     solve_lp,
     solve_maxmin_linear,
     sum_k_smallest_epigraph,
+    sum_k_smallest_floor,
 )
 
-SIMPLEX2 = feasible_region(2, (LinearConstraint([1.0, 1.0], EQ, 1.0),))
+
+def simplex(n):
+    return Region(n, a_eq=np.ones((1, n)), b_eq=[1.0])
+
+
+SIMPLEX2 = simplex(2)
 
 
 def test_maxmin_of_coordinates_on_simplex_is_half():
-    value, point = solve_maxmin_linear(np.eye(2), SIMPLEX2)
+    value, point, _ = solve_maxmin_linear(np.eye(2), SIMPLEX2)
     assert abs(value - 0.5) < 1e-12
     assert np.allclose(point, [0.5, 0.5], atol=1e-12)
 
 
 def test_sum_two_smallest_with_pinned_third_coordinate():
     # Third variable is fixed at 0.8; best split of the first two is even.
-    region = feasible_region(
-        3, (LinearConstraint([1.0, 1.0, 0.0], EQ, 1.0),), ((0, None), (0, None), (0.8, 0.8))
-    )
-    value, point = sum_k_smallest_epigraph(np.eye(3), 2, region)
+    region = Region(3, a_eq=[[1.0, 1.0, 0.0]], b_eq=[1.0], lb=[0.0, 0.0, 0.8], ub=[np.inf, np.inf, 0.8])
+    value, point, _ = sum_k_smallest_epigraph(np.eye(3), 2, region)
     assert abs(value - 1.0) < 1e-9
     assert np.allclose(point[:2], [0.5, 0.5], atol=1e-9)
 
 
 def test_infeasible_program_raises_with_status():
-    region = feasible_region(
-        1, (LinearConstraint([1.0], GE, 2.0), LinearConstraint([1.0], LE, 1.0))
-    )
+    # x >= 2 and x <= 1
+    region = Region(1, a_ub=[[-1.0], [1.0]], b_ub=[-2.0, 1.0])
     with pytest.raises(LPSolverError) as err:
         solve_maxmin_linear(np.array([[1.0]]), region)
     assert err.value.status is LPStatus.INFEASIBLE
 
 
 def test_unbounded_program_is_reported():
-    instance = LPInstance(1, np.array([1.0]))
-    solution = solve_lp(instance)
+    solution = solve_lp(np.array([1.0]), Region(1))
     assert solution.status is LPStatus.UNBOUNDED
 
 
 def test_identical_instances_solve_bitwise_identically():
     rng = np.random.default_rng(11)
     rows = rng.uniform(0.0, 1.0, size=(5, 4))
-    region = feasible_region(4, (LinearConstraint(np.ones(4), EQ, 1.0),))
-    _, p1 = solve_maxmin_linear(rows, region)
-    _, p2 = solve_maxmin_linear(rows.copy(), feasible_region(4, (LinearConstraint(np.ones(4), EQ, 1.0),)))
+    _, p1, _ = solve_maxmin_linear(rows, simplex(4))
+    _, p2, _ = solve_maxmin_linear(rows.copy(), simplex(4))
     assert np.array_equal(p1, p2)
 
 
 def test_solution_is_vertex_flagged():
-    solution = solve_lp(
-        LPInstance(2, np.array([1.0, 0.0]), (LinearConstraint([1.0, 1.0], EQ, 1.0),))
-    )
+    solution = solve_lp(np.array([1.0, 0.0]), SIMPLEX2)
     assert solution.status is LPStatus.OPTIMAL
     assert solution.is_vertex
 
@@ -74,8 +68,7 @@ def test_maxmin_matches_dense_grid_search(seed):
     rng = np.random.default_rng(seed)
     n = rng.integers(2, 5)
     rows = rng.uniform(0.0, 1.0, size=(rng.integers(2, 7), n))
-    region = feasible_region(n, (LinearConstraint(np.ones(n), EQ, 1.0),))
-    value, point = solve_maxmin_linear(rows, region)
+    value, point, _ = solve_maxmin_linear(rows, simplex(n))
     step = 0.005 if n <= 3 else 0.02
     grid_value = grid_maxmin(rows, simplex_grid(int(n), step))
     # every grid point is feasible, and the grid is step-dense in L1
@@ -87,9 +80,9 @@ def test_maxmin_matches_dense_grid_search(seed):
 def test_sum_1_smallest_equals_maxmin(seed):
     rng = np.random.default_rng(100 + seed)
     rows = rng.uniform(0.0, 1.0, size=(4, 3))
-    region = feasible_region(3, (LinearConstraint(np.ones(3), EQ, 1.0),))
-    v1, _ = solve_maxmin_linear(rows, region)
-    v2, _ = sum_k_smallest_epigraph(rows, 1, region)
+    region = simplex(3)
+    v1, _, _ = solve_maxmin_linear(rows, region)
+    v2, _, _ = sum_k_smallest_epigraph(rows, 1, region)
     assert abs(v1 - v2) < 1e-7
 
 
@@ -99,26 +92,38 @@ def test_reported_values_are_attained_by_returned_points(seed):
     # be recomputed from the point rather than read off the epigraph variable.
     rng = np.random.default_rng(200 + seed)
     rows = rng.uniform(0.0, 1.0, size=(5, 4))
-    region = feasible_region(4, (LinearConstraint(np.ones(4), EQ, 1.0),))
-    value, point = solve_maxmin_linear(rows, region)
+    region = simplex(4)
+    value, point, _ = solve_maxmin_linear(rows, region)
     assert value == float(np.min(rows @ point))
-    value, point = sum_k_smallest_epigraph(rows, 2, region)
+    value, point, _ = sum_k_smallest_epigraph(rows, 2, region)
     assert value == float(np.sort(rows @ point)[:2].sum())
 
 
 def test_constraint_validation():
     with pytest.raises(ValueError):
-        LinearConstraint(np.eye(2), EQ, 1.0)
+        Region(2, a_eq=[[1.0, 1.0]], b_eq=[1.0, 1.0])
     with pytest.raises(ValueError):
-        LinearConstraint([1.0], "<", 1.0)
+        Region(2, lb=[0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        LPInstance(2, np.array([1.0]))
+        solve_lp(np.array([1.0]), Region(2))
     with pytest.raises(ValueError):
-        LPInstance(2, np.zeros(2), (LinearConstraint([1.0], EQ, 1.0),))
+        Region(2, a_ub=[[1.0]], b_ub=[1.0])
 
 
 def test_var_bounds_are_honored():
-    region = feasible_region(2, (LinearConstraint([1.0, 1.0], EQ, 1.0),), ((0.3, None), (0, None)))
-    value, point = solve_maxmin_linear(np.array([[0.0, 1.0]]), region)
+    region = Region(2, a_eq=[[1.0, 1.0]], b_eq=[1.0], lb=[0.3, 0.0])
+    value, point, _ = solve_maxmin_linear(np.array([[0.0, 1.0]]), region)
     assert abs(point[0] - 0.3) < 1e-12
     assert abs(value - 0.7) < 1e-12
+
+
+def test_sum_k_floor_keeps_smallest_rows_above_bound():
+    # Every coordinate must stay at 0.3 or more, so x0 tops out at 0.7.
+    region = sum_k_smallest_floor(np.eye(2), 1, 0.3, SIMPLEX2)
+    value, point, _ = solve_maxmin_linear(np.array([[1.0, 0.0, 0.0, 0.0, 0.0]]), region)
+    assert abs(value - 0.7) < 1e-12
+    assert abs(point[1] - 0.3) < 1e-12
+    # The two smallest coordinates sum to 1 on the simplex; a floor above that is empty.
+    with pytest.raises(LPSolverError) as err:
+        solve_maxmin_linear(np.eye(5)[:1], sum_k_smallest_floor(np.eye(2), 2, 1.5, SIMPLEX2))
+    assert err.value.status is LPStatus.INFEASIBLE

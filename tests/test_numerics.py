@@ -5,10 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fairrec.lp import EQ, GE, LinearConstraint, feasible_region
 from fairrec.numerics import (
     HalfspaceSet,
-    HyperplaneSet,
     LogObjective,
     SimplexProduct,
     SimplexRowsSet,
@@ -52,11 +50,6 @@ def test_dykstra_simplex_with_halfspace():
     assert np.allclose(out, [0.8, 0.2], atol=1e-8)
 
 
-def test_hyperplane_projection():
-    out = HyperplaneSet(np.array([1.0, 1.0]), 1.0).project(np.array([1.0, 1.0]))
-    assert np.allclose(out, [0.5, 0.5], atol=1e-15)
-
-
 def test_min_norm_face_point_hits_active_halfspace():
     face = [HalfspaceSet(np.array([1.0, 0.0]), 0.8)]
     x = min_norm_face_point(np.array([0.5, 0.5]), 1, 2, face, start=np.array([0.9, 0.1]))
@@ -88,44 +81,6 @@ def test_iteration_cap_reports_nonconvergence():
     objective = LogObjective(np.eye(3), None, np.array([5.0, 1.0, 1.0]))
     res = nash_concave_solve(objective, SimplexProduct(1, 3), tol=1e-12, max_iter=1)
     assert not res.converged
-
-
-def test_frank_wolfe_on_pinned_segment():
-    # Item floors force the even split; five identical users share the log term.
-    region = feasible_region(
-        2,
-        (
-            LinearConstraint([1.0, 1.0], EQ, 1.0),
-            LinearConstraint([1.0, 0.0], GE, 0.5),
-            LinearConstraint([0.0, 1.0], GE, 0.5),
-        ),
-    )
-    objective = LogObjective(np.array([[1.0, 1.0 / 9.0]]), None, np.array([5.0]))
-    res = nash_concave_solve(objective, region, start=np.array([0.5, 0.5]), tol=1e-9)
-    assert res.converged
-    assert abs(res.value - 5 * np.log(0.5 + 0.5 / 9.0)) < 1e-9
-
-
-def test_frank_wolfe_climbs_to_segment_end():
-    region = feasible_region(
-        2,
-        (
-            LinearConstraint([1.0, 1.0], EQ, 1.0),
-            LinearConstraint([1.0, 0.0], GE, 0.4),
-            LinearConstraint([0.0, 1.0], GE, 0.4),
-        ),
-    )
-    objective = LogObjective(np.array([[1.0, 1.0 / 9.0]]), None, np.array([5.0]))
-    res = nash_concave_solve(objective, region, start=np.array([0.5, 0.5]), tol=1e-9)
-    assert res.converged
-    assert np.allclose(res.point, [0.6, 0.4], atol=1e-6)
-    assert abs(res.value - 5 * np.log(0.6 + 0.4 / 9.0)) < 1e-8
-
-
-def test_frank_wolfe_requires_explicit_start():
-    region = feasible_region(1, (LinearConstraint([1.0], EQ, 1.0),))
-    with pytest.raises(ValueError):
-        nash_concave_solve(LogObjective(np.array([[1.0]]), None, None), region)
 
 
 def test_region_type_is_checked():

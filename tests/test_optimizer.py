@@ -40,20 +40,52 @@ SUMK3 = FairnessMeasure(MeasureKind.SUM_K_MIN, 3)
 
 
 def test_type_reduction_groups_identical_rows():
-    w = UtilityMatrix(np.array([[1.0, 2.0], [1.0, 2.0], [2.0, 1.0]]))
-    red = reduce_by_types(w)
-    assert red.k == 2
-    assert np.array_equal(red.counts, [2, 1])
-    assert np.array_equal(red.user_to_type, [0, 0, 1])
-    assert np.array_equal(red.matrix.values, [[1.0, 2.0], [2.0, 1.0]])
+    cases = [
+        ([[1.0, 2.0], [1.0, 2.0], [2.0, 1.0]], [0, 0, 1], [2, 1], [[1.0, 2.0], [2.0, 1.0]]),
+        # first-occurrence order differs from sorted order
+        ([[2.0, 1.0], [1.0, 2.0], [2.0, 1.0]], [0, 1, 0], [2, 1], [[2.0, 1.0], [1.0, 2.0]]),
+    ]
+    for values, user_to_type, counts, rows in cases:
+        red = reduce_by_types(UtilityMatrix(np.array(values)))
+        assert red.k == 2
+        assert np.array_equal(red.counts, counts)
+        assert np.array_equal(red.user_to_type, user_to_type)
+        assert np.array_equal(red.matrix.values, rows)
 
 
 def test_type_reduction_respects_explicit_labels():
     values = np.array([[1.0, 2.0]] * 3)
-    w = UtilityMatrix(values, type_of=np.array([5, 5, 9]))
-    red = reduce_by_types(w)
-    assert red.k == 2
-    assert np.array_equal(red.counts, [2, 1])
+    for labels, user_to_type in (([5, 5, 9], [0, 0, 1]), ([9, 5, 9], [0, 1, 0])):
+        red = reduce_by_types(UtilityMatrix(values, type_of=np.array(labels)))
+        assert red.k == 2
+        assert np.array_equal(red.counts, [2, 1])
+        assert np.array_equal(red.user_to_type, user_to_type)
+
+
+def _loop_reduction(values, type_of):
+    """Per-user reference: first-occurrence type ids, counts and rows."""
+    ids = {}
+    user_to_type = []
+    for i, row in enumerate(values):
+        key = row.tobytes() if type_of is None else int(type_of[i])
+        user_to_type.append(ids.setdefault(key, len(ids)))
+    counts = np.bincount(user_to_type)
+    rows = np.array([values[user_to_type.index(t)] for t in range(len(ids))])
+    return np.array(user_to_type), counts, rows
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_type_reduction_matches_loop_reference(seed):
+    rng = np.random.default_rng(300 + seed)
+    types = rng.uniform(0.1, 1.0, size=(5, 4))
+    labels = rng.permutation(40) % 5 + 7 * seed
+    values = types[labels % 5]
+    for type_of in (None, labels):
+        red = reduce_by_types(UtilityMatrix(values, type_of=type_of))
+        user_to_type, counts, rows = _loop_reduction(values, type_of)
+        assert np.array_equal(red.user_to_type, user_to_type)
+        assert np.array_equal(red.counts, counts)
+        assert np.array_equal(red.matrix.values, rows)
 
 
 def test_policy_expansion_repeats_type_rows(worked_instance):
