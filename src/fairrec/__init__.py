@@ -32,7 +32,6 @@ from .core import (
 from .lp import LPSolverError, LPStatus
 from .numerics import NonConvergenceError, nash_concave_solve
 from .optimizer import (
-    FairnessPrices,
     IfStarResult,
     Scope,
     TieBreak,
@@ -51,7 +50,6 @@ from .optimizer import (
 from .io import MatrixFormatError, load_utility_csv, save_utility_csv
 from .populations import (
     MisestimationData,
-    PopulationRecipe,
     gen_homogeneous,
     gen_misestimation,
     gen_two_type,
@@ -60,7 +58,6 @@ from .populations import (
 __all__ = [
     "MAX_MIN",
     "FairnessMeasure",
-    "FairnessPrices",
     "IfStarResult",
     "ItemUtilityModel",
     "LPSolverError",
@@ -71,7 +68,6 @@ __all__ = [
     "MisestSpec",
     "MisestimationData",
     "NonConvergenceError",
-    "PopulationRecipe",
     "RecommendationPolicy",
     "Scope",
     "TieBreak",

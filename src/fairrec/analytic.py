@@ -97,17 +97,17 @@ def q_weights(spec: TwoTypeSpec) -> np.ndarray:
 class TwoTypeSolution:
     """Item-fairness optimum of a mirrored two-type instance.
 
-    x is the policy of the v-ranked type, y of the mirrored type.  The
-    policies satisfy q_j x_j + (1 - q_j) y_j = if_star for every item.
-    uf1 is the best worst-case normalized user utility attainable while
-    keeping the item side at its optimum, and pof = 1 - uf1 is the relative
-    loss against the unconstrained optimum (which is always 1).
+    t is the 1-based pivot item and q the type-1 shares of the item
+    utilities (``q_weights``).  x is the policy of the v-ranked type, y of
+    the mirrored type.  The policies satisfy q_j x_j + (1 - q_j) y_j =
+    if_star for every item.  uf1 is the best worst-case normalized user
+    utility attainable while keeping the item side at its optimum, and
+    pof = 1 - uf1 is the relative loss against the unconstrained optimum
+    (which is always 1).
     """
 
     t: int
     q: np.ndarray
-    L: float
-    R: float
     if_star: float
     x: np.ndarray
     y: np.ndarray
@@ -152,15 +152,12 @@ def two_type_solution(spec: TwoTypeSpec) -> TwoTypeSolution:
     q = q_weights(spec)
     t = two_type_pivot(spec)
     if_star, x, y = _two_type_candidate(q, t)
-    i = t - 1
-    L = float(np.sum(1.0 / q[:i]))
-    R = float(np.sum(1.0 / (1.0 - q[i + 1 :])))
     v = spec.v
     # Worst-off side of the population; at alpha = 1/2 both types tie.
     u_type1 = float(x @ v) / v[0]
     u_type2 = float(y @ v[::-1]) / v[0]
     uf1 = min(u_type1, u_type2)
-    return TwoTypeSolution(t=t, q=q, L=L, R=R, if_star=if_star, x=x, y=y, uf1=uf1, pof=1.0 - uf1)
+    return TwoTypeSolution(t=t, q=q, if_star=if_star, x=x, y=y, uf1=uf1, pof=1.0 - uf1)
 
 
 def two_type_pof_curve(v, alphas) -> np.ndarray:

@@ -181,7 +181,11 @@ def cmd_tradeoff(args) -> int:
         save_line_chart(args.svg, xs, series, title="Fairness tradeoff",
                         x_label="gamma", y_label="normalized fairness")
         print(f"chart -> {args.svg}")
-    return EXIT_SOLVER if bad else EXIT_OK
+    if bad:
+        raise LPSolverError(
+            LPStatus.FAILED, "tradeoff failed at gamma = " + ", ".join(f"{r.gamma:g}" for r in bad)
+        )
+    return EXIT_OK
 
 
 def cmd_pof(args) -> int:

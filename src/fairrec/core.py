@@ -15,6 +15,8 @@ import numpy as np
 
 # Policy rows must sum to one within this tolerance.
 ROW_SUM_TOL = 1e-9
+# Matrix entries compared at once when checking that users of a type share a row.
+TYPE_CHECK_BLOCK = 1 << 17
 
 
 class MeasureKind(str, Enum):
@@ -95,10 +97,15 @@ class UtilityMatrix:
             type_of = np.asarray(self.type_of, dtype=int)
             if type_of.shape != (values.shape[0],):
                 raise ValueError(f"type_of must have one entry per user, got shape {type_of.shape}")
-            for t in np.unique(type_of):
-                rows = values[type_of == t]
-                if not np.all(rows == rows[0]):
-                    raise ValueError(f"users of type {t} do not share identical utility rows")
+            # Compare every row with its type's first row, a block of rows at
+            # a time so that no second copy of the matrix is made.
+            _, first, inverse = np.unique(type_of, return_index=True, return_inverse=True)
+            rep = first[inverse]
+            step = max(1, TYPE_CHECK_BLOCK // values.shape[1])
+            blocks = range(0, values.shape[0], step)
+            if not all((values[s : s + step] == values[rep[s : s + step]]).all() for s in blocks):
+                t = type_of[np.any(values != values[rep], axis=1)].min()
+                raise ValueError(f"users of type {t} do not share identical utility rows")
             object.__setattr__(self, "type_of", _freeze(type_of.copy()))
         if self.user_labels is not None and len(self.user_labels) != values.shape[0]:
             raise ValueError("user_labels length does not match the number of rows")
@@ -119,7 +126,6 @@ class RecommendationPolicy:
     """One probability distribution over items per user (or per type)."""
 
     rows: np.ndarray
-    reduced: bool = False
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=float)
@@ -138,14 +144,14 @@ class RecommendationPolicy:
         object.__setattr__(self, "rows", _freeze(rows.copy()))
 
     @classmethod
-    def from_solver(cls, rows: np.ndarray, reduced: bool = False) -> "RecommendationPolicy":
+    def from_solver(cls, rows: np.ndarray) -> "RecommendationPolicy":
         """Clamp tiny numerical negatives and renormalize exact row sums."""
         rows = np.asarray(rows, dtype=float).copy()
         rows[rows < 0] = 0.0
         sums = rows.sum(axis=1, keepdims=True)
         if np.any(sums <= 0):
             raise ValueError("solver returned an all-zero policy row")
-        return cls(rows / sums, reduced=reduced)
+        return cls(rows / sums)
 
     @property
     def m(self) -> int:
@@ -154,12 +160,6 @@ class RecommendationPolicy:
     @property
     def n(self) -> int:
         return self.rows.shape[1]
-
-
-def apply_item_utility_model(w: UtilityMatrix, model: ItemUtilityModel) -> UtilityMatrix:
-    """Blend the matrix toward uniform popularity weight: delta + (1 - delta) w."""
-    out = model.delta + (1.0 - model.delta) * w.values
-    return UtilityMatrix(out, type_of=w.type_of, user_labels=w.user_labels, item_labels=w.item_labels)
 
 
 def _check_pair(policy: RecommendationPolicy, w: UtilityMatrix) -> None:
@@ -186,23 +186,9 @@ def item_utility_vector(
     users with probability one.
     """
     model = model or ItemUtilityModel()
-    wi = apply_item_utility_model(w, model).values
     _check_pair(policy, w)
+    wi = model.delta + (1.0 - model.delta) * w.values
     return (policy.rows * wi).sum(axis=0) / wi.sum(axis=0)
-
-
-def normalized_user_utility(policy: RecommendationPolicy, w: UtilityMatrix, i: int) -> float:
-    if not 0 <= i < w.m:
-        raise IndexError(f"user index {i} out of range for {w.m} users")
-    return float(user_utility_vector(policy, w)[i])
-
-
-def normalized_item_utility(
-    policy: RecommendationPolicy, w: UtilityMatrix, j: int, model: ItemUtilityModel | None = None
-) -> float:
-    if not 0 <= j < w.n:
-        raise IndexError(f"item index {j} out of range for {w.n} items")
-    return float(item_utility_vector(policy, w, model)[j])
 
 
 def measure_value(values: np.ndarray, measure: FairnessMeasure, weights: np.ndarray | None = None) -> float:

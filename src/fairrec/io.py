@@ -29,14 +29,14 @@ def provenance_lines(command: str, config: dict, seed: int | None = None) -> lis
     the documented exception).
     """
     from . import lp
-    from .optimizer import NASH_GAP_TOL
+    from .numerics import GAP_TOL
 
     items = " ".join(f"{k}={config[k]}" for k in sorted(config))
     lines = [
         f"# fairrec {__version__}",
         f"# command: {command}",
         f"# config: {items}",
-        f"# tolerances: feasibility={lp.FEAS_TOL:g} optimality={lp.OPT_TOL:g} nash_gap={NASH_GAP_TOL:g}",
+        f"# tolerances: feasibility={lp.FEAS_TOL:g} optimality={lp.OPT_TOL:g} nash_gap={GAP_TOL:g}",
     ]
     if seed is not None:
         lines.append(f"# seed: {seed}")

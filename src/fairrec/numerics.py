@@ -1,11 +1,12 @@
 """First-order numerical routines used by the optimizer.
 
-Contains the Euclidean simplex projection, Dykstra's alternating projection
-method for nearest points in an intersection of convex sets, and a
-maximizer for weighted sums of logarithms of affine functionals over a
-product of simplices (projected gradient ascent).  The ascent terminates on
-the Frank-Wolfe duality gap, which upper-bounds the distance to the optimum
-value.
+One region type, ``SimplexProduct`` (a product of probability simplices,
+with its Euclidean projection), serves both solvers here: the nearest point
+of a face cut out of it by halfspaces (SLSQP, with Dykstra's alternating
+projections as the fallback), and a maximizer for weighted sums of
+logarithms of linear functionals over it (projected gradient ascent).  The
+ascent terminates on the Frank-Wolfe duality gap, which upper-bounds the
+distance to the optimum value.
 """
 from __future__ import annotations
 
@@ -16,6 +17,11 @@ import numpy as np
 # Default certificate tolerance for the concave solver.
 GAP_TOL = 1e-6
 MAX_ITER = 100_000
+# An SLSQP face point is accepted when it violates no constraint by more than this.
+FACE_FEAS_TOL = 1e-8
+# Dykstra stops once a full cycle moves the iterate by at most DYKSTRA_TOL (sup norm).
+DYKSTRA_TOL = 1e-12
+DYKSTRA_MAX_CYCLES = 200_000
 
 
 class NonConvergenceError(RuntimeError):
@@ -50,39 +56,41 @@ class HalfspaceSet:
 
 
 @dataclass(frozen=True)
-class SimplexRowsSet:
-    """{x : each consecutive block of row_len entries is a distribution}"""
+class SimplexProduct:
+    """``num_rows`` independent distributions over ``row_len`` entries, flattened row by row."""
 
     num_rows: int
     row_len: int
+
+    @property
+    def num_vars(self) -> int:
+        return self.num_rows * self.row_len
+
+    def uniform(self) -> np.ndarray:
+        return np.full(self.num_vars, 1.0 / self.row_len)
 
     def project(self, x):
         return project_rows_to_simplex(x.reshape(self.num_rows, self.row_len)).ravel()
 
 
-def dykstra_project(
-    target: np.ndarray,
-    sets,
-    tol: float = 1e-12,
-    max_cycles: int = 200_000,
-) -> np.ndarray:
+def dykstra_project(target: np.ndarray, sets) -> np.ndarray:
     """Nearest point to ``target`` in the intersection of the given sets.
 
     Standard Dykstra iteration with one correction term per set; converges
     to the exact Euclidean projection for closed convex sets.  Stops when a
-    full cycle moves the iterate by at most ``tol`` (sup norm).
+    full cycle moves the iterate by at most ``DYKSTRA_TOL`` (sup norm).
     """
     x = np.asarray(target, dtype=float).copy()
     mem = [np.zeros_like(x) for _ in sets]
-    for _ in range(max_cycles):
+    for _ in range(DYKSTRA_MAX_CYCLES):
         start = x.copy()
         for idx, s in enumerate(sets):
             y = s.project(x + mem[idx])
             mem[idx] = x + mem[idx] - y
             x = y
-        if np.max(np.abs(x - start)) <= tol:
+        if np.max(np.abs(x - start)) <= DYKSTRA_TOL:
             return x
-    raise NonConvergenceError(f"Dykstra projection did not converge in {max_cycles} cycles")
+    raise NonConvergenceError(f"Dykstra projection did not converge in {DYKSTRA_MAX_CYCLES} cycles")
 
 
 def min_norm_face_point(
@@ -91,7 +99,6 @@ def min_norm_face_point(
     row_len: int,
     halfspaces,
     start: np.ndarray | None = None,
-    feas_tol: float = 1e-8,
 ) -> np.ndarray:
     """Nearest point to ``target`` among row-stochastic points satisfying
     every halfspace constraint.
@@ -104,10 +111,8 @@ def min_norm_face_point(
     from scipy.optimize import minimize
 
     target = np.asarray(target, dtype=float)
-    nv = num_rows * row_len
-    a_eq = np.zeros((num_rows, nv))
-    for r in range(num_rows):
-        a_eq[r, r * row_len : (r + 1) * row_len] = 1.0
+    region = SimplexProduct(num_rows, row_len)
+    a_eq = np.kron(np.eye(num_rows), np.ones(row_len))
     cons = [{"type": "eq", "fun": lambda x: a_eq @ x - 1.0, "jac": lambda x: a_eq}]
     if halfspaces:
         g = np.vstack([h.a for h in halfspaces])
@@ -118,7 +123,7 @@ def min_norm_face_point(
         lambda x: 0.5 * float((x - target) @ (x - target)),
         x0,
         jac=lambda x: x - target,
-        bounds=[(0.0, None)] * nv,
+        bounds=[(0.0, None)] * region.num_vars,
         method="SLSQP",
         constraints=cons,
         options={"maxiter": 500, "ftol": 1e-16},
@@ -126,61 +131,42 @@ def min_norm_face_point(
     x = res.x
     feasible = (
         np.all(np.isfinite(x))
-        and np.max(np.abs(a_eq @ x - 1.0)) <= feas_tol
-        and x.min() >= -feas_tol
-        and (not halfspaces or np.min(g @ x - hb) >= -feas_tol)
+        and np.max(np.abs(a_eq @ x - 1.0)) <= FACE_FEAS_TOL
+        and x.min() >= -FACE_FEAS_TOL
+        and (not halfspaces or np.min(g @ x - hb) >= -FACE_FEAS_TOL)
     )
     if feasible:
         return x
-    sets = [SimplexRowsSet(num_rows, row_len), *halfspaces]
-    return dykstra_project(target, sets)
+    return dykstra_project(target, [region, *halfspaces])
 
 
 @dataclass(frozen=True)
 class LogObjective:
-    """F(x) = sum_r weights_r * log(coeffs_r . x + offsets_r)."""
+    """F(x) = sum_r weights_r * log(coeffs_r . x); ``weights=None`` means all ones."""
 
     coeffs: np.ndarray
-    offsets: np.ndarray
-    weights: np.ndarray
+    weights: np.ndarray | None = None
 
     def __post_init__(self):
         coeffs = np.atleast_2d(np.asarray(self.coeffs, dtype=float))
         nrows = coeffs.shape[0]
-        offsets = np.zeros(nrows) if self.offsets is None else np.asarray(self.offsets, dtype=float)
         weights = np.ones(nrows) if self.weights is None else np.asarray(self.weights, dtype=float)
-        if offsets.shape != (nrows,) or weights.shape != (nrows,):
-            raise ValueError("offsets and weights must have one entry per functional")
+        if weights.shape != (nrows,):
+            raise ValueError("weights must have one entry per functional")
         if np.any(weights <= 0):
             raise ValueError("log-term weights must be strictly positive")
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "weights", weights)
 
     def value(self, x):
-        vals = self.coeffs @ x + self.offsets
+        vals = self.coeffs @ x
         if np.any(vals <= 0):
             return -np.inf
         return float(self.weights @ np.log(vals))
 
     def gradient(self, x):
-        vals = self.coeffs @ x + self.offsets
+        vals = self.coeffs @ x
         return self.coeffs.T @ (self.weights / vals)
-
-
-@dataclass(frozen=True)
-class SimplexProduct:
-    """Feasible region made of ``num_rows`` independent distributions."""
-
-    num_rows: int
-    row_len: int
-
-    @property
-    def num_vars(self) -> int:
-        return self.num_rows * self.row_len
-
-    def uniform(self) -> np.ndarray:
-        return np.full(self.num_vars, 1.0 / self.row_len)
 
 
 @dataclass(frozen=True)
@@ -213,7 +199,7 @@ def _ascend_simplex_product(objective, region, start, tol, max_iter) -> ConcaveR
             return ConcaveResult(fx, x, gap, it, True)
         eta = min(eta * 2.0, 1e8)
         while True:
-            xn = project_rows_to_simplex((x + eta * g).reshape(k, n)).ravel()
+            xn = region.project(x + eta * g)
             fn = objective.value(xn)
             if _armijo_accept(fn, fx, g, xn, x):
                 break

@@ -35,11 +35,11 @@ from .core import (
     MeasureKind,
     RecommendationPolicy,
     UtilityMatrix,
-    apply_item_utility_model,
     measure_value,
     user_utility_vector,
 )
 from .numerics import (
+    GAP_TOL,
     HalfspaceSet,
     LogObjective,
     NonConvergenceError,
@@ -53,8 +53,6 @@ from .numerics import (
 SLACK = 1e-9
 # Tolerance for sweep monotonicity and constraint satisfaction checks.
 SWEEP_TOL = 1e-6
-# Certificate tolerance for the Nash first-order path.
-NASH_GAP_TOL = 1e-6
 
 
 class TieBreak(str, Enum):
@@ -192,13 +190,11 @@ def compute_if_star(
     elif measure.kind is MeasureKind.SUM_K_MIN:
         _, point, lp_solution = lp.sum_k_smallest_epigraph(item_rows, measure.k, _simplex_region(k, n))
     else:
-        res = nash_concave_solve(
-            LogObjective(item_rows.toarray(), None, None), SimplexProduct(k, n), tol=NASH_GAP_TOL
-        )
+        res = nash_concave_solve(LogObjective(item_rows.toarray()), SimplexProduct(k, n))
         if not res.converged:
             raise NonConvergenceError("item-side Nash optimization hit the iteration cap")
         point, gap = res.point, res.gap
-    rows = RecommendationPolicy.from_solver(point.reshape(k, n), reduced=True).rows
+    rows = RecommendationPolicy.from_solver(point.reshape(k, n)).rows
     value = measure_value((a * rows).sum(axis=0), measure)
     policy = RecommendationPolicy(expand_policy(rows, red))
     result = IfStarResult(value, policy, rows, red, measure, model.delta, lp_solution, gap)
@@ -313,7 +309,7 @@ def compute_uf_star(
         if_target = (if_value / gamma) if gamma > 0 else -np.inf
         rows = _nash_uf_rows(red, user_rows.toarray(), item_rows.toarray(), gamma, if_target, k, n)
 
-    policy_rows = RecommendationPolicy.from_solver(rows, reduced=True).rows
+    policy_rows = RecommendationPolicy.from_solver(rows).rows
     value = measure_value((b * policy_rows).sum(axis=1), measure, weights=red.counts)
     policy = RecommendationPolicy(expand_policy(policy_rows, red))
     return UfStarResult(value, policy, policy_rows, gamma, if_value, if_target, measure, model.delta)
@@ -342,7 +338,7 @@ def _nash_uf_rows(red, user_rows, item_rows, gamma, target, k, n):
     """
     region = SimplexProduct(k, n)
     counts = red.counts.astype(float)
-    user_obj = LogObjective(user_rows, None, counts)
+    user_obj = LogObjective(user_rows, counts)
 
     def inw(x) -> float:
         vals = item_rows @ x
@@ -350,7 +346,7 @@ def _nash_uf_rows(red, user_rows, item_rows, gamma, target, k, n):
             return -np.inf
         return float(np.log(vals).sum())
 
-    res = nash_concave_solve(user_obj, region, tol=NASH_GAP_TOL)
+    res = nash_concave_solve(user_obj, region)
     if not res.converged:
         raise NonConvergenceError("user-side Nash optimization hit the iteration cap")
     if gamma == 0 or inw(res.point) >= target - SLACK:
@@ -359,14 +355,14 @@ def _nash_uf_rows(red, user_rows, item_rows, gamma, target, k, n):
     stacked = np.vstack([user_rows, item_rows])
 
     def inner(mu, x0):
-        obj = LogObjective(stacked, None, np.concatenate([counts, np.full(n, mu)]))
+        obj = LogObjective(stacked, np.concatenate([counts, np.full(n, mu)]))
         # Warm starts can sit on the boundary of the log domain; pull them
         # toward the uniform policy until strictly feasible.
         for t in (0.0, 1e-6, 1e-3, 1e-1, 1.0):
             start = (1.0 - t) * x0 + t * region.uniform()
             if np.isfinite(obj.value(start)):
                 break
-        out = nash_concave_solve(obj, region, start=start, tol=NASH_GAP_TOL)
+        out = nash_concave_solve(obj, region, start=start)
         if not out.converged:
             raise NonConvergenceError(f"Nash inner solve stalled at multiplier {mu}")
         return out
@@ -445,15 +441,6 @@ def price_of_misestimation(
 
 
 @dataclass(frozen=True)
-class FairnessPrices:
-    """Bundle of computed prices for reporting."""
-
-    pof: float | None
-    pom_by_gamma: dict[float, float]
-    scope: Scope | None
-
-
-@dataclass(frozen=True)
 class TradeoffRow:
     gamma: float
     if_target: float
@@ -473,11 +460,6 @@ class TradeoffCurve:
     delta: float
     provenance: dict
 
-    def __post_init__(self):
-        gammas = [r.gamma for r in self.rows]
-        if any(g2 <= g1 for g1, g2 in zip(gammas, gammas[1:])):
-            raise ValueError("gamma grid must be strictly increasing")
-
 
 def tradeoff_sweep(
     w: UtilityMatrix,
@@ -488,14 +470,20 @@ def tradeoff_sweep(
 ) -> TradeoffCurve:
     """Solve the constrained problem across a gamma grid.
 
-    The item-side optimum is computed once and shared by every row.  A
-    failing gamma is recorded in its row and the sweep continues.  The
-    user-fairness column is checked to be nonincreasing; a violation means
-    the solver contract is broken and raises LPSolverError with status
-    FAILED.
+    The grid must be strictly increasing inside [0, 1] (ValueError
+    otherwise, before anything is solved).  The item-side optimum is
+    computed once and shared by every row.  A failing gamma is recorded in
+    its row and the sweep continues.  The user-fairness column is checked to
+    be nonincreasing; a violation means the solver contract is broken and
+    raises LPSolverError with status FAILED.
     """
     model = item_model or ItemUtilityModel()
     gammas = [float(g) for g in gammas]
+    if any(g2 <= g1 for g1, g2 in zip(gammas, gammas[1:])):
+        raise ValueError("gamma grid must be strictly increasing")
+    bad = [g for g in gammas if not 0.0 <= g <= 1.0]
+    if bad:
+        raise ValueError(f"gamma values must lie in [0, 1], got {bad[0]}")
     ifres = compute_if_star(w, model, measure)
     a = _item_share_rows(ifres.reduction.matrix.values, ifres.reduction.counts, model)
     rows = []
@@ -531,6 +519,6 @@ def tradeoff_sweep(
         "matrix_sha256": hashlib.sha256(w.values.tobytes()).hexdigest()[:16],
         "feasibility_tol": lp.FEAS_TOL,
         "optimality_tol": lp.OPT_TOL,
-        "nash_gap_tol": NASH_GAP_TOL,
+        "nash_gap_tol": GAP_TOL,
     }
     return TradeoffCurve(tuple(rows), ifres.value, measure, model.delta, provenance)

@@ -95,27 +95,3 @@ def gen_misestimation(v, beta: float, m: int, seed: int = 0) -> MisestimationDat
         misestimated=np.sort(inverse[misest]),
     )
 
-
-@dataclass(frozen=True)
-class PopulationRecipe:
-    """Config object describing one generated population."""
-
-    kind: str  # "two-type", "homogeneous", or "misest"
-    v: tuple[float, ...]
-    m: int
-    alpha: float | None = None
-    beta: float | None = None
-    seed: int = 0
-
-    def build(self):
-        if self.kind == "two-type":
-            if self.alpha is None:
-                raise ValueError("two-type recipe requires alpha")
-            return gen_two_type(np.asarray(self.v), self.alpha, self.m)
-        if self.kind == "homogeneous":
-            return gen_homogeneous(np.asarray(self.v), self.m)
-        if self.kind == "misest":
-            if self.beta is None:
-                raise ValueError("misest recipe requires beta")
-            return gen_misestimation(np.asarray(self.v), self.beta, self.m, self.seed)
-        raise ValueError(f"unknown population kind {self.kind!r}")

@@ -1,0 +1,34 @@
+"""What the benchmark under perfbench/ relies on: wrapped names and a quiet stdout.
+
+perfbench replaces fairrec attributes by timing wrappers; a name it cannot
+find makes a per-layer metric go absent.  Its result is the last line of
+standard output, so a solve must write nothing to fd 1 (or fd 2).
+"""
+from pathlib import Path
+
+import fairrec
+import fairrec.cli  # noqa: F401  (perfbench wraps names in every submodule)
+from fairrec.core import FairnessMeasure, MeasureKind
+from fairrec.optimizer import tradeoff_sweep
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_perfbench_finds_every_wrapped_name(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from layers import install
+    from spans import Tracer
+
+    tracer = Tracer()
+    try:
+        install(tracer, fairrec)
+    finally:
+        tracer.unwrap_all()
+    assert tracer.missing == []
+
+
+def test_solves_write_nothing_to_stdout_or_stderr(worked_instance, capfd):
+    capfd.readouterr()
+    tradeoff_sweep(worked_instance, [0.0, 0.5, 1.0])
+    tradeoff_sweep(worked_instance, [0.0, 0.5, 1.0], measure=FairnessMeasure(MeasureKind.SUM_K_MIN, 2))
+    assert capfd.readouterr() == ("", "")

@@ -12,12 +12,9 @@ from fairrec.core import (
     MeasureKind,
     RecommendationPolicy,
     UtilityMatrix,
-    apply_item_utility_model,
     item_fairness,
     item_utility_vector,
     measure_value,
-    normalized_item_utility,
-    normalized_user_utility,
     user_fairness,
     user_utility_vector,
 )
@@ -46,7 +43,7 @@ def test_uniform_policy_user_utility_on_321():
 
 def test_even_split_user_utility_on_09_01():
     w = UtilityMatrix(np.array([[0.9, 0.1]]))
-    u = normalized_user_utility(uniform_policy(1, 2), w, 0)
+    u = user_utility_vector(uniform_policy(1, 2), w)[0]
     assert abs(u - 5.0 / 9.0) < 1e-15
 
 
@@ -145,6 +142,23 @@ def test_matrix_rejects_inconsistent_type_rows():
     values = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(ValueError):
         UtilityMatrix(values, type_of=np.array([0, 0]))
+    # types 7 and 3 are both inconsistent, 5 is not; the message names 3
+    values = np.array([[1.0, 2.0], [1.0, 2.0], [2.0, 1.0], [3.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
+    for type_of in ([7, 5, 7, 3, 5, 3], [3, 5, 3, 7, 5, 7]):
+        with pytest.raises(ValueError, match=r"users of type 3 do not"):
+            UtilityMatrix(values, type_of=np.array(type_of))
+    # the per-type loop the check replaced is the reference
+    rng = np.random.default_rng(0)
+    for _ in range(30):
+        type_of = rng.integers(0, 6, 20)
+        values = rng.uniform(1.0, 2.0, (6, 3))[type_of]
+        values[rng.integers(0, 20, rng.integers(0, 3)), 0] = 5.0
+        bad = [t for t in np.unique(type_of) if np.any(values[type_of == t] != values[type_of == t][0])]
+        if bad:
+            with pytest.raises(ValueError, match=rf"users of type {bad[0]} do not"):
+                UtilityMatrix(values, type_of=type_of)
+        else:
+            UtilityMatrix(values, type_of=type_of)
 
 
 def test_policy_rejects_bad_rows():
@@ -162,9 +176,11 @@ def test_from_solver_cleans_tiny_negatives():
 
 
 def test_item_model_extremes():
-    w = UtilityMatrix(np.array([[0.3, 0.8]]))
-    assert np.array_equal(apply_item_utility_model(w, ItemUtilityModel(0.0)).values, w.values)
-    assert np.allclose(apply_item_utility_model(w, ItemUtilityModel(1.0)).values, 1.0)
+    w = UtilityMatrix(np.array([[0.3, 0.8], [0.5, 0.1]]))
+    policy = RecommendationPolicy(np.array([[0.25, 0.75], [1.0, 0.0]]))
+    by_utility = (policy.rows * w.values).sum(axis=0) / w.values.sum(axis=0)
+    assert np.array_equal(item_utility_vector(policy, w, ItemUtilityModel(0.0)), by_utility)
+    assert np.allclose(item_utility_vector(policy, w, ItemUtilityModel(1.0)), policy.rows.mean(axis=0))
     with pytest.raises(ValueError):
         ItemUtilityModel(1.5)
 
@@ -175,12 +191,9 @@ def test_fairness_wrappers_match_vector_minima():
     policy = random_policy(rng, 4, 3)
     assert user_fairness(policy, w) == user_utility_vector(policy, w).min()
     assert item_fairness(policy, w) == item_utility_vector(policy, w).min()
-    assert normalized_item_utility(policy, w, 1) == item_utility_vector(policy, w)[1]
 
 
 def test_shape_mismatch_raises():
     w = UtilityMatrix(np.array([[1.0, 2.0]]))
     with pytest.raises(ValueError):
         user_utility_vector(uniform_policy(2, 2), w)
-    with pytest.raises(IndexError):
-        normalized_user_utility(uniform_policy(1, 2), w, 5)

@@ -1,4 +1,5 @@
 """CSV round trips, CLI exit codes, reproducible outputs."""
+import csv
 import json
 import xml.etree.ElementTree as ET
 
@@ -250,6 +251,29 @@ def test_cli_rising_sweep_exit_and_record(tmp_path, monkeypatch):
     assert record["exit_code"] == 3
     assert record["error"] == "LPSolverError"
     assert "increased along the sweep" in record["message"]
+
+
+def test_cli_failed_sweep_rows_exit_and_record(tmp_path, monkeypatch):
+    import fairrec.optimizer as opt
+
+    real = opt.compute_uf_star
+
+    def flaky(w, gamma, *args, **kwargs):
+        if gamma == 0.5:
+            raise LPSolverError(LPStatus.FAILED, "injected failure")
+        return real(w, gamma, *args, **kwargs)
+
+    monkeypatch.setattr(opt, "compute_uf_star", flaky)
+    out = tmp_path / "c.csv"
+    code = run(["tradeoff", "--values", "3,2,1", "--alpha", "0.5", "--users", "10",
+                "--gammas", "0,0.5,1", "--out", str(out)])
+    assert code == 3
+    lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert [row["status"][:6] for row in csv.DictReader(lines)] == ["ok", "error:", "ok"]
+    record = json.loads((tmp_path / "error.json").read_text())
+    assert record["exit_code"] == 3
+    assert record["error"] == "LPSolverError"
+    assert "gamma = 0.5" in record["message"]
 
 
 def test_cli_rejects_unknown_subcommand():

@@ -9,7 +9,6 @@ from fairrec.numerics import (
     HalfspaceSet,
     LogObjective,
     SimplexProduct,
-    SimplexRowsSet,
     dykstra_project,
     min_norm_face_point,
     nash_concave_solve,
@@ -45,7 +44,7 @@ def test_simplex_projection_is_closest_feasible_point(rows, seed):
 
 
 def test_dykstra_simplex_with_halfspace():
-    sets = [SimplexRowsSet(1, 2), HalfspaceSet(np.array([1.0, 0.0]), 0.8)]
+    sets = [SimplexProduct(1, 2), HalfspaceSet(np.array([1.0, 0.0]), 0.8)]
     out = dykstra_project(np.array([0.5, 0.5]), sets)
     assert np.allclose(out, [0.8, 0.2], atol=1e-8)
 
@@ -63,7 +62,7 @@ def test_min_norm_face_point_without_cuts_returns_target():
 
 def test_projected_ascent_matches_weighted_log_optimum():
     # max 2 log(x1) + log(x2) over the simplex sits at (2/3, 1/3)
-    objective = LogObjective(np.eye(2), None, np.array([2.0, 1.0]))
+    objective = LogObjective(np.eye(2), np.array([2.0, 1.0]))
     res = nash_concave_solve(objective, SimplexProduct(1, 2), tol=1e-6)
     assert res.converged
     assert np.allclose(res.point, [2.0 / 3.0, 1.0 / 3.0], atol=1e-6)
@@ -71,27 +70,27 @@ def test_projected_ascent_matches_weighted_log_optimum():
 
 
 def test_projected_ascent_certificate_is_relative():
-    objective = LogObjective(np.eye(3), None, np.array([5.0, 1.0, 1.0]))
+    objective = LogObjective(np.eye(3), np.array([5.0, 1.0, 1.0]))
     res = nash_concave_solve(objective, SimplexProduct(1, 3), tol=1e-6)
     assert res.converged
     assert res.gap <= 1e-6 * (1.0 + abs(res.value))
 
 
 def test_iteration_cap_reports_nonconvergence():
-    objective = LogObjective(np.eye(3), None, np.array([5.0, 1.0, 1.0]))
+    objective = LogObjective(np.eye(3), np.array([5.0, 1.0, 1.0]))
     res = nash_concave_solve(objective, SimplexProduct(1, 3), tol=1e-12, max_iter=1)
     assert not res.converged
 
 
 def test_region_type_is_checked():
     with pytest.raises(TypeError):
-        nash_concave_solve(LogObjective(np.eye(2), None, None), "simplex")
+        nash_concave_solve(LogObjective(np.eye(2)), "simplex")
 
 
 def test_log_objective_validation_and_domain():
     with pytest.raises(ValueError):
-        LogObjective(np.eye(2), None, np.array([1.0, 0.0]))
+        LogObjective(np.eye(2), np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
-        LogObjective(np.eye(2), np.zeros(3), None)
-    objective = LogObjective(np.eye(2), None, None)
+        LogObjective(np.eye(2), np.ones(3))
+    objective = LogObjective(np.eye(2))
     assert objective.value(np.array([1.0, 0.0])) == -np.inf

@@ -9,7 +9,6 @@ from oracles import grid_nash_if_and_uf
 
 from fairrec import lp
 from fairrec.core import (
-    MAX_MIN,
     FairnessMeasure,
     ItemUtilityModel,
     MeasureKind,
@@ -20,8 +19,6 @@ from fairrec.core import (
 from fairrec.optimizer import (
     Scope,
     TieBreak,
-    TradeoffCurve,
-    TradeoffRow,
     clear_caches,
     compute_if_star,
     compute_uf_star,
@@ -335,20 +332,16 @@ def test_sweep_rows_and_provenance(worked_instance):
     assert uf[0] >= uf[1] >= uf[2]
 
 
-def test_sweep_requires_increasing_gammas(worked_instance):
-    with pytest.raises(ValueError):
-        tradeoff_sweep(worked_instance, [0.5, 0.5])
-    with pytest.raises(ValueError):
-        TradeoffCurve(
-            (
-                TradeoffRow(0.8, 0.1, 0.5, 0.1, "ok", 0.0),
-                TradeoffRow(0.2, 0.1, 0.9, 0.1, "ok", 0.0),
-            ),
-            0.1,
-            MAX_MIN,
-            0.0,
-            {},
-        )
+def test_sweep_requires_increasing_gammas(worked_instance, monkeypatch):
+    import fairrec.optimizer as opt
+
+    def solved_too_early(*args, **kwargs):
+        raise AssertionError("IF* was solved before the gamma grid was checked")
+
+    monkeypatch.setattr(opt, "compute_if_star", solved_too_early)
+    for gammas in ([0.5, 0.5], [1.0, 0.0], [0.0, 1.5], [-0.5, 0.5]):
+        with pytest.raises(ValueError):
+            opt.tradeoff_sweep(worked_instance, gammas)
 
 
 def test_sweep_records_failures_and_continues(worked_instance, monkeypatch):

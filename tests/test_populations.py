@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from fairrec.populations import (
-    PopulationRecipe,
     gen_homogeneous,
     gen_misestimation,
     gen_two_type,
@@ -92,21 +91,6 @@ def test_misestimation_rejects_degenerate_shares():
         gen_misestimation(V321, 0.45, 10)  # rounds to zero averaged users
     with pytest.raises(ValueError):
         gen_misestimation(V321, 0.5, 10)
-
-
-def test_recipe_dispatch():
-    w = PopulationRecipe("two-type", (3.0, 2.0, 1.0), 10, alpha=0.5).build()
-    assert w.values.shape == (10, 3)
-    w = PopulationRecipe("homogeneous", (0.9, 0.1), 4).build()
-    assert w.values.shape == (4, 2)
-    data = PopulationRecipe("misest", (3.0, 2.0, 1.0), 10, beta=0.3, seed=2).build()
-    assert data.w.values.shape == (10, 3)
-    with pytest.raises(ValueError):
-        PopulationRecipe("two-type", (3.0, 2.0, 1.0), 10).build()
-    with pytest.raises(ValueError):
-        PopulationRecipe("misest", (3.0, 2.0, 1.0), 10).build()
-    with pytest.raises(ValueError):
-        PopulationRecipe("zipf", (3.0, 2.0, 1.0), 10).build()
 
 
 def test_mirrored_alphas_generate_mirrored_populations():
