@@ -36,6 +36,7 @@ from .optimizer import (
     compute_if_star,
     compute_uf_star,
     price_of_misestimation,
+    require_price_measure,
     tradeoff_sweep,
 )
 from .populations import gen_homogeneous, gen_misestimation, gen_two_type
@@ -189,13 +190,14 @@ def cmd_tradeoff(args) -> int:
 
 
 def cmd_pof(args) -> int:
+    measure = _measure(args)
+    require_price_measure(measure, "price of fairness")
     w = _load_instance(args)
     model = ItemUtilityModel(args.delta)
-    measure = _measure(args)
     uf0 = compute_uf_star(w, 0.0, model, measure).value
-    uf1 = compute_uf_star(w, 1.0, model, measure).value
     if abs(uf0) < 1e-12:
         raise ValueError("price of fairness is undefined when the unconstrained optimum is 0")
+    uf1 = compute_uf_star(w, 1.0, model, measure).value
     pof = (uf0 - uf1) / uf0
     print(f"uf_unconstrained = {uf0:.9g}")
     print(f"uf_full_fairness = {uf1:.9g}")
@@ -213,6 +215,7 @@ def cmd_pof(args) -> int:
 
 
 def cmd_misest(args) -> int:
+    require_price_measure(_measure(args), "price of misestimation")
     v = _values(args)
     if args.beta is None:
         raise ValueError("misest needs --beta")

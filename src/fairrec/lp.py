@@ -4,22 +4,28 @@ A feasible set is one ``Region``: sparse equality and ``<=`` rows plus
 per-variable bounds, [0, inf) by default.  Programs maximize a linear
 objective over a region.  The max-min and sum-of-k-smallest objectives are
 lifted to linear programs by appending an epigraph block (new variables and
-``<=`` rows) to the region.  The backend is HiGHS dual simplex via scipy,
-which is deterministic for a fixed instance and returns basic feasible
-solutions, so optimal points are vertices of the feasible polyhedron.
-Optimal points are re-checked against the region before being reported; a
-check failure is surfaced as a distinct FAILED status rather than a silent
-wrong answer.
+``<=`` rows) to the region.  The backend is HiGHS dual simplex, which is
+deterministic for a fixed instance and returns basic feasible solutions, so
+optimal points are vertices of the feasible polyhedron.
+
+There are two paths.  ``solve_lp`` is the cold one: each call hands one
+program to scipy's ``linprog``.  ``WarmLP`` keeps one HiGHS model alive and
+re-solves it after its ``<=`` right-hand sides change, starting dual simplex
+from the previous optimal basis; it is the only user of scipy's private
+HiGHS binding.  Both re-check optimal points against the region before
+reporting them; a check failure is surfaced as a distinct FAILED status
+rather than a silent wrong answer.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import coo_array, issparse
+from scipy.optimize._highspy import _core as highs
+from scipy.sparse import coo_array, csc_array, issparse, vstack
 
 # Feasibility and optimality tolerances of the solver contract.
 FEAS_TOL = 1e-7
@@ -131,12 +137,17 @@ def _violation(region: Region, x: np.ndarray) -> float:
     )
 
 
-def solve_lp(objective: np.ndarray, region: Region) -> LPSolution:
-    """Maximize ``objective @ x`` over the region.  Deterministic: identical
-    programs produce bitwise-identical optimal points."""
+def _check_objective(objective: Any, region: Region) -> np.ndarray:
     objective = np.asarray(objective, dtype=float)
     if objective.shape != (region.num_vars,):
         raise ValueError(f"objective has shape {objective.shape}, expected ({region.num_vars},)")
+    return objective
+
+
+def solve_lp(objective: np.ndarray, region: Region) -> LPSolution:
+    """Maximize ``objective @ x`` over the region.  Deterministic: identical
+    programs produce bitwise-identical optimal points."""
+    objective = _check_objective(objective, region)
     res = linprog(
         -objective,
         A_ub=region.a_ub,
@@ -159,6 +170,76 @@ def solve_lp(objective: np.ndarray, region: Region) -> LPSolution:
     value = float(objective @ x)
     # Dual simplex returns a basic feasible solution of the stated program.
     return LPSolution(LPStatus.OPTIMAL, point=x, value=value, is_vertex=True, message=res.message)
+
+
+# The model statuses linprog reports as infeasible (2) or unbounded (3);
+# every other non-optimal status is a failure.
+_HIGHS_STATUS = {
+    highs.HighsModelStatus.kInfeasible: LPStatus.INFEASIBLE,
+    highs.HighsModelStatus.kModelError: LPStatus.INFEASIBLE,
+    highs.HighsModelStatus.kUnbounded: LPStatus.UNBOUNDED,
+}
+
+
+class WarmLP:
+    """One HiGHS dual simplex model of ``max objective @ x`` over a region,
+    re-solved from the previous optimal basis after its ``<=`` right-hand
+    sides change.
+
+    The model is the one ``solve_lp`` hands to ``linprog``: rows are
+    ``[a_ub; a_eq]``, the ``<=`` rows ranged ``(-inf, b_ub]`` and the
+    equality rows ``[b_eq, b_eq]``.  A one-shot solve gives the same point.
+    """
+
+    def __init__(self, objective: np.ndarray, region: Region):
+        self.objective = objective = _check_objective(objective, region)
+        self.region = region
+        a = csc_array(vstack((region.a_ub, region.a_eq)))
+        model = highs.HighsLp()
+        model.num_col_, model.num_row_ = region.num_vars, a.shape[0]
+        model.a_matrix_.num_col_, model.a_matrix_.num_row_ = region.num_vars, a.shape[0]
+        model.a_matrix_.format_ = highs.MatrixFormat.kColwise
+        model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_ = a.indptr, a.indices, a.data
+        model.col_cost_ = -objective
+        model.col_lower_, model.col_upper_ = region.lb, region.ub
+        model.row_lower_ = np.concatenate([np.full(region.b_ub.size, -np.inf), region.b_eq])
+        model.row_upper_ = np.concatenate([region.b_ub, region.b_eq])
+        self._highs = highs._Highs()
+        # Silence the solver before the model reaches it; HiGHS logs to fd 1.
+        for key, value in (
+            ("output_flag", False),
+            ("log_to_console", False),
+            ("solver", "simplex"),
+            ("simplex_strategy", 1),
+        ):
+            self._highs.setOptionValue(key, value)
+        if self._highs.passModel(model) == highs.HighsStatus.kError:
+            raise ValueError("HiGHS rejected the model")
+
+    def solve(self, b_ub: Any) -> LPSolution:
+        """Maximize over the region with its ``<=`` right-hand sides set to b_ub."""
+        region = replace(self.region, b_ub=np.array(b_ub, dtype=float))
+        for row in np.flatnonzero(region.b_ub != self.region.b_ub):
+            self._highs.changeRowBounds(int(row), -np.inf, float(region.b_ub[row]))
+        self.region = region
+        self._highs.run()
+        status = self._highs.getModelStatus()
+        message = self._highs.modelStatusToString(status)
+        if status != highs.HighsModelStatus.kOptimal:
+            solution = LPSolution(_HIGHS_STATUS.get(status, LPStatus.FAILED), message=message)
+        else:
+            x = np.array(self._highs.getSolution().col_value, dtype=float)
+            viol = _violation(self.region, x)
+            if viol <= FEAS_TOL:
+                return LPSolution(
+                    LPStatus.OPTIMAL, point=x, value=float(self.objective @ x), is_vertex=True, message=message
+                )
+            solution = LPSolution(
+                LPStatus.FAILED, message=f"reported optimum violates constraints by {viol:.3e}"
+            )
+        # A basis that ended anywhere but at a checked optimum is no start.
+        self._highs.clearSolver()
+        return solution
 
 
 def _require_optimal(solution: LPSolution) -> LPSolution:
@@ -190,6 +271,18 @@ def _epigraph_rows(rows: Any, nv: int, slacks: bool) -> coo_array:
     )
 
 
+def maxmin_lift(rows: Any, region: Region) -> tuple[np.ndarray, Region]:
+    """Epigraph lift of ``max min_r row_r . x``: the objective and region of
+    ``max t`` over (x, t) with t - row_r . x <= 0 appended after the region's
+    own ``<=`` rows."""
+    rows = _check_rows(rows, region)
+    nv, m = region.num_vars, rows.shape[0]
+    lifted = region.extend(_epigraph_rows(rows, nv, slacks=False), np.zeros(m), [-np.inf], [np.inf])
+    objective = np.zeros(nv + 1)
+    objective[nv] = 1.0
+    return objective, lifted
+
+
 def solve_maxmin_linear(rows: Any, region: Region) -> tuple[float, np.ndarray, LPSolution]:
     """Maximize the minimum of linear functionals over a feasible region.
 
@@ -200,11 +293,8 @@ def solve_maxmin_linear(rows: Any, region: Region) -> tuple[float, np.ndarray, L
     the lifted program is unbounded.
     """
     rows = _check_rows(rows, region)
-    nv, m = region.num_vars, rows.shape[0]
-    lifted = region.extend(_epigraph_rows(rows, nv, slacks=False), np.zeros(m), [-np.inf], [np.inf])
-    objective = np.zeros(nv + 1)
-    objective[nv] = 1.0
-    sol = _require_optimal(solve_lp(objective, lifted))
+    nv = region.num_vars
+    sol = _require_optimal(solve_lp(*maxmin_lift(rows, region)))
     point = sol.point[:nv]
     # Report the value attained by the returned point, not the lifted
     # variable: downstream code reuses it as a constraint bound and needs it

@@ -10,10 +10,13 @@ reduction is lossless.
 Both sides are sparse linear programs over the flattened K x n policy.  For
 the max-min measure the item-fairness optimum is the epigraph program
 max lambda subject to lambda <= I_j for every item, the same max-min lift
-the user side uses; every max-min item-optimal policy equalizes the items,
-which makes the gamma = 1 constraint expressible as plain inequalities.  The
-sum of the k smallest utilities uses the standard epigraph lift on both
-sides.
+the user side uses, solved cold; every max-min item-optimal policy
+equalizes the items, which makes the gamma = 1 constraint expressible as
+plain inequalities.  The max-min UF* program always carries the n item
+rows, with bound +inf at gamma = 0, so only their right-hand sides depend
+on gamma: a sweep builds it once as an ``lp.WarmLP`` and re-solves each
+gamma from the previous optimal basis.  The sum of the k smallest
+utilities uses the standard epigraph lift on both sides, solved cold.
 Nash welfare (sum of logs) is handled by a first-order concave maximizer
 plus Lagrangian bisection on the item constraint.
 """
@@ -128,6 +131,25 @@ def _item_rows(a: np.ndarray) -> coo_array:
 def _simplex_region(k: int, n: int) -> lp.Region:
     """Row-stochastic K x n policies, flattened row by row."""
     return lp.Region(k * n, a_eq=_user_rows(np.ones((k, n))), b_eq=np.ones(k))
+
+
+def _maxmin_uf_program(user_rows: coo_array, item_rows: coo_array, k: int, n: int) -> lp.WarmLP:
+    """max t over (x, t) on the K simplex rows, with the ``<=`` rows ordered
+    as the n item rows -I_j(x) <= SLACK - target, then the K epigraph rows
+    t - U_k(x) <= 0.  The item rows start with bound +inf;
+    ``_solve_maxmin_uf`` sets them per gamma."""
+    region = _simplex_region(k, n).extend(-item_rows, np.full(n, np.inf))
+    return lp.WarmLP(*lp.maxmin_lift(user_rows, region))
+
+
+def _solve_maxmin_uf(program: lp.WarmLP, gamma: float, if_target: float, n: int) -> np.ndarray:
+    """Policy part of the optimal point of the max-min UF* program at gamma."""
+    b_ub = program.region.b_ub.copy()
+    b_ub[:n] = SLACK - if_target if gamma > 0 else np.inf
+    sol = program.solve(b_ub)
+    if sol.status is not lp.LPStatus.OPTIMAL:
+        raise lp.LPSolverError(sol.status, sol.message)
+    return sol.point[:-1]
 
 
 def _validate_measure(measure: FairnessMeasure, m: int, n: int) -> None:
@@ -268,9 +290,14 @@ def compute_uf_star(
     measure: FairnessMeasure = MAX_MIN,
     if_star: IfStarResult | None = None,
     tie_break: TieBreak = TieBreak.SOLVER,
+    *,
+    _program: lp.WarmLP | None = None,
 ) -> UfStarResult:
     """Best attainable user fairness when the item side must keep a gamma
-    fraction of its optimum.  gamma = 0 drops the item constraint entirely."""
+    fraction of its optimum.  gamma = 0 drops the item constraint entirely.
+
+    ``_program`` is ``tradeoff_sweep``'s max-min program for this instance,
+    re-solved warm; without it a fresh program is built and solved cold."""
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
     model = item_model or ItemUtilityModel()
@@ -290,10 +317,8 @@ def compute_uf_star(
 
     if measure.kind is MeasureKind.MAX_MIN:
         if_target = gamma * if_value if gamma > 0 else 0.0
-        region = _simplex_region(k, n)
-        if gamma > 0:
-            region = region.extend(-item_rows, np.full(n, SLACK - if_target))
-        _, point, _ = lp.solve_maxmin_linear(user_rows, region)
+        program = _program if _program is not None else _maxmin_uf_program(user_rows, item_rows, k, n)
+        point = _solve_maxmin_uf(program, gamma, if_target, n)
         rows = point.reshape(k, n)
         if tie_break is TieBreak.CANONICAL:
             if gamma == 0:
@@ -389,12 +414,27 @@ def _nash_uf_rows(red, user_rows, item_rows, gamma, target, k, n):
     return res_hi.point.reshape(k, n)
 
 
+def require_price_measure(measure: FairnessMeasure, price: str) -> None:
+    """Raise ValueError for a measure under which the named price is undefined.
+
+    The prices are ratios of welfare values.  The unconstrained Nash optimum
+    gives every user a favorite item, so its log-welfare is exactly 0, and a
+    ratio of log-welfares has no meaningful sign anyway.
+    """
+    if measure.kind is MeasureKind.NASH_WELFARE:
+        raise ValueError(
+            f"the {price} is undefined for the Nash measure: its welfare is a sum of logs, "
+            "0 at the unconstrained optimum"
+        )
+
+
 def price_of_fairness(
     w: UtilityMatrix,
     item_model: ItemUtilityModel | None = None,
     measure: FairnessMeasure = MAX_MIN,
 ) -> float:
     """Relative loss in optimal user fairness caused by maximal item fairness."""
+    require_price_measure(measure, "price of fairness")
     uf0 = compute_uf_star(w, 0.0, item_model, measure).value
     if abs(uf0) < 1e-12:
         raise ValueError("price of fairness is undefined when the unconstrained optimum is 0")
@@ -423,6 +463,7 @@ def price_of_misestimation(
     the same gamma and tie-break; both are then evaluated on the true
     matrix, restricted to the misestimated users when scope says so.
     """
+    require_price_measure(measure, "price of misestimation")
     scope = Scope(scope)
     group = misestimated_users(w, w_hat)
     if scope is Scope.MISESTIMATED_GROUP and group.size == 0:
@@ -472,10 +513,12 @@ def tradeoff_sweep(
 
     The grid must be strictly increasing inside [0, 1] (ValueError
     otherwise, before anything is solved).  The item-side optimum is
-    computed once and shared by every row.  A failing gamma is recorded in
-    its row and the sweep continues.  The user-fairness column is checked to
-    be nonincreasing; a violation means the solver contract is broken and
-    raises LPSolverError with status FAILED.
+    computed once and shared by every row; for the max-min measure so is one
+    UF* program, re-solved warm from the previous gamma's optimal basis.  A
+    failing gamma is recorded in its row and the sweep continues.  The
+    user-fairness column is checked to be nonincreasing; a violation means
+    the solver contract is broken and raises LPSolverError with status
+    FAILED.
     """
     model = item_model or ItemUtilityModel()
     gammas = [float(g) for g in gammas]
@@ -485,13 +528,17 @@ def tradeoff_sweep(
     if bad:
         raise ValueError(f"gamma values must lie in [0, 1], got {bad[0]}")
     ifres = compute_if_star(w, model, measure)
-    a = _item_share_rows(ifres.reduction.matrix.values, ifres.reduction.counts, model)
+    red = ifres.reduction
+    a = _item_share_rows(red.matrix.values, red.counts, model)
+    program = None
+    if measure.kind is MeasureKind.MAX_MIN:
+        program = _maxmin_uf_program(_user_rows(_user_norm_rows(red.matrix.values)), _item_rows(a), red.k, w.n)
     rows = []
     prev_ok = np.inf
     for g in gammas:
         start = time.perf_counter()
         try:
-            r = compute_uf_star(w, g, model, measure, if_star=ifres, tie_break=tie_break)
+            r = compute_uf_star(w, g, model, measure, if_star=ifres, tie_break=tie_break, _program=program)
         except (lp.LPSolverError, NonConvergenceError) as exc:
             elapsed = (time.perf_counter() - start) * 1000.0
             rows.append(TradeoffRow(g, np.nan, np.nan, np.nan, f"error: {exc}", elapsed))

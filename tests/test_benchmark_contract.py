@@ -6,10 +6,13 @@ standard output, so a solve must write nothing to fd 1 (or fd 2).
 """
 from pathlib import Path
 
+import numpy as np
+
 import fairrec
 import fairrec.cli  # noqa: F401  (perfbench wraps names in every submodule)
 from fairrec.core import FairnessMeasure, MeasureKind
-from fairrec.optimizer import tradeoff_sweep
+from fairrec.lp import Region, WarmLP, maxmin_lift
+from fairrec.optimizer import TieBreak, tradeoff_sweep
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -31,4 +34,8 @@ def test_solves_write_nothing_to_stdout_or_stderr(worked_instance, capfd):
     capfd.readouterr()
     tradeoff_sweep(worked_instance, [0.0, 0.5, 1.0])
     tradeoff_sweep(worked_instance, [0.0, 0.5, 1.0], measure=FairnessMeasure(MeasureKind.SUM_K_MIN, 2))
+    tradeoff_sweep(worked_instance, [0.0, 0.5, 1.0], tie_break=TieBreak.CANONICAL)
+    # A fresh HiGHS model logs to fd 1 unless it is silenced before it gets the model.
+    objective, region = maxmin_lift(np.eye(2), Region(2, a_eq=[[1.0, 1.0]], b_eq=[1.0]))
+    WarmLP(objective, region).solve(region.b_ub)
     assert capfd.readouterr() == ("", "")

@@ -187,6 +187,47 @@ def test_cli_sweep_alpha_writes_curve(tmp_path):
     assert svg.exists()
 
 
+def test_cli_nash_pof_exits_before_any_solve(tmp_path, monkeypatch):
+    def solved(*args, **kwargs):
+        raise AssertionError("the Nash price of fairness was solved")
+
+    monkeypatch.setattr(cli, "compute_uf_star", solved)
+    code = run(["pof", "--values", "3,2,1", "--alpha", "0.5", "--users", "10",
+                "--measure", "nash", "--out", str(tmp_path / "pof.csv")])
+    assert code == 2
+    record = json.loads((tmp_path / "error.json").read_text())
+    assert record["error"] == "ValueError"
+    assert "Nash" in record["message"]
+
+
+def test_cli_nash_misest_exits_with_config_error(tmp_path):
+    out = tmp_path / "pom.csv"
+    code = run(["misest", "--values", "3,2,1", "--beta", "0.3", "--users", "10", "--scope", "all",
+                "--measure", "nash", "--gammas", "0.5,1", "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    record = json.loads((tmp_path / "error.json").read_text())
+    assert record["error"] == "ValueError"
+    assert "Nash" in record["message"]
+
+
+def test_cli_pof_checks_unconstrained_optimum_before_full_fairness(tmp_path, monkeypatch):
+    import dataclasses
+
+    real = cli.compute_uf_star
+    gammas = []
+
+    def zero_at_gamma_0(w, gamma, *args, **kwargs):
+        gammas.append(gamma)
+        return dataclasses.replace(real(w, gamma, *args, **kwargs), value=0.0)
+
+    monkeypatch.setattr(cli, "compute_uf_star", zero_at_gamma_0)
+    code = run(["pof", "--values", "3,2,1", "--alpha", "0.5", "--users", "10",
+                "--out", str(tmp_path / "pof.csv")])
+    assert code == 2
+    assert gammas == [0.0]
+
+
 def test_cli_config_error_exit_and_record(tmp_path):
     out = tmp_path / "c.csv"
     code = run(["tradeoff", "--values", "3,2,1", "--alpha", "1.5",

@@ -1,4 +1,8 @@
 """LP wrapper behavior: correctness, determinism, failure modes."""
+import ast
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,8 @@ from fairrec.lp import (
     LPSolverError,
     LPStatus,
     Region,
+    WarmLP,
+    maxmin_lift,
     solve_lp,
     solve_maxmin_linear,
     sum_k_smallest_epigraph,
@@ -127,3 +133,46 @@ def test_sum_k_floor_keeps_smallest_rows_above_bound():
     with pytest.raises(LPSolverError) as err:
         solve_maxmin_linear(np.eye(5)[:1], sum_k_smallest_floor(np.eye(2), 2, 1.5, SIMPLEX2))
     assert err.value.status is LPStatus.INFEASIBLE
+
+
+def test_warm_resolve_matches_cold_solve_and_survives_infeasibility():
+    rng = np.random.default_rng(7)
+    rows = rng.uniform(0.1, 1.0, size=(6, 5))
+    floors = rng.uniform(0.1, 1.0, size=5)
+    # x_j >= floor_j on the simplex: coordinate floors as <= rows.
+    region = Region(5, a_eq=np.ones((1, 5)), b_eq=[1.0], a_ub=-np.eye(5), b_ub=np.zeros(5))
+    objective, lifted = maxmin_lift(rows, region)
+    warm = WarmLP(objective, lifted)
+
+    def b_ub(floor):
+        return np.concatenate([-floor, np.zeros(6)])
+
+    for scale in (0.0, 0.1, 0.19, 0.05):
+        floor = scale * floors
+        cold = solve_lp(objective, replace(lifted, b_ub=b_ub(floor)))
+        sol = warm.solve(b_ub(floor))
+        assert sol.status is LPStatus.OPTIMAL
+        assert abs(sol.value - cold.value) < 1e-12
+        assert np.all(sol.point[:5] >= floor - 1e-12)
+    # Floors summing past 1 empty the region; the next solve starts cold and still works.
+    assert warm.solve(b_ub(np.full(5, 0.3))).status is LPStatus.INFEASIBLE
+    assert warm.solve(b_ub(np.zeros(5))).value == solve_lp(objective, lifted).value
+
+
+def test_only_lp_imports_the_private_highs_binding():
+    src = Path(__file__).resolve().parent.parent / "src" / "fairrec"
+    importers = []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(name.startswith("scipy.optimize._highspy") for name in names):
+                importers.append(path.name)
+        if "_highspy" in text and path.name not in importers:
+            importers.append(path.name)
+    assert sorted(set(importers)) == ["lp.py"]

@@ -366,3 +366,98 @@ def test_policies_evaluate_consistently(worked_instance):
     res = compute_uf_star(worked_instance, 1.0)
     u = user_utility_vector(res.policy, worked_instance)
     assert abs(u.min() - res.value) < 1e-9
+
+
+def cold_maxmin_uf(w: np.ndarray, gamma: float, if_star: float) -> float:
+    """UF* of one gamma, built per user from scratch and solved by linprog at
+    tight tolerances: max t with t <= U_u(x), I_j(x) >= gamma IF* - 1e-9."""
+    from scipy.optimize import linprog
+
+    m, n = w.shape
+    b = w / w.max(axis=1, keepdims=True)
+    a = w / w.sum(axis=0, keepdims=True)
+    nv = m * n + 1
+    users = np.zeros((m, nv))
+    items = np.zeros((n, nv))
+    simplex = np.zeros((m, nv))
+    for u in range(m):
+        users[u, u * n : (u + 1) * n] = -b[u]
+        simplex[u, u * n : (u + 1) * n] = 1.0
+        items[:, u * n : (u + 1) * n] = -np.diag(a[u])
+    users[:, -1] = 1.0
+    a_ub, b_ub = users, np.zeros(m)
+    if gamma > 0:
+        a_ub, b_ub = np.vstack([users, items]), np.concatenate([b_ub, np.full(n, 1e-9 - gamma * if_star)])
+    cost = np.zeros(nv)
+    cost[-1] = -1.0
+    res = linprog(
+        cost,
+        A_ub=a_ub,
+        b_ub=b_ub,
+        A_eq=simplex,
+        b_eq=np.ones(m),
+        bounds=[(0, None)] * (m * n) + [(None, None)],
+        method="highs-ds",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0
+    return float((b * res.x[:-1].reshape(m, n)).sum(axis=1).min())
+
+
+def parity_instances():
+    yield gen_two_type(V321, 0.5, 10)
+    for seed in range(3):
+        yield UtilityMatrix(random_positive_matrix(np.random.default_rng(500 + seed), 30, 30))
+
+
+def test_warm_sweep_matches_cold_tight_reference():
+    for w in parity_instances():
+        clear_caches()
+        curve = tradeoff_sweep(w, np.linspace(0.0, 1.0, 11))
+        for r in curve.rows:
+            assert r.status == "ok"
+            assert abs(r.uf_achieved - cold_maxmin_uf(w.values, r.gamma, curve.if_star)) <= 1e-9
+
+
+def test_warm_sweep_matches_single_gamma_solves():
+    gammas = [0.0, 0.3, 0.7, 1.0]
+    for w in parity_instances():
+        clear_caches()
+        curve = tradeoff_sweep(w, gammas)
+        for r, g in zip(curve.rows, gammas):
+            assert abs(r.uf_achieved - compute_uf_star(w, g).value) <= 1e-9
+
+
+def test_warm_sweep_recovers_after_a_failed_gamma(monkeypatch):
+    real = lp.WarmLP.solve
+    calls = []
+
+    def fail_fourth(self, b_ub):
+        calls.append(1)
+        if len(calls) == 4:
+            return lp.LPSolution(lp.LPStatus.FAILED, message="injected failure")
+        return real(self, b_ub)
+
+    monkeypatch.setattr(lp.WarmLP, "solve", fail_fourth)
+    w = UtilityMatrix(random_positive_matrix(np.random.default_rng(500), 30, 30))
+    curve = tradeoff_sweep(w, np.linspace(0.0, 1.0, 11))
+    assert curve.rows[3].status.startswith("error:")
+    assert "injected failure" in curve.rows[3].status
+    for r in curve.rows[4:]:
+        assert r.status == "ok"
+        assert abs(r.uf_achieved - cold_maxmin_uf(w.values, r.gamma, curve.if_star)) <= 1e-9
+
+
+def test_prices_are_undefined_for_nash_and_solve_nothing(worked_instance, monkeypatch):
+    import fairrec.optimizer as opt
+
+    def solved(*args, **kwargs):
+        raise AssertionError("a Nash price was solved")
+
+    monkeypatch.setattr(opt, "compute_uf_star", solved)
+    with pytest.raises(ValueError, match="Nash"):
+        opt.price_of_fairness(worked_instance, measure=NASH)
+    data = gen_misestimation(V321, 0.3, 10, seed=0)
+    for scope in Scope:
+        with pytest.raises(ValueError, match="Nash"):
+            opt.price_of_misestimation(data.w, data.w_hat, 0.5, scope, measure=NASH)
