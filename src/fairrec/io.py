@@ -4,6 +4,10 @@ Matrix format: header row "user_id,<item ids>", one row per user, strictly
 positive decimals, UTF-8 with LF endings.  Lines starting with '#' are
 provenance comments and are skipped on load.  Numbers are written with 12
 significant digits, enough to verify 1e-6 tolerances without false diffs.
+
+Populations repeat a few type rows many times, so each distinct row is
+formatted once on save and each distinct value string is parsed and checked
+once on load; the files and error messages are those of a per-row pass.
 """
 from __future__ import annotations
 
@@ -47,12 +51,43 @@ def save_utility_csv(path, w: UtilityMatrix, provenance: list[str] | None = None
     m, n = w.m, w.n
     users = w.user_labels if w.user_labels is not None else [f"u{i}" for i in range(m)]
     items = w.item_labels if w.item_labels is not None else [f"i{j}" for j in range(n)]
+    # Utilities are finite and strictly positive, so equal bytes format equally.
+    tails: dict[bytes, str] = {}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in provenance or []:
             fh.write(line + "\n")
         fh.write("user_id," + ",".join(items) + "\n")
-        for i in range(m):
-            fh.write(users[i] + "," + ",".join(_fmt(v) for v in w.values[i]) + "\n")
+        for label, row in zip(users, w.values):
+            key = row.tobytes()
+            tail = tails.get(key)
+            if tail is None:
+                tail = tails[key] = "," + ",".join(_fmt(v) for v in row) + "\n"
+            fh.write(label + tail)
+
+
+def _parse_row(path, lineno: int, line: str, item_labels: list[str]) -> np.ndarray:
+    """Values of one user line; errors name the offending cell."""
+    n = len(item_labels)
+    cells = line.split(",")
+    if len(cells) != n + 1:
+        raise MatrixFormatError(
+            f"{path}: line {lineno} has {len(cells) - 1} values, expected {n}"
+        )
+    uid = cells[0]
+    row = np.empty(n)
+    for j, cell in enumerate(cells[1:]):
+        try:
+            row[j] = float(cell)
+        except ValueError:
+            raise MatrixFormatError(
+                f"{path}: cell (user {uid!r}, item {item_labels[j]!r}) is not a number: {cell!r}"
+            ) from None
+        if not row[j] > 0:
+            raise MatrixFormatError(
+                f"{path}: cell (user {uid!r}, item {item_labels[j]!r}) must be strictly "
+                f"positive, got {cell}"
+            )
+    return row
 
 
 def load_utility_csv(path) -> UtilityMatrix:
@@ -67,35 +102,24 @@ def load_utility_csv(path) -> UtilityMatrix:
     if len(header) < 2:
         raise MatrixFormatError(f"{path}: header names no items")
     item_labels = header[1:]
-    n = len(item_labels)
     user_labels = []
-    rows = []
+    # Each distinct value string is parsed and checked once; a repeat of a
+    # tail that passed needs no check, so the first bad line still raises.
+    tails: dict[str, int] = {}
+    unique_rows = []
+    index = []
     for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != n + 1:
-            raise MatrixFormatError(
-                f"{path}: line {lineno} has {len(cells) - 1} values, expected {n}"
-            )
-        uid = cells[0]
-        row = np.empty(n)
-        for j, cell in enumerate(cells[1:]):
-            try:
-                row[j] = float(cell)
-            except ValueError:
-                raise MatrixFormatError(
-                    f"{path}: cell (user {uid!r}, item {item_labels[j]!r}) is not a number: {cell!r}"
-                ) from None
-            if not row[j] > 0:
-                raise MatrixFormatError(
-                    f"{path}: cell (user {uid!r}, item {item_labels[j]!r}) must be strictly "
-                    f"positive, got {cell}"
-                )
+        uid, comma, tail = line.partition(",")
+        t = tails.get(tail) if comma else None
+        if t is None:
+            unique_rows.append(_parse_row(path, lineno, line, item_labels))
+            t = tails[tail] = len(unique_rows) - 1
         user_labels.append(uid)
-        rows.append(row)
-    if not rows:
+        index.append(t)
+    if not index:
         raise MatrixFormatError(f"{path}: no user rows")
     return UtilityMatrix(
-        np.asarray(rows), user_labels=tuple(user_labels), item_labels=tuple(item_labels)
+        np.asarray(unique_rows)[index], user_labels=tuple(user_labels), item_labels=tuple(item_labels)
     )
 
 

@@ -26,6 +26,7 @@ import hashlib
 import time
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import coo_array
@@ -162,10 +163,13 @@ def _validate_measure(measure: FairnessMeasure, m: int, n: int) -> None:
 
 @dataclass(frozen=True)
 class IfStarResult:
-    """Item-fairness optimum IF* together with an attaining policy."""
+    """Item-fairness optimum IF* together with an attaining policy.
+
+    The policy is held in type space, one row per type of ``reduction``;
+    ``policy`` expands it to one row per user on first access.
+    """
 
     value: float
-    policy: RecommendationPolicy
     rows_by_type: np.ndarray
     reduction: TypeReduction
     measure: FairnessMeasure
@@ -173,14 +177,20 @@ class IfStarResult:
     lp_solution: lp.LPSolution | None = None
     gap: float | None = None
 
+    @cached_property
+    def policy(self) -> RecommendationPolicy:
+        return RecommendationPolicy(expand_policy(self.rows_by_type, self.reduction))
+
 
 _IF_STAR_CACHE: dict[bytes, IfStarResult] = {}
 
 
 def _cache_key(w: UtilityMatrix, model: ItemUtilityModel, measure: FairnessMeasure) -> bytes:
     h = hashlib.sha256()
-    h.update(w.values.tobytes())
-    h.update(b"|" + (w.type_of.tobytes() if w.type_of is not None else b"-"))
+    # Both arrays are frozen contiguous copies, so their buffers hash as is.
+    h.update(w.values.data)
+    h.update(b"|")
+    h.update(w.type_of.data if w.type_of is not None else b"-")
     h.update(f"|{model.delta!r}|{measure.kind.value}|{measure.k}".encode())
     return h.digest()
 
@@ -218,8 +228,7 @@ def compute_if_star(
         point, gap = res.point, res.gap
     rows = RecommendationPolicy.from_solver(point.reshape(k, n)).rows
     value = measure_value((a * rows).sum(axis=0), measure)
-    policy = RecommendationPolicy(expand_policy(rows, red))
-    result = IfStarResult(value, policy, rows, red, measure, model.delta, lp_solution, gap)
+    result = IfStarResult(value, rows, red, measure, model.delta, lp_solution, gap)
     if len(_IF_STAR_CACHE) > 256:
         _IF_STAR_CACHE.clear()
     _IF_STAR_CACHE[key] = result
@@ -228,16 +237,24 @@ def compute_if_star(
 
 @dataclass(frozen=True)
 class UfStarResult:
-    """Constrained user-fairness optimum for one gamma."""
+    """Constrained user-fairness optimum for one gamma.
+
+    The policy is held in type space, one row per type of ``reduction``;
+    ``policy`` expands it to one row per user on first access.
+    """
 
     value: float
-    policy: RecommendationPolicy
     rows_by_type: np.ndarray
+    reduction: TypeReduction
     gamma: float
     if_star: float | None
     if_target: float
     measure: FairnessMeasure
     delta: float
+
+    @cached_property
+    def policy(self) -> RecommendationPolicy:
+        return RecommendationPolicy(expand_policy(self.rows_by_type, self.reduction))
 
 
 def _argmax_mixing_rows(wt: np.ndarray) -> np.ndarray:
@@ -336,8 +353,7 @@ def compute_uf_star(
 
     policy_rows = RecommendationPolicy.from_solver(rows).rows
     value = measure_value((b * policy_rows).sum(axis=1), measure, weights=red.counts)
-    policy = RecommendationPolicy(expand_policy(policy_rows, red))
-    return UfStarResult(value, policy, policy_rows, gamma, if_value, if_target, measure, model.delta)
+    return UfStarResult(value, policy_rows, red, gamma, if_value, if_target, measure, model.delta)
 
 
 def _sum_k_min_rows(red, user_rows, item_rows, gamma, if_target, measure, k, n):
@@ -462,6 +478,12 @@ def price_of_misestimation(
     Both the estimated-optimal and the true-optimal policy are computed with
     the same gamma and tie-break; both are then evaluated on the true
     matrix, restricted to the misestimated users when scope says so.
+
+    A user's utility under both policies depends only on their type in
+    ``w`` and their type in ``w_hat``, so the scope's users are grouped by
+    that pair and each class is evaluated once, on one representative,
+    and weighted by its size.  The multiset of user utilities is the
+    per-user one, so the measure takes the same value.
     """
     require_price_measure(measure, "price of misestimation")
     scope = Scope(scope)
@@ -470,12 +492,17 @@ def price_of_misestimation(
         raise ValueError("no users are misestimated; the group scope is undefined")
     ref = compute_uf_star(w, gamma, item_model, measure, tie_break=tie_break)
     est = compute_uf_star(w_hat, gamma, item_model, measure, tie_break=tie_break)
-    u_ref = user_utility_vector(ref.policy, w)
-    u_est = user_utility_vector(est.policy, w)
-    if scope is Scope.MISESTIMATED_GROUP:
-        u_ref, u_est = u_ref[group], u_est[group]
-    ref_val = measure_value(u_ref, measure)
-    est_val = measure_value(u_est, measure)
+    users = group if scope is Scope.MISESTIMATED_GROUP else np.arange(w.m)
+    t_ref = ref.reduction.user_to_type[users]
+    t_est = est.reduction.user_to_type[users]
+    _, first, counts = np.unique(
+        t_ref * est.reduction.k + t_est, return_index=True, return_counts=True
+    )
+    w_rep = UtilityMatrix(w.values[users[first]])
+    u_ref = user_utility_vector(RecommendationPolicy(ref.rows_by_type[t_ref[first]]), w_rep)
+    u_est = user_utility_vector(RecommendationPolicy(est.rows_by_type[t_est[first]]), w_rep)
+    ref_val = measure_value(u_ref, measure, weights=counts)
+    est_val = measure_value(u_est, measure, weights=counts)
     if abs(ref_val) < 1e-12:
         raise ValueError("price of misestimation is undefined when the reference optimum is 0")
     return (ref_val - est_val) / ref_val
@@ -563,7 +590,7 @@ def tradeoff_sweep(
         "k": measure.k,
         "delta": model.delta,
         "tie_break": TieBreak(tie_break).value,
-        "matrix_sha256": hashlib.sha256(w.values.tobytes()).hexdigest()[:16],
+        "matrix_sha256": hashlib.sha256(w.values.data).hexdigest()[:16],
         "feasibility_tol": lp.FEAS_TOL,
         "optimality_tol": lp.OPT_TOL,
         "nash_gap_tol": GAP_TOL,

@@ -12,7 +12,8 @@ import fairrec
 import fairrec.cli  # noqa: F401  (perfbench wraps names in every submodule)
 from fairrec.core import FairnessMeasure, MeasureKind
 from fairrec.lp import Region, WarmLP, maxmin_lift
-from fairrec.optimizer import TieBreak, tradeoff_sweep
+from fairrec.optimizer import Scope, TieBreak, price_of_misestimation, tradeoff_sweep
+from fairrec.populations import gen_misestimation
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -38,4 +39,7 @@ def test_solves_write_nothing_to_stdout_or_stderr(worked_instance, capfd):
     # A fresh HiGHS model logs to fd 1 unless it is silenced before it gets the model.
     objective, region = maxmin_lift(np.eye(2), Region(2, a_eq=[[1.0, 1.0]], b_eq=[1.0]))
     WarmLP(objective, region).solve(region.b_ub)
+    data = gen_misestimation(np.array([3.0, 2.0, 1.0]), 0.3, 11, seed=1)
+    for scope in Scope:
+        price_of_misestimation(data.w, data.w_hat, 0.5, scope)
     assert capfd.readouterr() == ("", "")

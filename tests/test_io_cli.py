@@ -16,6 +16,7 @@ from fairrec.io import (
     write_rows_csv,
 )
 from fairrec.lp import LPSolverError, LPStatus
+from fairrec.populations import gen_misestimation
 
 
 def test_matrix_round_trip_preserves_values_and_labels(tmp_path):
@@ -59,6 +60,64 @@ def test_loader_rejects_malformed_shapes(tmp_path):
     path.write_text("")
     with pytest.raises(MatrixFormatError):
         load_utility_csv(path)
+
+
+GOOD_ROW = "1.5,2.25,3"
+REPEATS = 200
+
+
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [
+        ("late,1.5,-2,3", "cell (user 'late', item 'b') must be strictly positive, got -2"),
+        ("late,1.5,abc,3", "cell (user 'late', item 'b') is not a number: 'abc'"),
+        ("late,1.5,2.25", f"line {REPEATS + 2} has 2 values, expected 3"),
+        ("late", f"line {REPEATS + 2} has 0 values, expected 3"),
+    ],
+    ids=["bad-cell", "non-numeric", "short", "no-comma"],
+)
+def test_loader_names_first_bad_line_after_repeated_rows(tmp_path, bad_line, message):
+    # The loader checks each distinct line tail once; a bad one must still
+    # be reported at its first line, however many good repeats precede it.
+    path = tmp_path / "bad.csv"
+    good = "".join(f"u{i},{GOOD_ROW}\n" for i in range(REPEATS))
+    again = bad_line.replace("late", "again", 1)
+    path.write_text(f"user_id,a,b,c\n{good}{bad_line}\n{again}\nu{REPEATS},{GOOD_ROW}\n")
+    with pytest.raises(MatrixFormatError) as err:
+        load_utility_csv(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def _per_row_csv(w, provenance) -> str:
+    users = w.user_labels or [f"u{i}" for i in range(w.m)]
+    items = w.item_labels or [f"i{j}" for j in range(w.n)]
+    lines = [*provenance, "user_id," + ",".join(items)]
+    lines += [users[i] + "," + ",".join(f"{v:.12g}" for v in w.values[i]) for i in range(w.m)]
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("labelled", [False, True])
+def test_writer_matches_per_row_reference(tmp_path, labelled):
+    rng = np.random.default_rng(11)
+    types = rng.uniform(0.001, 123.0, size=(3, 4))
+    values = np.vstack([types[rng.integers(0, 3, size=40)], rng.uniform(0.5, 2.0, size=(6, 4))])
+    values = values[rng.permutation(values.shape[0])]
+    labels = {"user_labels": tuple(f"user-{i}" for i in range(46)), "item_labels": tuple("wxyz")}
+    w = UtilityMatrix(values, **(labels if labelled else {}))
+    prov = provenance_lines("test", {"users": 46})
+    path = tmp_path / "m.csv"
+    save_utility_csv(path, w, prov)
+    assert path.read_bytes() == _per_row_csv(w, prov).encode()
+
+
+def test_save_load_save_is_byte_idempotent(tmp_path):
+    v = np.sort(np.random.default_rng(2).uniform(1.0, 10.0, 12))[::-1]
+    data = gen_misestimation(v, 0.3, 2_000, seed=5)
+    prov = provenance_lines("generate misest", {"users": 2_000}, 5)
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    save_utility_csv(first, data.w_hat, prov)
+    save_utility_csv(second, load_utility_csv(first), prov)
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_loader_skips_comment_lines(tmp_path):

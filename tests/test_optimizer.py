@@ -12,8 +12,10 @@ from fairrec.core import (
     FairnessMeasure,
     ItemUtilityModel,
     MeasureKind,
+    RecommendationPolicy,
     UtilityMatrix,
     item_utility_vector,
+    measure_value,
     user_utility_vector,
 )
 from fairrec.optimizer import (
@@ -461,3 +463,54 @@ def test_prices_are_undefined_for_nash_and_solve_nothing(worked_instance, monkey
     for scope in Scope:
         with pytest.raises(ValueError, match="Nash"):
             opt.price_of_misestimation(data.w, data.w_hat, 0.5, scope, measure=NASH)
+
+
+def _per_user_pom(w, w_hat, gamma, scope, measure):
+    """Price of misestimation evaluated user by user on expanded policies."""
+    ref = compute_uf_star(w, gamma, measure=measure)
+    est = compute_uf_star(w_hat, gamma, measure=measure)
+    u_ref = user_utility_vector(RecommendationPolicy(expand_policy(ref.rows_by_type, ref.reduction)), w)
+    u_est = user_utility_vector(RecommendationPolicy(expand_policy(est.rows_by_type, est.reduction)), w)
+    if scope is Scope.MISESTIMATED_GROUP:
+        group = misestimated_users(w, w_hat)
+        u_ref, u_est = u_ref[group], u_est[group]
+    ref_val = measure_value(u_ref, measure)
+    return (ref_val - measure_value(u_est, measure)) / ref_val
+
+
+V5 = np.array([5.0, 3.5, 2.0, 1.25, 1.0])
+
+
+@pytest.mark.parametrize("measure", [FairnessMeasure(), SUMK3], ids=["maxmin", "sumk3"])
+@pytest.mark.parametrize("beta, m, seed", [(0.3, 25, 3), (0.2, 41, 7)])
+def test_price_of_misestimation_matches_per_user_reference(measure, beta, m, seed):
+    data = gen_misestimation(V5, beta, m, seed=seed)
+    assert data.misestimated.size % 2 == 1
+    for gamma in (0.0, 0.5, 1.0):
+        for scope in Scope:
+            pom = price_of_misestimation(data.w, data.w_hat, gamma, scope, measure=measure)
+            assert pom == _per_user_pom(data.w, data.w_hat, gamma, scope, measure)
+
+
+def test_solves_and_prices_stay_in_type_space(monkeypatch):
+    import fairrec.optimizer as opt
+
+    calls = []
+    real_expand = opt.expand_policy
+
+    def counted(rows, reduction):
+        calls.append(rows.shape)
+        return real_expand(rows, reduction)
+
+    monkeypatch.setattr(opt, "expand_policy", counted)
+    data = gen_misestimation(V5, 0.3, 25, seed=3)
+    ifres = compute_if_star(data.w)
+    results = [compute_uf_star(data.w, g, measure=mu) for g in (0.0, 0.5) for mu in (FairnessMeasure(), SUMK3)]
+    for scope in Scope:
+        price_of_misestimation(data.w, data.w_hat, 0.5, scope)
+        price_of_misestimation(data.w, data.w_hat, 1.0, scope, measure=SUMK3)
+    assert calls == []
+    for res in (ifres, *results):
+        assert np.array_equal(res.policy.rows, real_expand(res.rows_by_type, res.reduction))
+        assert res.policy is res.policy
+    assert len(calls) == 1 + len(results)
