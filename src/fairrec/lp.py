@@ -11,10 +11,12 @@ optimal points are vertices of the feasible polyhedron.
 There are two paths.  ``solve_lp`` is the cold one: each call hands one
 program to scipy's ``linprog``.  ``WarmLP`` keeps one HiGHS model alive and
 re-solves it after its ``<=`` right-hand sides change, starting dual simplex
-from the previous optimal basis; it is the only user of scipy's private
-HiGHS binding.  Both re-check optimal points against the region before
-reporting them; a check failure is surfaced as a distinct FAILED status
-rather than a silent wrong answer.
+from the previous optimal basis; on request it writes its last optimal face
+as a region, read from the duals.  ``solve_qp`` solves the small
+identity-Hessian QPs of the canonical tie-break.  These two are the only
+users of scipy's private HiGHS binding.  Both LP paths re-check optimal
+points against the region before reporting them; a check failure is
+surfaced as a distinct FAILED status rather than a silent wrong answer.
 """
 from __future__ import annotations
 
@@ -30,6 +32,9 @@ from scipy.sparse import coo_array, csc_array, issparse, vstack
 # Feasibility and optimality tolerances of the solver contract.
 FEAS_TOL = 1e-7
 OPT_TOL = 1e-7
+# A dual or reduced cost above this in magnitude marks an active row or bound,
+# and a point that violates a face by at most this lies on it.
+FACE_TOL = 1e-9
 
 
 class LPStatus(Enum):
@@ -181,6 +186,28 @@ _HIGHS_STATUS = {
 }
 
 
+def _highs_lp(cost, a: csc_array, lb, ub, row_lower, row_upper) -> highs.HighsLp:
+    """HiGHS model of ``min cost @ x``, ``row_lower <= a @ x <= row_upper``, ``lb <= x <= ub``."""
+    model = highs.HighsLp()
+    model.num_col_, model.num_row_ = a.shape[1], a.shape[0]
+    model.a_matrix_.num_col_, model.a_matrix_.num_row_ = a.shape[1], a.shape[0]
+    model.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_ = a.indptr, a.indices, a.data
+    model.col_cost_, model.col_lower_, model.col_upper_ = cost, lb, ub
+    model.row_lower_, model.row_upper_ = row_lower, row_upper
+    return model
+
+
+def _silent_highs(model, **options) -> Any:
+    """A HiGHS instance holding ``model``, silenced first: HiGHS logs to fd 1."""
+    solver = highs._Highs()
+    for key, value in {"output_flag": False, "log_to_console": False, **options}.items():
+        solver.setOptionValue(key, value)
+    if solver.passModel(model) == highs.HighsStatus.kError:
+        raise ValueError("HiGHS rejected the model")
+    return solver
+
+
 class WarmLP:
     """One HiGHS dual simplex model of ``max objective @ x`` over a region,
     re-solved from the previous optimal basis after its ``<=`` right-hand
@@ -195,26 +222,10 @@ class WarmLP:
         self.objective = objective = _check_objective(objective, region)
         self.region = region
         a = csc_array(vstack((region.a_ub, region.a_eq)))
-        model = highs.HighsLp()
-        model.num_col_, model.num_row_ = region.num_vars, a.shape[0]
-        model.a_matrix_.num_col_, model.a_matrix_.num_row_ = region.num_vars, a.shape[0]
-        model.a_matrix_.format_ = highs.MatrixFormat.kColwise
-        model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_ = a.indptr, a.indices, a.data
-        model.col_cost_ = -objective
-        model.col_lower_, model.col_upper_ = region.lb, region.ub
-        model.row_lower_ = np.concatenate([np.full(region.b_ub.size, -np.inf), region.b_eq])
-        model.row_upper_ = np.concatenate([region.b_ub, region.b_eq])
-        self._highs = highs._Highs()
-        # Silence the solver before the model reaches it; HiGHS logs to fd 1.
-        for key, value in (
-            ("output_flag", False),
-            ("log_to_console", False),
-            ("solver", "simplex"),
-            ("simplex_strategy", 1),
-        ):
-            self._highs.setOptionValue(key, value)
-        if self._highs.passModel(model) == highs.HighsStatus.kError:
-            raise ValueError("HiGHS rejected the model")
+        lower = np.concatenate([np.full(region.b_ub.size, -np.inf), region.b_eq])
+        upper = np.concatenate([region.b_ub, region.b_eq])
+        model = _highs_lp(-objective, a, region.lb, region.ub, lower, upper)
+        self._highs = _silent_highs(model, solver="simplex", simplex_strategy=1)
 
     def solve(self, b_ub: Any) -> LPSolution:
         """Maximize over the region with its ``<=`` right-hand sides set to b_ub."""
@@ -240,6 +251,57 @@ class WarmLP:
         # A basis that ended anywhere but at a checked optimum is no start.
         self._highs.clearSolver()
         return solution
+
+    def optimal_face(self) -> Region:
+        """The optimal face of the last solve, which must have been optimal.
+        By complementary slackness it is the feasible set with each ``<=`` row
+        of nonzero dual made an equality and each variable of nonzero reduced
+        cost fixed at its bound, for any one optimal dual.  A zero dual read as
+        nonzero would cut the face, so FACE_TOL stays small."""
+        duals = self._highs.getSolution()
+        r = self.region
+        tight = np.abs(np.asarray(duals.row_dual)[: r.b_ub.size]) > FACE_TOL
+        cost = np.asarray(duals.col_dual)
+        bound = np.where(cost > 0, r.lb, r.ub)
+        fixed = (np.abs(cost) > FACE_TOL) & np.isfinite(bound)
+        a_ub = r.a_ub.tocsr()
+        return Region(
+            r.num_vars, vstack((r.a_eq, a_ub[tight])), np.concatenate([r.b_eq, r.b_ub[tight]]),
+            a_ub[~tight], r.b_ub[~tight], np.where(fixed, bound, r.lb), np.where(fixed, bound, r.ub),
+        )
+
+
+def solve_qp(c: np.ndarray, g: np.ndarray, h: np.ndarray) -> tuple[LPSolution, float]:
+    """Minimize ``0.5 |z|^2 + c @ z`` over free z subject to ``g @ z <= h``
+    by HiGHS's QP solver, then exactly on the rows its duals y hold active
+    (and any row z then violates): HiGHS meets rows only to 1e-7.  Also
+    returns the KKT residual of (z, y), the largest stationarity
+    |z + c - g.T @ y|, sign max(y, 0) or complementarity |y (g @ z - h)| error."""
+    d = c.size
+    model = highs.HighsModel()
+    inf = np.full(d, np.inf)
+    model.lp_ = _highs_lp(c, csc_array(g), -inf, inf, np.full(h.size, -np.inf), h)
+    hessian = model.hessian_
+    hessian.dim_, hessian.format_ = d, highs.HessianFormat.kTriangular
+    hessian.start_, hessian.index_, hessian.value_ = np.arange(d + 1), np.arange(d), np.ones(d)
+    # The identity Hessian is positive definite, so HiGHS's default 1e-7
+    # regularization would only move the answer.
+    solver = _silent_highs(model, qp_regularization_value=0.0)
+    solver.run()
+    status = solver.getModelStatus()
+    message = solver.modelStatusToString(status)
+    if status != highs.HighsModelStatus.kOptimal:
+        return LPSolution(_HIGHS_STATUS.get(status, LPStatus.FAILED), message=message), np.inf
+    y = np.array(solver.getSolution().row_dual, dtype=float)
+    active = y < -FACE_TOL
+    while True:
+        z = np.linalg.lstsq(g[active], h[active] + g[active] @ c, rcond=None)[0] - c
+        violated = (g @ z - h > 1e-12) & ~active
+        if not violated.any():
+            break
+        active |= violated
+    kkt = np.max(np.concatenate([np.abs(z + c - g.T @ y), y, np.abs(y * (g @ z - h)), [0.0]]))
+    return LPSolution(LPStatus.OPTIMAL, point=z, message=message), float(kkt)
 
 
 def _require_optimal(solution: LPSolution) -> LPSolution:

@@ -1,12 +1,11 @@
 """First-order numerical routines used by the optimizer.
 
 One region type, ``SimplexProduct`` (a product of probability simplices,
-with its Euclidean projection), serves both solvers here: the nearest point
-of a face cut out of it by halfspaces (SLSQP, with Dykstra's alternating
-projections as the fallback), and a maximizer for weighted sums of
-logarithms of linear functionals over it (projected gradient ascent).  The
-ascent terminates on the Frank-Wolfe duality gap, which upper-bounds the
-distance to the optimum value.
+with its Euclidean projection), carries a maximizer for weighted sums of
+logarithms of linear functionals (projected gradient ascent), which stops
+on the Frank-Wolfe duality gap, an upper bound on the distance to the
+optimum value.  Dykstra's alternating projections onto halfspace-cut
+simplex products remain here, but no solve path calls them.
 """
 from __future__ import annotations
 
@@ -17,8 +16,6 @@ import numpy as np
 # Default certificate tolerance for the concave solver.
 GAP_TOL = 1e-6
 MAX_ITER = 100_000
-# An SLSQP face point is accepted when it violates no constraint by more than this.
-FACE_FEAS_TOL = 1e-8
 # Dykstra stops once a full cycle moves the iterate by at most DYKSTRA_TOL (sup norm).
 DYKSTRA_TOL = 1e-12
 DYKSTRA_MAX_CYCLES = 200_000
@@ -91,53 +88,6 @@ def dykstra_project(target: np.ndarray, sets) -> np.ndarray:
         if np.max(np.abs(x - start)) <= DYKSTRA_TOL:
             return x
     raise NonConvergenceError(f"Dykstra projection did not converge in {DYKSTRA_MAX_CYCLES} cycles")
-
-
-def min_norm_face_point(
-    target: np.ndarray,
-    num_rows: int,
-    row_len: int,
-    halfspaces,
-    start: np.ndarray | None = None,
-) -> np.ndarray:
-    """Nearest point to ``target`` among row-stochastic points satisfying
-    every halfspace constraint.
-
-    Solves the projection as one quadratic program (sequential quadratic
-    programming with exact gradients); Dykstra's method is kept as a
-    fallback because it is slow when active halfspaces form a thin wedge,
-    which is exactly the shape of a tight optimal face.
-    """
-    from scipy.optimize import minimize
-
-    target = np.asarray(target, dtype=float)
-    region = SimplexProduct(num_rows, row_len)
-    a_eq = np.kron(np.eye(num_rows), np.ones(row_len))
-    cons = [{"type": "eq", "fun": lambda x: a_eq @ x - 1.0, "jac": lambda x: a_eq}]
-    if halfspaces:
-        g = np.vstack([h.a for h in halfspaces])
-        hb = np.array([h.b for h in halfspaces])
-        cons.append({"type": "ineq", "fun": lambda x: g @ x - hb, "jac": lambda x: g})
-    x0 = target.copy() if start is None else np.asarray(start, dtype=float).copy()
-    res = minimize(
-        lambda x: 0.5 * float((x - target) @ (x - target)),
-        x0,
-        jac=lambda x: x - target,
-        bounds=[(0.0, None)] * region.num_vars,
-        method="SLSQP",
-        constraints=cons,
-        options={"maxiter": 500, "ftol": 1e-16},
-    )
-    x = res.x
-    feasible = (
-        np.all(np.isfinite(x))
-        and np.max(np.abs(a_eq @ x - 1.0)) <= FACE_FEAS_TOL
-        and x.min() >= -FACE_FEAS_TOL
-        and (not halfspaces or np.min(g @ x - hb) >= -FACE_FEAS_TOL)
-    )
-    if feasible:
-        return x
-    return dykstra_project(target, [region, *halfspaces])
 
 
 @dataclass(frozen=True)

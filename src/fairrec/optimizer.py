@@ -15,8 +15,10 @@ equalizes the items, which makes the gamma = 1 constraint expressible as
 plain inequalities.  The max-min UF* program always carries the n item
 rows, with bound +inf at gamma = 0, so only their right-hand sides depend
 on gamma: a sweep builds it once as an ``lp.WarmLP`` and re-solves each
-gamma from the previous optimal basis.  The sum of the k smallest
-utilities uses the standard epigraph lift on both sides, solved cold.
+gamma from the previous optimal basis; the canonical tie-break projects the
+uniform policy onto that solve's exact optimal face, read from its duals.
+The sum of the k smallest utilities uses the standard epigraph lift on both
+sides, solved cold.
 Nash welfare (sum of logs) is handled by a first-order concave maximizer
 plus Lagrangian bisection on the item constraint.
 """
@@ -42,15 +44,7 @@ from .core import (
     measure_value,
     user_utility_vector,
 )
-from .numerics import (
-    GAP_TOL,
-    HalfspaceSet,
-    LogObjective,
-    NonConvergenceError,
-    SimplexProduct,
-    min_norm_face_point,
-    nash_concave_solve,
-)
+from .numerics import GAP_TOL, LogObjective, NonConvergenceError, SimplexProduct, nash_concave_solve
 
 # Backoff applied when an optimal value is reused as a constraint threshold,
 # so that floating-point optima stay feasible.
@@ -144,13 +138,13 @@ def _maxmin_uf_program(user_rows: coo_array, item_rows: coo_array, k: int, n: in
 
 
 def _solve_maxmin_uf(program: lp.WarmLP, gamma: float, if_target: float, n: int) -> np.ndarray:
-    """Policy part of the optimal point of the max-min UF* program at gamma."""
+    """Optimal point (x, t) of the max-min UF* program at gamma."""
     b_ub = program.region.b_ub.copy()
     b_ub[:n] = SLACK - if_target if gamma > 0 else np.inf
     sol = program.solve(b_ub)
     if sol.status is not lp.LPStatus.OPTIMAL:
         raise lp.LPSolverError(sol.status, sol.message)
-    return sol.point[:-1]
+    return sol.point
 
 
 def _validate_measure(measure: FairnessMeasure, m: int, n: int) -> None:
@@ -259,44 +253,61 @@ class UfStarResult:
 
 def _argmax_mixing_rows(wt: np.ndarray) -> np.ndarray:
     """Uniform mixture over each type's tied favorite items."""
-    k, n = wt.shape
-    rows = np.zeros((k, n))
-    for t in range(k):
-        row = wt[t]
-        ties = row >= row.max() * (1.0 - 1e-12)
-        rows[t, ties] = 1.0 / ties.sum()
-    return rows
+    ties = wt >= wt.max(axis=1, keepdims=True) * (1.0 - 1e-12)
+    return ties / ties.sum(axis=1, keepdims=True)
+
+
+def min_norm_face_point(
+    target: np.ndarray, face: lp.Region, point: np.ndarray, gamma: float
+) -> np.ndarray:
+    """Nearest point to ``target`` of ``face``, with the variables past
+    ``target`` (the epigraph t) held at their values in ``point``.
+
+    An orthonormal null-space basis N (by SVD) of the face's equalities on
+    the free entries writes their affine set as ``point + N z``.  An empty N
+    means the face is the vertex ``point``.  If the projection of ``target``
+    onto the affine set meets every inequality, it is the answer; otherwise
+    one HiGHS QP in z finds it.  A QP answer must be optimal, violate the
+    face by at most lp.FACE_TOL and have a KKT residual of at most
+    SWEEP_TOL, or LPSolverError with status FAILED is raised.
+    """
+    n = target.size
+    free = np.flatnonzero(face.lb[:n] < face.ub[:n])
+    eq = face.a_eq.tocsc()[:, free].toarray()
+    basis = np.linalg.svd(eq)[2][np.linalg.matrix_rank(eq) :].T
+    x, proj = np.array(point, dtype=float), np.array(point, dtype=float)
+    proj[free] += basis @ (basis.T @ (target[free] - x[free]))
+    if basis.shape[1] == 0 or lp._violation(face, proj) <= lp.FACE_TOL:
+        return proj[:n]
+    # The inequality rows and the free entries' lower bounds, in z.
+    g = np.vstack([face.a_ub.tocsc()[:, free] @ basis, -basis])
+    h = np.concatenate([face.b_ub - face.a_ub @ x, x[free] - face.lb[free]])
+    sol, kkt = lp.solve_qp(basis.T @ (x[free] - target[free]), g, h)
+    viol = np.inf
+    if sol.status is lp.LPStatus.OPTIMAL:
+        x[free] += basis @ sol.point
+        viol = lp._violation(face, x)
+    if not (viol <= lp.FACE_TOL and kkt <= SWEEP_TOL):
+        raise lp.LPSolverError(
+            lp.LPStatus.FAILED,
+            f"canonical face point at gamma = {gamma} is not certified: face dimension {basis.shape[1]}, "
+            f"QP {sol.message}, residual {viol:.3e}, KKT residual {kkt:.3e}",
+        )
+    return x[:n]
 
 
 def _canonical_maxmin_rows(
-    user_rows: np.ndarray,
-    item_rows: np.ndarray,
-    solver_point: np.ndarray,
-    if_target: float,
-    k: int,
-    n: int,
+    program: lp.WarmLP, point: np.ndarray, gamma: float, k: int, n: int
 ) -> np.ndarray:
     """Deterministic point of the optimal face: nearest to the uniform policy.
 
-    The face is cut out by the attained optimal user-fairness value and the
-    item target; projecting the uniform policy onto it picks the unique
-    minimum-distance point, which inherits every symmetry of the instance
-    (any symmetry permutes the face and fixes the uniform policy, and the
-    projection is unique).  Tied supports therefore end up uniformly mixed.
-
-    Both bounds are scalars derived from values the solver point actually
-    attains, backed off by a hair, so the face provably contains that point
-    and is never empty; asymmetric per-constraint slacks would break the
-    symmetry argument.
+    The face is the program's exact optimal face, read from the duals of
+    its last solve.  A symmetry of the instance maps the program to itself
+    (every item row has the same bound), so it permutes that face and fixes
+    the uniform policy; the projection is unique, so it inherits every such
+    symmetry, and tied supports end up uniformly mixed.
     """
-    u_bound = float(np.min(user_rows @ solver_point)) - 1e-12
-    halfspaces = [HalfspaceSet(r, u_bound) for r in user_rows]
-    if if_target > 0:
-        i_bound = min(if_target - SLACK, float(np.min(item_rows @ solver_point))) - 1e-12
-        halfspaces.extend(HalfspaceSet(r, i_bound) for r in item_rows)
-    x = min_norm_face_point(
-        np.full(k * n, 1.0 / n), k, n, halfspaces, start=solver_point
-    )
+    x = min_norm_face_point(np.full(k * n, 1.0 / n), program.optimal_face(), point, gamma)
     return x.reshape(k, n)
 
 
@@ -336,14 +347,11 @@ def compute_uf_star(
         if_target = gamma * if_value if gamma > 0 else 0.0
         program = _program if _program is not None else _maxmin_uf_program(user_rows, item_rows, k, n)
         point = _solve_maxmin_uf(program, gamma, if_target, n)
-        rows = point.reshape(k, n)
-        if tie_break is TieBreak.CANONICAL:
-            if gamma == 0:
-                rows = _argmax_mixing_rows(red.matrix.values)
-            else:
-                rows = _canonical_maxmin_rows(
-                    user_rows.toarray(), item_rows.toarray(), point, if_target, k, n
-                )
+        rows = point[:-1].reshape(k, n)
+        if tie_break is TieBreak.CANONICAL and gamma == 0:
+            rows = _argmax_mixing_rows(red.matrix.values)
+        elif tie_break is TieBreak.CANONICAL:
+            rows = _canonical_maxmin_rows(program, point, gamma, k, n)
     elif measure.kind is MeasureKind.SUM_K_MIN:
         if_target = gamma * if_value if gamma > 0 else 0.0
         rows = _sum_k_min_rows(red, user_rows, item_rows, gamma, if_target, measure, k, n)

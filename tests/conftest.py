@@ -30,3 +30,14 @@ def worked_instance():
 
 def random_positive_matrix(rng, m: int, n: int) -> np.ndarray:
     return rng.uniform(0.05, 1.0, size=(m, n))
+
+
+def duplicated_item_matrix(seed: int) -> np.ndarray:
+    """A uniform(0.1, 1) 4 x 3 matrix with a copy of item 0 appended as item 3.
+
+    Swapping the two copies maps every optimal face to itself, so the
+    canonical point splits their mass evenly; the faces have positive
+    dimension, so the canonical projection solves a QP on some of them.
+    """
+    base = np.random.default_rng(seed).uniform(0.1, 1.0, (4, 3))
+    return np.column_stack([base, base[:, 0]])

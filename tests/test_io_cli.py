@@ -6,7 +6,9 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from fairrec import cli
+from conftest import duplicated_item_matrix
+
+from fairrec import cli, lp
 from fairrec.core import UtilityMatrix
 from fairrec.io import (
     MatrixFormatError,
@@ -374,6 +376,25 @@ def test_cli_failed_sweep_rows_exit_and_record(tmp_path, monkeypatch):
     assert record["exit_code"] == 3
     assert record["error"] == "LPSolverError"
     assert "gamma = 0.5" in record["message"]
+
+
+def test_cli_uncertified_canonical_point_exit_and_record(tmp_path, monkeypatch):
+    def not_optimal(*args):
+        return lp.LPSolution(LPStatus.FAILED, message="injected"), float("inf")
+
+    monkeypatch.setattr(lp, "solve_qp", not_optimal)
+    matrix = tmp_path / "m.csv"
+    save_utility_csv(matrix, UtilityMatrix(duplicated_item_matrix(0)))
+    out = tmp_path / "c.csv"
+    code = run(["tradeoff", "--matrix", str(matrix), "--gammas", "0,0.2,1",
+                "--tie-break", "canonical", "--out", str(out)])
+    assert code == 3
+    lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert [row["status"][:6] for row in csv.DictReader(lines)] == ["ok", "error:", "ok"]
+    record = json.loads((tmp_path / "error.json").read_text())
+    assert record["exit_code"] == 3
+    assert record["error"] == "LPSolverError"
+    assert "gamma = 0.2" in record["message"]
 
 
 def test_cli_rejects_unknown_subcommand():

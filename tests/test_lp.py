@@ -13,6 +13,7 @@ from fairrec.lp import (
     LPStatus,
     Region,
     WarmLP,
+    _violation,
     maxmin_lift,
     solve_lp,
     solve_maxmin_linear,
@@ -157,6 +158,24 @@ def test_warm_resolve_matches_cold_solve_and_survives_infeasibility():
     # Floors summing past 1 empty the region; the next solve starts cold and still works.
     assert warm.solve(b_ub(np.full(5, 0.3))).status is LPStatus.INFEASIBLE
     assert warm.solve(b_ub(np.zeros(5))).value == solve_lp(objective, lifted).value
+
+
+def test_optimal_face_holds_every_optimum_and_nothing_else():
+    # max x0 + x1 on the 3-simplex: every optimum has x2 = 0, by its reduced cost.
+    warm = WarmLP(np.array([1.0, 1.0, 0.0]), simplex(3))
+    assert warm.solve(()).status is LPStatus.OPTIMAL
+    face = warm.optimal_face()
+    for x in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0]):
+        assert _violation(face, np.array(x)) <= 1e-15
+    assert _violation(face, np.array([0.5, 0.4, 0.1])) > 0.09
+    # max x0 on the 3-simplex with x0 <= 0.7: the bound row has a dual, so it is tight.
+    capped = Region(3, a_eq=np.ones((1, 3)), b_eq=[1.0], a_ub=[[1.0, 0.0, 0.0]], b_ub=[0.7])
+    warm = WarmLP(np.array([1.0, 0.0, 0.0]), capped)
+    assert warm.solve([0.7]).status is LPStatus.OPTIMAL
+    face = warm.optimal_face()
+    for x in ([0.7, 0.3, 0.0], [0.7, 0.0, 0.3], [0.7, 0.15, 0.15]):
+        assert _violation(face, np.array(x)) <= 1e-15
+    assert _violation(face, np.array([0.6, 0.4, 0.0])) > 0.09
 
 
 def test_only_lp_imports_the_private_highs_binding():

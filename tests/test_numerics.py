@@ -1,19 +1,21 @@
-"""Projections and concave maximization over simplex products."""
+"""Projections and concave maximization over simplex products, and the
+nearest point of an LP face."""
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fairrec.lp import Region
 from fairrec.numerics import (
     HalfspaceSet,
     LogObjective,
     SimplexProduct,
     dykstra_project,
-    min_norm_face_point,
     nash_concave_solve,
     project_rows_to_simplex,
 )
+from fairrec.optimizer import min_norm_face_point
 
 
 def test_simplex_projection_known_points():
@@ -50,13 +52,15 @@ def test_dykstra_simplex_with_halfspace():
 
 
 def test_min_norm_face_point_hits_active_halfspace():
-    face = [HalfspaceSet(np.array([1.0, 0.0]), 0.8)]
-    x = min_norm_face_point(np.array([0.5, 0.5]), 1, 2, face, start=np.array([0.9, 0.1]))
+    # The simplex {x1 + x2 = 1, x >= 0} cut by x1 >= 0.8.
+    face = Region(2, a_eq=[[1.0, 1.0]], b_eq=[1.0], a_ub=[[-1.0, 0.0]], b_ub=[-0.8])
+    x = min_norm_face_point(np.array([0.5, 0.5]), face, np.array([0.9, 0.1]), 0.5)
     assert np.allclose(x, [0.8, 0.2], atol=1e-8)
 
 
 def test_min_norm_face_point_without_cuts_returns_target():
-    x = min_norm_face_point(np.array([0.25, 0.75]), 1, 2, [], start=np.array([1.0, 0.0]))
+    face = Region(2, a_eq=[[1.0, 1.0]], b_eq=[1.0])
+    x = min_norm_face_point(np.array([0.25, 0.75]), face, np.array([1.0, 0.0]), 0.5)
     assert np.allclose(x, [0.25, 0.75], atol=1e-8)
 
 

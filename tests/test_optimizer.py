@@ -1,10 +1,11 @@
 """End-to-end solver behavior: optima, constraints, tie-breaks, sweeps."""
 import math
+import re
 
 import numpy as np
 import pytest
 
-from conftest import random_positive_matrix
+from conftest import duplicated_item_matrix, random_positive_matrix
 from oracles import grid_nash_if_and_uf
 
 from fairrec import lp
@@ -21,6 +22,7 @@ from fairrec.core import (
 from fairrec.optimizer import (
     Scope,
     TieBreak,
+    _argmax_mixing_rows,
     clear_caches,
     compute_if_star,
     compute_uf_star,
@@ -126,6 +128,96 @@ def test_canonical_unconstrained_mixes_tied_favorites():
     res = compute_uf_star(w, 0.0, tie_break=TieBreak.CANONICAL)
     assert np.allclose(res.rows_by_type, [[0.5, 0.5, 0.0]], atol=1e-12)
     assert abs(res.value - 1.0) < 1e-12
+
+
+def _argmax_mixing_loop(wt):
+    """The per-type loop _argmax_mixing_rows replaced, kept as its reference."""
+    k, n = wt.shape
+    rows = np.zeros((k, n))
+    for t in range(k):
+        row = wt[t]
+        ties = row >= row.max() * (1.0 - 1e-12)
+        rows[t, ties] = 1.0 / ties.sum()
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_argmax_mixing_rows_match_the_loop_reference(seed):
+    rng = np.random.default_rng(seed)
+    wt = rng.integers(1, 4, size=(40, 7)).astype(float)
+    # near-ties just inside and just outside the 1e-12 relative tie band
+    wt[::3, 0] = wt[::3].max(axis=1) * (1.0 - 5e-13)
+    wt[1::3, 1] = wt[1::3].max(axis=1) * (1.0 - 5e-12)
+    out = _argmax_mixing_rows(wt)
+    assert np.array_equal(out, _argmax_mixing_loop(wt))
+    assert np.any(np.count_nonzero(out, axis=1) > 1)
+
+
+def _count_qp_calls(monkeypatch) -> list:
+    calls = []
+    real = lp.solve_qp
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lp, "solve_qp", counted)
+    return calls
+
+
+def test_canonical_faces_of_positive_dimension_split_copied_items(monkeypatch):
+    calls = _count_qp_calls(monkeypatch)
+    gammas = [0.2, 0.4, 0.6, 0.8, 1.0]
+    for seed in range(20):
+        w = UtilityMatrix(duplicated_item_matrix(seed))
+        solver = tradeoff_sweep(w, gammas)
+        canonical = tradeoff_sweep(w, gammas, tie_break=TieBreak.CANONICAL)
+        for g, r_sol, r_can in zip(gammas, solver.rows, canonical.rows):
+            assert r_sol.status == r_can.status == "ok"
+            assert abs(r_can.uf_achieved - r_sol.uf_achieved) <= 1e-9
+            rows = compute_uf_star(w, g, tie_break=TieBreak.CANONICAL).rows_by_type
+            assert np.max(np.abs(rows[:, 0] - rows[:, 3])) <= 1e-9
+    assert calls, "every face was short-circuited; the QP path went untested"
+
+
+def test_canonical_point_faces_are_the_solver_vertex(monkeypatch):
+    """postsolve_small's 10 x 10 instances: every optimal face at gamma > 0
+    is a single point, so no QP is built and canonical is the vertex."""
+    calls = _count_qp_calls(monkeypatch)
+    for seed in range(8):
+        w = UtilityMatrix(np.random.default_rng(seed).uniform(0.1, 1.0, (10, 10)))
+        for g in np.linspace(0.1, 1.0, 10):
+            solver = compute_uf_star(w, g).rows_by_type
+            canonical = compute_uf_star(w, g, tie_break=TieBreak.CANONICAL).rows_by_type
+            assert np.max(np.abs(canonical - solver)) <= 1e-12
+    assert calls == []
+
+
+def test_canonical_points_are_certified_on_heavily_tied_instances():
+    """Small integer utilities tie everywhere, so the gamma = 1 faces are
+    large and degenerate; HiGHS's QP answer alone misses them by up to 2e-8."""
+    for seed in range(10):
+        for shape, top in (((6, 5), 4), ((8, 6), 3)):
+            w = UtilityMatrix(np.random.default_rng(seed).integers(1, top, size=shape).astype(float))
+            clear_caches()
+            solver = tradeoff_sweep(w, [0.5, 1.0])
+            canonical = tradeoff_sweep(w, [0.5, 1.0], tie_break=TieBreak.CANONICAL)
+            for r_sol, r_can in zip(solver.rows, canonical.rows):
+                assert r_can.status == "ok", r_can.status
+                assert abs(r_can.uf_achieved - r_sol.uf_achieved) <= 1e-6
+
+
+def test_uncertified_face_point_fails_its_row_only(monkeypatch):
+    def not_optimal(*args):
+        return lp.LPSolution(lp.LPStatus.FAILED, message="injected"), math.inf
+
+    monkeypatch.setattr(lp, "solve_qp", not_optimal)
+    curve = tradeoff_sweep(
+        UtilityMatrix(duplicated_item_matrix(0)), [0.0, 0.2, 0.8, 1.0], tie_break=TieBreak.CANONICAL
+    )
+    assert [r.status[:6] for r in curve.rows] == ["ok", "error:", "ok", "ok"]
+    message = r"gamma = 0\.2 .* face dimension [1-9]\d*, .* residual inf, KKT residual inf$"
+    assert re.search(message, curve.rows[1].status)
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2])
