@@ -217,10 +217,6 @@ def cmd_pof(args) -> int:
 def cmd_misest(args) -> int:
     require_price_measure(_measure(args), "price of misestimation")
     v = _values(args)
-    if args.beta is None:
-        raise ValueError("misest needs --beta")
-    if args.users is None:
-        raise ValueError("misest needs --users")
     data = gen_misestimation(v, args.beta, args.users, seed=args.seed)
     gammas = parse_gamma_grid(args.gammas)
     model = ItemUtilityModel(args.delta)

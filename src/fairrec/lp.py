@@ -4,19 +4,23 @@ A feasible set is one ``Region``: sparse equality and ``<=`` rows plus
 per-variable bounds, [0, inf) by default.  Programs maximize a linear
 objective over a region.  The max-min and sum-of-k-smallest objectives are
 lifted to linear programs by appending an epigraph block (new variables and
-``<=`` rows) to the region.  The backend is HiGHS dual simplex, which is
-deterministic for a fixed instance and returns basic feasible solutions, so
-optimal points are vertices of the feasible polyhedron.
+``<=`` rows) to the region; the sum-k lift weights each row by how often its
+value occurs, so one row stands for any number of identical ones.  The
+backend is HiGHS dual simplex, which is deterministic for a fixed instance
+and returns basic feasible solutions, so optimal points are vertices of the
+feasible polyhedron.
 
 There are two paths.  ``solve_lp`` is the cold one: each call hands one
-program to scipy's ``linprog``.  ``WarmLP`` keeps one HiGHS model alive and
-re-solves it after its ``<=`` right-hand sides change, starting dual simplex
-from the previous optimal basis; on request it writes its last optimal face
-as a region, read from the duals.  ``solve_qp`` solves the small
-identity-Hessian QPs of the canonical tie-break.  These two are the only
-users of scipy's private HiGHS binding.  Both LP paths re-check optimal
-points against the region before reporting them; a check failure is
-surfaced as a distinct FAILED status rather than a silent wrong answer.
+program to scipy's ``linprog``; the item-fairness optimum uses it.
+``WarmLP`` keeps one HiGHS model alive and re-solves it after its ``<=``
+right-hand sides change, starting dual simplex from the previous optimal
+basis; the user-fairness programs of both LP measures use it.  On request it
+writes its last optimal face as a region, read from the duals.
+``solve_qp`` solves the small identity-Hessian QPs of the canonical
+tie-break.  These two are the only users of scipy's private HiGHS binding.
+Both LP paths re-check optimal points against the region before reporting
+them; a check failure is surfaced as a distinct FAILED status rather than a
+silent wrong answer.
 """
 from __future__ import annotations
 
@@ -215,17 +219,20 @@ class WarmLP:
 
     The model is the one ``solve_lp`` hands to ``linprog``: rows are
     ``[a_ub; a_eq]``, the ``<=`` rows ranged ``(-inf, b_ub]`` and the
-    equality rows ``[b_eq, b_eq]``.  A one-shot solve gives the same point.
+    equality rows ``[b_eq, b_eq]``.  A one-shot solve gives the same point
+    at the default ``feas_tol``, HiGHS's primal feasibility tolerance.
     """
 
-    def __init__(self, objective: np.ndarray, region: Region):
+    def __init__(self, objective: np.ndarray, region: Region, feas_tol: float = FEAS_TOL):
         self.objective = objective = _check_objective(objective, region)
         self.region = region
         a = csc_array(vstack((region.a_ub, region.a_eq)))
         lower = np.concatenate([np.full(region.b_ub.size, -np.inf), region.b_eq])
         upper = np.concatenate([region.b_ub, region.b_eq])
         model = _highs_lp(-objective, a, region.lb, region.ub, lower, upper)
-        self._highs = _silent_highs(model, solver="simplex", simplex_strategy=1)
+        self._highs = _silent_highs(
+            model, solver="simplex", simplex_strategy=1, primal_feasibility_tolerance=feas_tol
+        )
 
     def solve(self, b_ub: Any) -> LPSolution:
         """Maximize over the region with its ``<=`` right-hand sides set to b_ub."""
@@ -364,50 +371,38 @@ def solve_maxmin_linear(rows: Any, region: Region) -> tuple[float, np.ndarray, L
     return float(np.min(rows @ point)), point, sol
 
 
-def _sum_k_bounds(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """t is free, every s_r is nonnegative."""
-    return np.concatenate([[-np.inf], np.zeros(m)]), np.full(1 + m, np.inf)
+def sum_k_lift(rows: Any, k: int, region: Region, weights: Any = None) -> tuple[np.ndarray, Region]:
+    """Epigraph lift of the sum of the k smallest of ``rows @ x``, row r
+    counted ``weights[r]`` times (once by default): the objective and region
+    of ``max k*t - sum_r weights_r s_r`` over (x, t, s) with
+    t - row_r . x - s_r <= 0 appended after the region's own ``<=`` rows,
+    t free and s >= 0.  It is exact for any multiplicities: the sum of the k
+    smallest of a multiset holding U_r c_r times is
+    ``max_t k*t - sum_r c_r (t - U_r)_+``, attained at its k-th smallest."""
+    rows = _check_rows(rows, region)
+    nv, m = region.num_vars, rows.shape[0]
+    weights = np.ones(m) if weights is None else np.asarray(weights, dtype=float)
+    if not 1 <= k <= weights.sum():
+        raise ValueError(f"k must lie in [1, {weights.sum():g}], got {k}")
+    lb = np.concatenate([[-np.inf], np.zeros(m)])
+    lifted = region.extend(_epigraph_rows(rows, nv, slacks=True), np.zeros(m), lb, np.full(1 + m, np.inf))
+    objective = np.concatenate([np.zeros(nv), [float(k)], -weights])
+    return objective, lifted
 
 
 def sum_k_smallest_epigraph(rows: Any, k: int, region: Region) -> tuple[float, np.ndarray, LPSolution]:
-    """Maximize the sum of the k smallest of the given linear functionals.
-
-    Lift: maximize k*t - sum_r s_r with s_r >= t - row_r . x and s_r >= 0.
-    At the optimum t is the k-th smallest value and the objective equals the
-    sum of the k smallest rows.  Returns (value, point, solution) as
-    solve_maxmin_linear does.
-    """
+    """Maximize the sum of the k smallest of the given linear functionals
+    through ``sum_k_lift``.  Returns (value, point, solution) as
+    solve_maxmin_linear does."""
     rows = _check_rows(rows, region)
-    nrows = rows.shape[0]
-    if not 1 <= k <= nrows:
-        raise ValueError(f"k must lie in [1, {nrows}], got {k}")
-    nv = region.num_vars
-    lifted = region.extend(_epigraph_rows(rows, nv, slacks=True), np.zeros(nrows), *_sum_k_bounds(nrows))
-    objective = np.zeros(nv + 1 + nrows)
-    objective[nv] = float(k)
-    objective[nv + 1 :] = -1.0
-    sol = _require_optimal(solve_lp(objective, lifted))
-    point = sol.point[:nv]
-    vals = np.sort(rows @ point)
-    return float(vals[:k].sum()), point, sol
+    sol = _require_optimal(solve_lp(*sum_k_lift(rows, k, region)))
+    point = sol.point[: region.num_vars]
+    return float(np.sort(rows @ point)[:k].sum()), point, sol
 
 
 def sum_k_smallest_floor(rows: Any, k: int, bound: float, region: Region) -> Region:
-    """The region lifted by certificate variables (t, s) so that its points
-    keep the sum of the k smallest of ``rows @ x`` at or above ``bound``:
-    k*t - sum_r s_r >= bound with s_r >= t - row_r . x and s_r >= 0."""
-    rows = _check_rows(rows, region)
-    nv, m = region.num_vars, rows.shape[0]
-    epi = _epigraph_rows(rows, nv, slacks=True)
-    # Row 0 is the certificate row -k*t + sum_r s_r <= -bound.
-    block = coo_array(
-        (
-            np.concatenate([[-float(k)], np.ones(m), epi.data]),
-            (
-                np.concatenate([np.zeros(1 + m, dtype=int), epi.row + 1]),
-                np.concatenate([nv + np.arange(1 + m), epi.col]),
-            ),
-        ),
-        shape=(m + 1, nv + 1 + m),
-    )
-    return region.extend(block, np.concatenate([[-bound], np.zeros(m)]), *_sum_k_bounds(m))
+    """``sum_k_lift``'s region with its objective appended as the certificate
+    row ``-(k*t - sum_r s_r) <= -bound``, so that its points keep the sum of
+    the k smallest of ``rows @ x`` at or above ``bound``."""
+    objective, lifted = sum_k_lift(rows, k, region)
+    return lifted.extend(-objective[None, :], [-bound])

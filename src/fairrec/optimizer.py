@@ -7,18 +7,17 @@ policy row per user type; averaging the rows of any feasible policy within
 a type changes no item utility and never hurts the worst-off user, so the
 reduction is lossless.
 
-Both sides are sparse linear programs over the flattened K x n policy.  For
-the max-min measure the item-fairness optimum is the epigraph program
-max lambda subject to lambda <= I_j for every item, the same max-min lift
-the user side uses, solved cold; every max-min item-optimal policy
-equalizes the items, which makes the gamma = 1 constraint expressible as
-plain inequalities.  The max-min UF* program always carries the n item
-rows, with bound +inf at gamma = 0, so only their right-hand sides depend
-on gamma: a sweep builds it once as an ``lp.WarmLP`` and re-solves each
-gamma from the previous optimal basis; the canonical tie-break projects the
-uniform policy onto that solve's exact optimal face, read from its duals.
-The sum of the k smallest utilities uses the standard epigraph lift on both
-sides, solved cold.
+For the max-min and sum-of-k-smallest measures both sides are sparse
+linear programs over the flattened K x n policy.  The item-fairness optimum
+IF* is the measure's epigraph lift of the n item rows, solved cold.  The
+UF* program is the item floor (the n item rows for max-min, one sum-k
+certificate row for sum-k) plus the user-side lift, one epigraph row per
+type; sum-k weights each type's row by its user count, so the program's
+size depends on the types alone.  The floor has bound +inf at gamma = 0, so
+only its right-hand sides depend on gamma: a sweep builds the program once
+as an ``lp.WarmLP`` and re-solves each gamma from the previous optimal
+basis.  For max-min the canonical tie-break projects the uniform policy
+onto that solve's exact optimal face, read from its duals.
 Nash welfare (sum of logs) is handled by a first-order concave maximizer
 plus Lagrangian bisection on the item constraint.
 """
@@ -51,6 +50,11 @@ from .numerics import GAP_TOL, LogObjective, NonConvergenceError, SimplexProduct
 SLACK = 1e-9
 # Tolerance for sweep monotonicity and constraint satisfaction checks.
 SWEEP_TOL = 1e-6
+# HiGHS's primal feasibility tolerance on the sum-k UF* program.  A user
+# epigraph row violated by eps lets the lift overstate the sum of the k
+# smallest by up to k * eps; at the default 1e-7 the worked instance's
+# gamma = 1 optimum came out 1e-9 short of exact.
+SUM_K_FEAS_TOL = 1e-10
 
 
 class TieBreak(str, Enum):
@@ -128,19 +132,36 @@ def _simplex_region(k: int, n: int) -> lp.Region:
     return lp.Region(k * n, a_eq=_user_rows(np.ones((k, n))), b_eq=np.ones(k))
 
 
-def _maxmin_uf_program(user_rows: coo_array, item_rows: coo_array, k: int, n: int) -> lp.WarmLP:
-    """max t over (x, t) on the K simplex rows, with the ``<=`` rows ordered
-    as the n item rows -I_j(x) <= SLACK - target, then the K epigraph rows
-    t - U_k(x) <= 0.  The item rows start with bound +inf;
-    ``_solve_maxmin_uf`` sets them per gamma."""
-    region = _simplex_region(k, n).extend(-item_rows, np.full(n, np.inf))
-    return lp.WarmLP(*lp.maxmin_lift(user_rows, region))
+def _uf_program(
+    user_rows: coo_array, item_rows: coo_array, counts: np.ndarray, measure: FairnessMeasure
+) -> lp.WarmLP:
+    """The UF* program of an LP measure over the K simplex rows: the item
+    floor's ``<=`` rows, then the user lift's.  The floor starts inactive,
+    right-hand side +inf; ``_solve_uf`` sets it per gamma.
+
+    Max-min: the floor is the n item rows -I_j(x) <= SLACK - target, the
+    lift max t with t - U_k(x) <= 0 per type.  Sum-k: the floor is
+    ``lp.sum_k_smallest_floor``'s n item epigraph rows and its certificate
+    row, with right-hand side SLACK - target; the lift has one epigraph row
+    per type, weighted by the type's user count.
+    """
+    k, n = user_rows.shape[0], item_rows.shape[0]
+    region = _simplex_region(k, n)
+    if measure.kind is MeasureKind.MAX_MIN:
+        return lp.WarmLP(*lp.maxmin_lift(user_rows, region.extend(-item_rows, np.full(n, np.inf))))
+    region = lp.sum_k_smallest_floor(item_rows, measure.k, -np.inf, region)
+    # The user rows read x only; the certificate variables get coefficient 0.
+    user_rows = coo_array((user_rows.data, (user_rows.row, user_rows.col)), shape=(k, region.num_vars))
+    return lp.WarmLP(*lp.sum_k_lift(user_rows, measure.k, region, weights=counts), feas_tol=SUM_K_FEAS_TOL)
 
 
-def _solve_maxmin_uf(program: lp.WarmLP, gamma: float, if_target: float, n: int) -> np.ndarray:
-    """Optimal point (x, t) of the max-min UF* program at gamma."""
+def _solve_uf(
+    program: lp.WarmLP, gamma: float, if_target: float, measure: FairnessMeasure, n: int
+) -> np.ndarray:
+    """Optimal point of ``_uf_program`` at gamma; only the floor moves."""
     b_ub = program.region.b_ub.copy()
-    b_ub[:n] = SLACK - if_target if gamma > 0 else np.inf
+    floor = slice(0, n) if measure.kind is MeasureKind.MAX_MIN else n
+    b_ub[floor] = SLACK - if_target if gamma > 0 else np.inf
     sol = program.solve(b_ub)
     if sol.status is not lp.LPStatus.OPTIMAL:
         raise lp.LPSolverError(sol.status, sol.message)
@@ -324,8 +345,9 @@ def compute_uf_star(
     """Best attainable user fairness when the item side must keep a gamma
     fraction of its optimum.  gamma = 0 drops the item constraint entirely.
 
-    ``_program`` is ``tradeoff_sweep``'s max-min program for this instance,
-    re-solved warm; without it a fresh program is built and solved cold."""
+    ``_program`` is ``tradeoff_sweep``'s UF* program for this instance and
+    an LP measure, re-solved warm; without it a fresh program is built and
+    solved cold."""
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
     model = item_model or ItemUtilityModel()
@@ -343,38 +365,22 @@ def compute_uf_star(
     item_rows = _item_rows(a)
     if_value = if_star.value if if_star is not None else None
 
-    if measure.kind is MeasureKind.MAX_MIN:
+    if measure.kind is MeasureKind.NASH_WELFARE:
+        if_target = (if_value / gamma) if gamma > 0 else -np.inf
+        rows = _nash_uf_rows(red, user_rows.toarray(), item_rows.toarray(), gamma, if_target, k, n)
+    else:
         if_target = gamma * if_value if gamma > 0 else 0.0
-        program = _program if _program is not None else _maxmin_uf_program(user_rows, item_rows, k, n)
-        point = _solve_maxmin_uf(program, gamma, if_target, n)
-        rows = point[:-1].reshape(k, n)
+        program = _program if _program is not None else _uf_program(user_rows, item_rows, red.counts, measure)
+        point = _solve_uf(program, gamma, if_target, measure, n)
+        rows = point[: k * n].reshape(k, n)
         if tie_break is TieBreak.CANONICAL and gamma == 0:
             rows = _argmax_mixing_rows(red.matrix.values)
         elif tie_break is TieBreak.CANONICAL:
             rows = _canonical_maxmin_rows(program, point, gamma, k, n)
-    elif measure.kind is MeasureKind.SUM_K_MIN:
-        if_target = gamma * if_value if gamma > 0 else 0.0
-        rows = _sum_k_min_rows(red, user_rows, item_rows, gamma, if_target, measure, k, n)
-    else:
-        if_target = (if_value / gamma) if gamma > 0 else -np.inf
-        rows = _nash_uf_rows(red, user_rows.toarray(), item_rows.toarray(), gamma, if_target, k, n)
 
     policy_rows = RecommendationPolicy.from_solver(rows).rows
     value = measure_value((b * policy_rows).sum(axis=1), measure, weights=red.counts)
     return UfStarResult(value, policy_rows, red, gamma, if_value, if_target, measure, model.delta)
-
-
-def _sum_k_min_rows(red, user_rows, item_rows, gamma, if_target, measure, k, n):
-    """Epigraph program for the sum of the k smallest user utilities, with a
-    certificate block encoding the item-side constraint when gamma > 0."""
-    region = _simplex_region(k, n)
-    if gamma > 0:
-        region = lp.sum_k_smallest_floor(item_rows, measure.k, if_target - SLACK, region)
-    # One epigraph row per user, so type multiplicities count.
-    per_user = coo_array(user_rows.tocsr()[np.repeat(np.arange(k), red.counts)])
-    per_user.resize((per_user.shape[0], region.num_vars))
-    _, point, _ = lp.sum_k_smallest_epigraph(per_user, measure.k, region)
-    return point[: k * n].reshape(k, n)
 
 
 def _nash_uf_rows(red, user_rows, item_rows, gamma, target, k, n):
@@ -548,7 +554,7 @@ def tradeoff_sweep(
 
     The grid must be strictly increasing inside [0, 1] (ValueError
     otherwise, before anything is solved).  The item-side optimum is
-    computed once and shared by every row; for the max-min measure so is one
+    computed once and shared by every row; for the LP measures so is one
     UF* program, re-solved warm from the previous gamma's optimal basis.  A
     failing gamma is recorded in its row and the sweep continues.  The
     user-fairness column is checked to be nonincreasing; a violation means
@@ -566,8 +572,9 @@ def tradeoff_sweep(
     red = ifres.reduction
     a = _item_share_rows(red.matrix.values, red.counts, model)
     program = None
-    if measure.kind is MeasureKind.MAX_MIN:
-        program = _maxmin_uf_program(_user_rows(_user_norm_rows(red.matrix.values)), _item_rows(a), red.k, w.n)
+    if measure.kind is not MeasureKind.NASH_WELFARE:
+        user_rows = _user_rows(_user_norm_rows(red.matrix.values))
+        program = _uf_program(user_rows, _item_rows(a), red.counts, measure)
     rows = []
     prev_ok = np.inf
     for g in gammas:

@@ -17,6 +17,7 @@ from fairrec.lp import (
     maxmin_lift,
     solve_lp,
     solve_maxmin_linear,
+    sum_k_lift,
     sum_k_smallest_epigraph,
     sum_k_smallest_floor,
 )
@@ -134,6 +135,18 @@ def test_sum_k_floor_keeps_smallest_rows_above_bound():
     with pytest.raises(LPSolverError) as err:
         solve_maxmin_linear(np.eye(5)[:1], sum_k_smallest_floor(np.eye(2), 2, 1.5, SIMPLEX2))
     assert err.value.status is LPStatus.INFEASIBLE
+
+
+def test_weighted_sum_k_lift_matches_repeated_rows():
+    rng = np.random.default_rng(31)
+    rows = rng.uniform(0.0, 1.0, size=(4, 3))
+    counts = np.array([1, 3, 2, 1])
+    for k in (1, 3, 7):
+        weighted = solve_lp(*sum_k_lift(rows, k, simplex(3), weights=counts))
+        value, _, _ = sum_k_smallest_epigraph(np.repeat(rows, counts, axis=0), k, simplex(3))
+        assert abs(weighted.value - value) < 1e-9
+    with pytest.raises(ValueError):
+        sum_k_lift(rows, 8, simplex(3), weights=counts)
 
 
 def test_warm_resolve_matches_cold_solve_and_survives_infeasibility():

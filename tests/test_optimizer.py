@@ -498,31 +498,95 @@ def cold_maxmin_uf(w: np.ndarray, gamma: float, if_star: float) -> float:
     return float((b * res.x[:-1].reshape(m, n)).sum(axis=1).min())
 
 
+def cold_sumk_uf(w: np.ndarray, gamma: float, if_star: float, k: int) -> float:
+    """Sum-k UF* of one gamma, built per user from scratch and solved by
+    linprog at tight tolerances: max k t - sum_u s_u with s_u >= t - U_u(x),
+    and for gamma > 0 the item certificate k t' - sum_j s'_j >= gamma IF* - 1e-9
+    with s'_j >= t' - I_j(x); t and t' are free, every s is nonnegative."""
+    from scipy.optimize import linprog
+
+    m, n = w.shape
+    b = w / w.max(axis=1, keepdims=True)
+    a = w / w.sum(axis=0, keepdims=True)
+    nx = m * n
+    t, ti = nx, nx + 1 + m  # columns: x, t, s (m), t', s' (n)
+    nv = ti + 1 + n
+    users = np.zeros((m, nv))
+    items = np.zeros((n, nv))
+    simplex = np.zeros((m, nv))
+    for u in range(m):
+        users[u, u * n : (u + 1) * n] = -b[u]
+        simplex[u, u * n : (u + 1) * n] = 1.0
+        items[:, u * n : (u + 1) * n] = -np.diag(a[u])
+    users[:, t] = 1.0
+    users[:, t + 1 : ti] = -np.eye(m)
+    items[:, ti] = 1.0
+    items[:, ti + 1 :] = -np.eye(n)
+    certificate = np.zeros((1, nv))
+    certificate[0, ti] = -float(k)
+    certificate[0, ti + 1 :] = 1.0
+    a_ub, b_ub = users, np.zeros(m)
+    if gamma > 0:
+        a_ub = np.vstack([users, items, certificate])
+        b_ub = np.concatenate([b_ub, np.zeros(n), [1e-9 - gamma * if_star]])
+    cost = np.zeros(nv)
+    cost[t] = -float(k)
+    cost[t + 1 : ti] = 1.0
+    free = (None, None)
+    res = linprog(
+        cost,
+        A_ub=a_ub,
+        b_ub=b_ub,
+        A_eq=simplex,
+        b_eq=np.ones(m),
+        bounds=[(0, None)] * nx + [free] + [(0, None)] * m + [free] + [(0, None)] * n,
+        method="highs-ds",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0
+    return float(np.sort((b * res.x[:nx].reshape(m, n)).sum(axis=1))[:k].sum())
+
+
+def cold_uf(w: np.ndarray, gamma: float, if_star: float, measure: FairnessMeasure) -> float:
+    if measure.kind is MeasureKind.MAX_MIN:
+        return cold_maxmin_uf(w, gamma, if_star)
+    return cold_sumk_uf(w, gamma, if_star, measure.k)
+
+
+LP_MEASURES = pytest.mark.parametrize("measure", [FairnessMeasure(), SUMK3], ids=["maxmin", "sumk3"])
+
+
 def parity_instances():
     yield gen_two_type(V321, 0.5, 10)
     for seed in range(3):
         yield UtilityMatrix(random_positive_matrix(np.random.default_rng(500 + seed), 30, 30))
+    # Types of 1 to 5 users each, so the sum-k type weights matter.
+    rng = np.random.default_rng(503)
+    yield UtilityMatrix(np.repeat(random_positive_matrix(rng, 10, 8), rng.integers(1, 6, 10), axis=0))
 
 
-def test_warm_sweep_matches_cold_tight_reference():
+@LP_MEASURES
+def test_warm_sweep_matches_cold_tight_reference(measure):
     for w in parity_instances():
         clear_caches()
-        curve = tradeoff_sweep(w, np.linspace(0.0, 1.0, 11))
+        curve = tradeoff_sweep(w, np.linspace(0.0, 1.0, 11), measure=measure)
         for r in curve.rows:
             assert r.status == "ok"
-            assert abs(r.uf_achieved - cold_maxmin_uf(w.values, r.gamma, curve.if_star)) <= 1e-9
+            assert abs(r.uf_achieved - cold_uf(w.values, r.gamma, curve.if_star, measure)) <= 1e-9
 
 
-def test_warm_sweep_matches_single_gamma_solves():
+@LP_MEASURES
+def test_warm_sweep_matches_single_gamma_solves(measure):
     gammas = [0.0, 0.3, 0.7, 1.0]
     for w in parity_instances():
         clear_caches()
-        curve = tradeoff_sweep(w, gammas)
+        curve = tradeoff_sweep(w, gammas, measure=measure)
         for r, g in zip(curve.rows, gammas):
-            assert abs(r.uf_achieved - compute_uf_star(w, g).value) <= 1e-9
+            assert abs(r.uf_achieved - compute_uf_star(w, g, measure=measure).value) <= 1e-9
 
 
-def test_warm_sweep_recovers_after_a_failed_gamma(monkeypatch):
+@LP_MEASURES
+def test_warm_sweep_recovers_after_a_failed_gamma(monkeypatch, measure):
     real = lp.WarmLP.solve
     calls = []
 
@@ -534,12 +598,44 @@ def test_warm_sweep_recovers_after_a_failed_gamma(monkeypatch):
 
     monkeypatch.setattr(lp.WarmLP, "solve", fail_fourth)
     w = UtilityMatrix(random_positive_matrix(np.random.default_rng(500), 30, 30))
-    curve = tradeoff_sweep(w, np.linspace(0.0, 1.0, 11))
+    curve = tradeoff_sweep(w, np.linspace(0.0, 1.0, 11), measure=measure)
     assert curve.rows[3].status.startswith("error:")
     assert "injected failure" in curve.rows[3].status
     for r in curve.rows[4:]:
         assert r.status == "ok"
-        assert abs(r.uf_achieved - cold_maxmin_uf(w.values, r.gamma, curve.if_star)) <= 1e-9
+        assert abs(r.uf_achieved - cold_uf(w.values, r.gamma, curve.if_star, measure)) <= 1e-9
+
+
+def test_sum_k_sweep_is_one_warm_program_sized_by_types(monkeypatch):
+    """IF* is the one cold solve; every gamma re-solves one WarmLP whose
+    size depends on the types, not on how many users each holds."""
+    cold, programs = [], []
+    real_solve, real_init = lp.solve_lp, lp.WarmLP.__init__
+
+    def counted_solve(objective, region):
+        cold.append(region.num_vars)
+        return real_solve(objective, region)
+
+    def counted_init(self, objective, region, **kwargs):
+        programs.append((region.num_vars, region.b_ub.size))
+        real_init(self, objective, region, **kwargs)
+
+    monkeypatch.setattr(lp, "solve_lp", counted_solve)
+    monkeypatch.setattr(lp.WarmLP, "__init__", counted_init)
+    rng = np.random.default_rng(20)
+    types = random_positive_matrix(rng, 20, 30)
+    sizes = []
+    for m in (200, 20_000):
+        labels = np.concatenate([np.arange(20), rng.integers(0, 20, m - 20)])
+        cold.clear()
+        programs.clear()
+        curve = tradeoff_sweep(
+            UtilityMatrix(types[labels]), np.linspace(0.0, 1.0, 11), measure=FairnessMeasure(MeasureKind.SUM_K_MIN, 10)
+        )
+        assert all(r.status == "ok" for r in curve.rows)
+        assert len(cold) == 1 and len(programs) == 1
+        sizes.append(programs[0])
+    assert sizes[0] == sizes[1]
 
 
 def test_prices_are_undefined_for_nash_and_solve_nothing(worked_instance, monkeypatch):
