@@ -39,12 +39,10 @@ def main() -> None:
 
     data = gen_misestimation(v, args.beta, args.users, seed=args.seed)
     gammas = np.linspace(0.0, 1.0, args.grid)
-    rows = []
-    for g in gammas:
-        pom = price_of_misestimation(
-            data.w, data.w_hat, float(g), Scope.MISESTIMATED_GROUP, tie_break=TieBreak.CANONICAL
-        )
-        rows.append([float(g), pom])
+    prices = price_of_misestimation(
+        data.w, data.w_hat, gammas, Scope.MISESTIMATED_GROUP, tie_break=TieBreak.CANONICAL
+    )
+    rows = [[float(g), pom] for g, pom in zip(gammas, prices)]
     os.makedirs(args.out, exist_ok=True)
     config = {"beta": args.beta, "users": args.users, "seed": args.seed}
     write_rows_csv(
@@ -53,7 +51,6 @@ def main() -> None:
         rows,
         provenance_lines("run_misest_demo", config, seed=args.seed),
     )
-    prices = np.array([r[1] for r in rows])
     save_line_chart(
         os.path.join(args.out, "misest_price.svg"),
         gammas,

@@ -33,6 +33,7 @@ from .numerics import NonConvergenceError
 from .optimizer import (
     Scope,
     TieBreak,
+    check_gamma_grid,
     compute_if_star,
     compute_uf_star,
     price_of_misestimation,
@@ -71,10 +72,7 @@ def parse_gamma_grid(text: str) -> list[float]:
         grid = [float(text)]
     if not grid:
         raise ValueError("empty gamma grid")
-    for g in grid:
-        if not 0.0 <= g <= 1.0:
-            raise ValueError(f"gamma values must lie in [0, 1], got {g}")
-    return grid
+    return check_gamma_grid(grid)
 
 
 def parse_alpha_grid(text: str) -> list[float]:
@@ -215,19 +213,16 @@ def cmd_pof(args) -> int:
 
 
 def cmd_misest(args) -> int:
-    require_price_measure(_measure(args), "price of misestimation")
-    v = _values(args)
-    data = gen_misestimation(v, args.beta, args.users, seed=args.seed)
-    gammas = parse_gamma_grid(args.gammas)
-    model = ItemUtilityModel(args.delta)
     measure = _measure(args)
-    tie = TieBreak(args.tie_break)
+    require_price_measure(measure, "price of misestimation")
+    gammas = parse_gamma_grid(args.gammas)
     scope = Scope(args.scope)
-    rows = []
-    for g in gammas:
-        pom = price_of_misestimation(data.w, data.w_hat, g, scope, model, measure, tie_break=tie)
+    model = ItemUtilityModel(args.delta)
+    data = gen_misestimation(_values(args), args.beta, args.users, seed=args.seed)
+    poms = price_of_misestimation(data.w, data.w_hat, gammas, scope, model, measure, TieBreak(args.tie_break))
+    rows = [[g, pom] for g, pom in zip(gammas, poms)]
+    for g, pom in rows:
         print(f"pom(gamma={g:g}) = {pom:.9g}")
-        rows.append([g, pom])
     if args.out:
         cfg = _config_echo(
             args, ["values", "beta", "users", "gammas", "scope", "measure", "k", "delta", "tie_break"]

@@ -195,8 +195,8 @@ def measure_value(values: np.ndarray, measure: FairnessMeasure, weights: np.ndar
     """Aggregate a vector of normalized utilities.
 
     ``weights`` are integer multiplicities (type counts); MAX_MIN ignores
-    them, NASH_WELFARE weights the log terms, SUM_K_MIN expands the multiset
-    before taking the k smallest.
+    them, NASH_WELFARE weights the log terms, SUM_K_MIN repeats the sorted
+    values only until the k smallest of the multiset are taken.
     """
     values = np.asarray(values, dtype=float)
     if values.size == 0:
@@ -209,10 +209,12 @@ def measure_value(values: np.ndarray, measure: FairnessMeasure, weights: np.ndar
         if weights is None:
             return float(np.log(values).sum())
         return float((np.asarray(weights, dtype=float) * np.log(values)).sum())
-    expanded = values if weights is None else np.repeat(values, np.asarray(weights, dtype=int))
-    if measure.k > expanded.size:
-        raise ValueError(f"k = {measure.k} exceeds the {expanded.size} available utilities")
-    return float(np.sort(expanded)[: measure.k].sum())
+    counts = np.ones(values.size, dtype=int) if weights is None else np.asarray(weights, dtype=int)
+    order = np.argsort(values, kind="stable")
+    taken = np.minimum(np.cumsum(counts[order]), measure.k)
+    if taken[-1] < measure.k:
+        raise ValueError(f"k = {measure.k} exceeds the {taken[-1]} available utilities")
+    return float(np.repeat(values[order], np.diff(taken, prepend=0)).sum())
 
 
 def user_fairness(policy: RecommendationPolicy, w: UtilityMatrix, measure: FairnessMeasure = MAX_MIN) -> float:

@@ -168,12 +168,25 @@ def _solve_uf(
     return sol.point
 
 
-def _validate_measure(measure: FairnessMeasure, m: int, n: int) -> None:
+def _validate_measure(measure: FairnessMeasure, m: int, n: int, tie_break=TieBreak.SOLVER) -> None:
+    if TieBreak(tie_break) is TieBreak.CANONICAL and measure.kind is not MeasureKind.MAX_MIN:
+        raise ValueError("the canonical tie-break is defined for the max-min measure only")
     if measure.kind is MeasureKind.SUM_K_MIN:
         if measure.k > m:
             raise ValueError(f"k = {measure.k} exceeds the population of {m} users")
         if measure.k > n:
             raise ValueError(f"k = {measure.k} exceeds the catalog of {n} items")
+
+
+def check_gamma_grid(gammas) -> list[float]:
+    """The grid as floats; ValueError unless strictly increasing inside [0, 1]."""
+    gammas = [float(g) for g in gammas]
+    if any(g2 <= g1 for g1, g2 in zip(gammas, gammas[1:])):
+        raise ValueError("gamma grid must be strictly increasing")
+    bad = [g for g in gammas if not 0.0 <= g <= 1.0]
+    if bad:
+        raise ValueError(f"gamma values must lie in [0, 1], got {bad[0]}")
+    return gammas
 
 
 @dataclass(frozen=True)
@@ -317,21 +330,6 @@ def min_norm_face_point(
     return x[:n]
 
 
-def _canonical_maxmin_rows(
-    program: lp.WarmLP, point: np.ndarray, gamma: float, k: int, n: int
-) -> np.ndarray:
-    """Deterministic point of the optimal face: nearest to the uniform policy.
-
-    The face is the program's exact optimal face, read from the duals of
-    its last solve.  A symmetry of the instance maps the program to itself
-    (every item row has the same bound), so it permutes that face and fixes
-    the uniform policy; the projection is unique, so it inherits every such
-    symmetry, and tied supports end up uniformly mixed.
-    """
-    x = min_norm_face_point(np.full(k * n, 1.0 / n), program.optimal_face(), point, gamma)
-    return x.reshape(k, n)
-
-
 def compute_uf_star(
     w: UtilityMatrix,
     gamma: float,
@@ -348,13 +346,10 @@ def compute_uf_star(
     ``_program`` is ``tradeoff_sweep``'s UF* program for this instance and
     an LP measure, re-solved warm; without it a fresh program is built and
     solved cold."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
+    (gamma,) = check_gamma_grid([gamma])
     model = item_model or ItemUtilityModel()
     tie_break = TieBreak(tie_break)
-    if tie_break is TieBreak.CANONICAL and measure.kind is not MeasureKind.MAX_MIN:
-        raise ValueError("the canonical tie-break is defined for the max-min measure only")
-    _validate_measure(measure, w.m, w.n)
+    _validate_measure(measure, w.m, w.n, tie_break)
     if gamma > 0 and if_star is None:
         if_star = compute_if_star(w, model, measure)
     red = if_star.reduction if if_star is not None else reduce_by_types(w)
@@ -376,7 +371,12 @@ def compute_uf_star(
         if tie_break is TieBreak.CANONICAL and gamma == 0:
             rows = _argmax_mixing_rows(red.matrix.values)
         elif tie_break is TieBreak.CANONICAL:
-            rows = _canonical_maxmin_rows(program, point, gamma, k, n)
+            # The point of the exact optimal face nearest the uniform policy.
+            # A symmetry of the instance permutes the face and fixes the
+            # uniform policy; the projection is unique, so it inherits every
+            # such symmetry, and tied supports end up uniformly mixed.
+            rows = min_norm_face_point(np.full(k * n, 1.0 / n), program.optimal_face(), point, gamma)
+            rows = rows.reshape(k, n)
 
     policy_rows = RecommendationPolicy.from_solver(rows).rows
     value = measure_value((b * policy_rows).sum(axis=1), measure, weights=red.counts)
@@ -481,17 +481,23 @@ def misestimated_users(w: UtilityMatrix, w_hat: UtilityMatrix) -> np.ndarray:
 def price_of_misestimation(
     w: UtilityMatrix,
     w_hat: UtilityMatrix,
-    gamma: float,
+    gammas,
     scope: Scope,
     item_model: ItemUtilityModel | None = None,
     measure: FairnessMeasure = MAX_MIN,
     tie_break: TieBreak = TieBreak.SOLVER,
-) -> float:
-    """Relative user-fairness loss from optimizing against estimated utilities.
+) -> list[float]:
+    """Relative user-fairness loss from optimizing against estimated
+    utilities, one value per gamma of a strictly increasing grid in [0, 1].
 
-    Both the estimated-optimal and the true-optimal policy are computed with
-    the same gamma and tie-break; both are then evaluated on the true
-    matrix, restricted to the misestimated users when scope says so.
+    At each gamma the estimated-optimal and the true-optimal policy (same
+    tie-break) are evaluated on the true matrix, over the misestimated users
+    when scope says so.  The grid, scope, measure and tie-break, and a sum-k
+    ``k`` above the scope's size, are checked before any solve.  The
+    misestimated users, each side's IF* and reduction, and the class
+    partition are computed once per grid.  The UF* solves stay cold on
+    purpose: the estimated optimal face is not a point (ROADMAP item 6), and
+    a warm start from the previous gamma lands on another of its vertices.
 
     A user's utility under both policies depends only on their type in
     ``w`` and their type in ``w_hat``, so the scope's users are grouped by
@@ -501,25 +507,37 @@ def price_of_misestimation(
     """
     require_price_measure(measure, "price of misestimation")
     scope = Scope(scope)
-    group = misestimated_users(w, w_hat)
-    if scope is Scope.MISESTIMATED_GROUP and group.size == 0:
+    gammas = check_gamma_grid(gammas)
+    users = misestimated_users(w, w_hat)
+    if scope is Scope.ALL_USERS:
+        users = np.arange(w.m)
+    elif users.size == 0:
         raise ValueError("no users are misestimated; the group scope is undefined")
-    ref = compute_uf_star(w, gamma, item_model, measure, tie_break=tie_break)
-    est = compute_uf_star(w_hat, gamma, item_model, measure, tie_break=tie_break)
-    users = group if scope is Scope.MISESTIMATED_GROUP else np.arange(w.m)
-    t_ref = ref.reduction.user_to_type[users]
-    t_est = est.reduction.user_to_type[users]
-    _, first, counts = np.unique(
-        t_ref * est.reduction.k + t_est, return_index=True, return_counts=True
-    )
-    w_rep = UtilityMatrix(w.values[users[first]])
-    u_ref = user_utility_vector(RecommendationPolicy(ref.rows_by_type[t_ref[first]]), w_rep)
-    u_est = user_utility_vector(RecommendationPolicy(est.rows_by_type[t_est[first]]), w_rep)
-    ref_val = measure_value(u_ref, measure, weights=counts)
-    est_val = measure_value(u_est, measure, weights=counts)
-    if abs(ref_val) < 1e-12:
-        raise ValueError("price of misestimation is undefined when the reference optimum is 0")
-    return (ref_val - est_val) / ref_val
+    _validate_measure(measure, w.m, w.n, tie_break)
+    if measure.kind is MeasureKind.SUM_K_MIN and measure.k > users.size:
+        raise ValueError(f"k = {measure.k} exceeds the {users.size} users of the {scope.value} scope")
+    model = item_model or ItemUtilityModel()
+    solve_if = bool(gammas) and gammas[-1] > 0
+    if_ref = compute_if_star(w, model, measure) if solve_if else None
+    if_est = compute_if_star(w_hat, model, measure) if solve_if else None
+    poms = []
+    for g in gammas:
+        ref = compute_uf_star(w, g, model, measure, if_star=if_ref, tie_break=tie_break)
+        est = compute_uf_star(w_hat, g, model, measure, if_star=if_est, tie_break=tie_break)
+        if not poms:  # the reductions are the same at every gamma
+            t_ref, t_est = ref.reduction.user_to_type[users], est.reduction.user_to_type[users]
+            _, first, counts = np.unique(
+                t_ref * est.reduction.k + t_est, return_index=True, return_counts=True
+            )
+            t_ref, t_est, w_rep = t_ref[first], t_est[first], UtilityMatrix(w.values[users[first]])
+        u_ref = user_utility_vector(RecommendationPolicy(ref.rows_by_type[t_ref]), w_rep)
+        u_est = user_utility_vector(RecommendationPolicy(est.rows_by_type[t_est]), w_rep)
+        ref_val = measure_value(u_ref, measure, weights=counts)
+        est_val = measure_value(u_est, measure, weights=counts)
+        if abs(ref_val) < 1e-12:
+            raise ValueError("price of misestimation is undefined when the reference optimum is 0")
+        poms.append((ref_val - est_val) / ref_val)
+    return poms
 
 
 @dataclass(frozen=True)
@@ -562,12 +580,7 @@ def tradeoff_sweep(
     FAILED.
     """
     model = item_model or ItemUtilityModel()
-    gammas = [float(g) for g in gammas]
-    if any(g2 <= g1 for g1, g2 in zip(gammas, gammas[1:])):
-        raise ValueError("gamma grid must be strictly increasing")
-    bad = [g for g in gammas if not 0.0 <= g <= 1.0]
-    if bad:
-        raise ValueError(f"gamma values must lie in [0, 1], got {bad[0]}")
+    gammas = check_gamma_grid(gammas)
     ifres = compute_if_star(w, model, measure)
     red = ifres.reduction
     a = _item_share_rows(red.matrix.values, red.counts, model)

@@ -42,9 +42,8 @@ def gen_two_type(v, alpha: float, m: int) -> UtilityMatrix:
         raise ValueError(
             f"alpha = {alpha} with m = {m} rounds to an empty type ({n1} vs {m - n1} users)"
         )
-    values = np.vstack([np.tile(v, (n1, 1)), np.tile(v[::-1], (m - n1, 1))])
-    type_of = np.concatenate([np.zeros(n1, dtype=int), np.ones(m - n1, dtype=int)])
-    return UtilityMatrix(values, type_of=type_of)
+    type_of = (np.arange(m) >= n1).astype(int)
+    return UtilityMatrix(np.stack([v, v[::-1]])[type_of], type_of=type_of)
 
 
 @dataclass(frozen=True)
@@ -74,24 +73,15 @@ def gen_misestimation(v, beta: float, m: int, seed: int = 0) -> MisestimationDat
         raise ValueError(f"beta = {beta} with m = {m} rounds to zero recognized users per type")
     if cold < 1:
         raise ValueError(f"beta = {beta} with m = {m} leaves no misestimated users")
-    avg = 0.5 * (v + v[::-1])
-    true_rows = [np.tile(v, (nk, 1)), np.tile(v[::-1], (nk, 1))]
-    est_rows = [np.tile(v, (nk, 1)), np.tile(v[::-1], (nk, 1))]
-    true_cold_types = np.array([c % 2 for c in range(cold)], dtype=int)
-    true_rows.append(np.where(true_cold_types[:, None] == 0, v, v[::-1]))
-    est_rows.append(np.tile(avg, (cold, 1)))
-    w_values = np.vstack(true_rows)
-    what_values = np.vstack(est_rows)
-    true_type = np.concatenate([np.zeros(nk, dtype=int), np.ones(nk, dtype=int), true_cold_types])
-    est_type = np.concatenate([np.zeros(nk, dtype=int), np.ones(nk, dtype=int), np.full(cold, 2, dtype=int)])
-    misest = np.arange(2 * nk, m)
+    rows = np.stack([v, v[::-1], 0.5 * (v + v[::-1])])
+    true_type = np.concatenate([np.repeat([0, 1], nk), np.arange(cold) % 2])
+    est_type = np.concatenate([np.repeat([0, 1], nk), np.full(cold, 2)])
 
     perm = np.random.default_rng(seed).permutation(m)
-    inverse = np.empty(m, dtype=int)
-    inverse[perm] = np.arange(m)
+    true_type, est_type = true_type[perm], est_type[perm]
     return MisestimationData(
-        w=UtilityMatrix(w_values[perm], type_of=true_type[perm]),
-        w_hat=UtilityMatrix(what_values[perm], type_of=est_type[perm]),
-        misestimated=np.sort(inverse[misest]),
+        w=UtilityMatrix(rows[true_type], type_of=true_type),
+        w_hat=UtilityMatrix(rows[est_type], type_of=est_type),
+        misestimated=np.flatnonzero(est_type == 2),
     )
 

@@ -230,11 +230,11 @@ def test_criterion_08_misestimation_price_can_approach_one():
     assert v[1] <= v[0] * eps / v.size
     data = gen_misestimation(v, 0.4, 10, seed=0)
     pom1 = price_of_misestimation(
-        data.w, data.w_hat, 1.0, Scope.MISESTIMATED_GROUP, tie_break=TieBreak.CANONICAL
-    )
+        data.w, data.w_hat, [1.0], Scope.MISESTIMATED_GROUP, tie_break=TieBreak.CANONICAL
+    )[0]
     pom0 = price_of_misestimation(
-        data.w, data.w_hat, 0.0, Scope.MISESTIMATED_GROUP, tie_break=TieBreak.CANONICAL
-    )
+        data.w, data.w_hat, [0.0], Scope.MISESTIMATED_GROUP, tie_break=TieBreak.CANONICAL
+    )[0]
     ok = pom1 > 1.0 - eps and pom0 <= 0.5
     report(
         "criterion 8: fairness constraints amplify misestimation damage",

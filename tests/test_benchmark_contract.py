@@ -45,5 +45,5 @@ def test_solves_write_nothing_to_stdout_or_stderr(worked_instance, capfd):
     WarmLP(objective, region).solve(region.b_ub)
     data = gen_misestimation(np.array([3.0, 2.0, 1.0]), 0.3, 11, seed=1)
     for scope in Scope:
-        price_of_misestimation(data.w, data.w_hat, 0.5, scope)
+        price_of_misestimation(data.w, data.w_hat, [0.5], scope)
     assert capfd.readouterr() == ("", "")

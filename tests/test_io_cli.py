@@ -272,6 +272,24 @@ def test_cli_nash_misest_exits_with_config_error(tmp_path):
     assert "Nash" in record["message"]
 
 
+def test_cli_sum_k_above_the_group_exits_before_any_solve(tmp_path, monkeypatch):
+    import fairrec.optimizer as opt
+
+    def solved(*args, **kwargs):
+        raise AssertionError("a misestimation price was solved")
+
+    monkeypatch.setattr(opt, "compute_if_star", solved)
+    monkeypatch.setattr(opt, "compute_uf_star", solved)
+    out = tmp_path / "pom.csv"
+    code = run(["misest", "--values", "3,2,1", "--beta", "0.4", "--users", "10", "--measure", "sumkmin",
+                "--k", "3", "--scope", "misest-group", "--gammas", "11", "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    record = json.loads((tmp_path / "error.json").read_text())
+    assert record["error"] == "ValueError"
+    assert "misest-group" in record["message"] and "2 users" in record["message"]
+
+
 def test_cli_pof_checks_unconstrained_optimum_before_full_fairness(tmp_path, monkeypatch):
     import dataclasses
 

@@ -400,19 +400,98 @@ def test_misestimated_users_detection():
 def test_price_of_misestimation_worked_values():
     data = gen_misestimation(V321, 0.4, 10, seed=0)
     for scope in (Scope.ALL_USERS, Scope.MISESTIMATED_GROUP):
-        pom = price_of_misestimation(data.w, data.w_hat, 1.0, scope)
+        pom = price_of_misestimation(data.w, data.w_hat, [1.0], scope)[0]
         assert abs(pom - 2.0 / 9.0) < 1e-6
     pom0 = price_of_misestimation(
-        data.w, data.w_hat, 0.0, Scope.MISESTIMATED_GROUP, tie_break=TieBreak.CANONICAL
-    )
+        data.w, data.w_hat, [0.0], Scope.MISESTIMATED_GROUP, tie_break=TieBreak.CANONICAL
+    )[0]
     assert abs(pom0 - 1.0 / 3.0) < 1e-9
+
+
+V4321 = np.array([4.0, 3.0, 2.0, 1.0])
+GRID11 = [float(g) for g in np.linspace(0.0, 1.0, 11)]
+
+
+@pytest.mark.parametrize(
+    "tie_break, measure",
+    [(TieBreak.SOLVER, FairnessMeasure()), (TieBreak.CANONICAL, FairnessMeasure()), (TieBreak.SOLVER, SUMK3)],
+    ids=["solver", "canonical", "sumk3"],
+)
+@pytest.mark.parametrize("scope", list(Scope))
+def test_price_of_misestimation_grid_matches_single_gamma_calls(scope, tie_break, measure):
+    # The estimated optimal face is not a point, so a grid solve that reused
+    # the previous gamma's basis would land on another vertex here.
+    data = gen_misestimation(V4321, 0.3, 100, seed=1)
+    grid = price_of_misestimation(data.w, data.w_hat, GRID11, scope, measure=measure, tie_break=tie_break)
+    for g, pom in zip(GRID11, grid):
+        single = price_of_misestimation(data.w, data.w_hat, [g], scope, measure=measure, tie_break=tie_break)
+        assert pom == single[0]
+
+
+def test_price_of_misestimation_does_per_matrix_work_once_per_grid(monkeypatch):
+    import fairrec.optimizer as opt
+
+    if_star_calls, misest_calls = [], []
+    real_if_star, real_misest = opt.compute_if_star, opt.misestimated_users
+
+    def if_star(w, *args, **kwargs):
+        if_star_calls.append(id(w))
+        return real_if_star(w, *args, **kwargs)
+
+    def misest(*args):
+        misest_calls.append(1)
+        return real_misest(*args)
+
+    monkeypatch.setattr(opt, "compute_if_star", if_star)
+    monkeypatch.setattr(opt, "misestimated_users", misest)
+    data = gen_misestimation(V4321, 0.3, 100, seed=1)
+    for scope in Scope:
+        if_star_calls.clear()
+        misest_calls.clear()
+        assert len(opt.price_of_misestimation(data.w, data.w_hat, GRID11, scope)) == len(GRID11)
+        assert sorted(if_star_calls) == sorted([id(data.w), id(data.w_hat)])
+        assert len(misest_calls) == 1
+    if_star_calls.clear()
+    opt.price_of_misestimation(data.w, data.w_hat, [0.0], Scope.ALL_USERS)
+    assert if_star_calls == []
+
+
+def _refuse_solves(monkeypatch):
+    import fairrec.optimizer as opt
+
+    def solved(*args, **kwargs):
+        raise AssertionError("a solve ran before the arguments were checked")
+
+    monkeypatch.setattr(opt, "compute_if_star", solved)
+    monkeypatch.setattr(opt, "compute_uf_star", solved)
+    return opt
+
+
+def test_price_of_misestimation_rejects_bad_grids_and_tie_breaks_before_solving(monkeypatch):
+    opt = _refuse_solves(monkeypatch)
+    data = gen_misestimation(V321, 0.4, 10, seed=0)
+    for gammas in ([0.5, 0.5], [1.0, 0.0], [0.0, 1.5], [-0.5, 0.5]):
+        with pytest.raises(ValueError, match="gamma"):
+            opt.price_of_misestimation(data.w, data.w_hat, gammas, Scope.ALL_USERS)
+    with pytest.raises(ValueError, match="canonical"):
+        opt.price_of_misestimation(
+            data.w, data.w_hat, [0.0, 1.0], Scope.ALL_USERS, measure=SUMK3, tie_break=TieBreak.CANONICAL
+        )
+
+
+def test_sum_k_larger_than_the_group_fails_before_solving(monkeypatch):
+    opt = _refuse_solves(monkeypatch)
+    data = gen_misestimation(V321, 0.4, 10, seed=0)
+    assert data.misestimated.size == 2
+    with pytest.raises(ValueError, match="k = 3 exceeds the 2 users of the misest-group scope"):
+        opt.price_of_misestimation(data.w, data.w_hat, [0.0, 1.0], Scope.MISESTIMATED_GROUP, measure=SUMK3)
 
 
 def test_perfect_estimates_cost_nothing():
     w = gen_two_type(V321, 0.5, 10)
-    assert price_of_misestimation(w, w, 1.0, Scope.ALL_USERS) == 0.0
+    assert price_of_misestimation(w, w, [1.0], Scope.ALL_USERS)[0] == 0.0
     with pytest.raises(ValueError):
-        price_of_misestimation(w, w, 1.0, Scope.MISESTIMATED_GROUP)
+        price_of_misestimation(w, w, [1.0], Scope.MISESTIMATED_GROUP)
 
 
 def test_sweep_rows_and_provenance(worked_instance):
@@ -650,7 +729,7 @@ def test_prices_are_undefined_for_nash_and_solve_nothing(worked_instance, monkey
     data = gen_misestimation(V321, 0.3, 10, seed=0)
     for scope in Scope:
         with pytest.raises(ValueError, match="Nash"):
-            opt.price_of_misestimation(data.w, data.w_hat, 0.5, scope, measure=NASH)
+            opt.price_of_misestimation(data.w, data.w_hat, [0.5], scope, measure=NASH)
 
 
 def _per_user_pom(w, w_hat, gamma, scope, measure):
@@ -676,7 +755,7 @@ def test_price_of_misestimation_matches_per_user_reference(measure, beta, m, see
     assert data.misestimated.size % 2 == 1
     for gamma in (0.0, 0.5, 1.0):
         for scope in Scope:
-            pom = price_of_misestimation(data.w, data.w_hat, gamma, scope, measure=measure)
+            pom = price_of_misestimation(data.w, data.w_hat, [gamma], scope, measure=measure)[0]
             assert pom == _per_user_pom(data.w, data.w_hat, gamma, scope, measure)
 
 
@@ -695,8 +774,8 @@ def test_solves_and_prices_stay_in_type_space(monkeypatch):
     ifres = compute_if_star(data.w)
     results = [compute_uf_star(data.w, g, measure=mu) for g in (0.0, 0.5) for mu in (FairnessMeasure(), SUMK3)]
     for scope in Scope:
-        price_of_misestimation(data.w, data.w_hat, 0.5, scope)
-        price_of_misestimation(data.w, data.w_hat, 1.0, scope, measure=SUMK3)
+        price_of_misestimation(data.w, data.w_hat, [0.5], scope)
+        price_of_misestimation(data.w, data.w_hat, [1.0], scope, measure=SUMK3)
     assert calls == []
     for res in (ifres, *results):
         assert np.array_equal(res.policy.rows, real_expand(res.rows_by_type, res.reduction))
