@@ -20,14 +20,14 @@ from fairrec.populations import gen_misestimation
 from fairrec.svg import save_line_chart
 
 
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="out/misest", help="output directory")
     parser.add_argument("--beta", type=float, default=0.4, help="misestimated share")
     parser.add_argument("--users", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--grid", type=int, default=11, help="number of gamma points")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     v = np.array([3.0, 2.0, 1.0])
     spec = MisestSpec(v, args.beta)

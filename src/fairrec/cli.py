@@ -31,11 +31,11 @@ from .io import (
 from .lp import LPSolverError, LPStatus
 from .numerics import NonConvergenceError
 from .optimizer import (
+    Problem,
     Scope,
     TieBreak,
     check_gamma_grid,
-    compute_if_star,
-    compute_uf_star,
+    price_of_fairness_terms,
     price_of_misestimation,
     require_price_measure,
     tradeoff_sweep,
@@ -59,33 +59,29 @@ def _parse_float_list(text: str) -> list[float]:
         raise ValueError(f"expected a comma separated list of numbers, got {text!r}") from None
 
 
+def _parse_grid(text: str, name: str, min_count: int, count_grid) -> list[float]:
+    """Explicit values, or an integer count that ``count_grid`` spreads out;
+    ValueError for an empty grid."""
+    if text.strip().isdigit():
+        count = int(text)
+        if count < min_count:
+            raise ValueError(f"a {name} count must be at least {min_count}, got {count}")
+        grid = count_grid(count)
+    else:
+        grid = sorted(set(_parse_float_list(text)))
+    if not grid:
+        raise ValueError(f"empty {name} grid")
+    return grid
+
+
 def parse_gamma_grid(text: str) -> list[float]:
     """Either an integer count (linspace over [0, 1]) or explicit values."""
-    if "," in text:
-        grid = sorted(set(_parse_float_list(text)))
-    elif text.strip().isdigit():
-        count = int(text)
-        if count < 2:
-            raise ValueError(f"a gamma count must be at least 2, got {count}")
-        grid = list(np.linspace(0.0, 1.0, count))
-    else:
-        grid = [float(text)]
-    if not grid:
-        raise ValueError("empty gamma grid")
-    return check_gamma_grid(grid)
+    return check_gamma_grid(_parse_grid(text, "gamma", 2, lambda c: list(np.linspace(0.0, 1.0, c))))
 
 
 def parse_alpha_grid(text: str) -> list[float]:
     """Integer count -> interior grid i/(count+1); otherwise explicit values."""
-    if "," in text:
-        grid = sorted(set(_parse_float_list(text)))
-    elif text.strip().isdigit():
-        count = int(text)
-        if count < 1:
-            raise ValueError(f"an alpha count must be at least 1, got {count}")
-        grid = [i / (count + 1.0) for i in range(1, count + 1)]
-    else:
-        grid = [float(text)]
+    grid = _parse_grid(text, "alpha", 1, lambda c: [i / (c + 1.0) for i in range(1, c + 1)])
     for a in grid:
         if not 0.0 < a < 1.0:
             raise ValueError(f"alpha values must lie strictly in (0, 1), got {a}")
@@ -190,13 +186,8 @@ def cmd_tradeoff(args) -> int:
 def cmd_pof(args) -> int:
     measure = _measure(args)
     require_price_measure(measure, "price of fairness")
-    w = _load_instance(args)
-    model = ItemUtilityModel(args.delta)
-    uf0 = compute_uf_star(w, 0.0, model, measure).value
-    if abs(uf0) < 1e-12:
-        raise ValueError("price of fairness is undefined when the unconstrained optimum is 0")
-    uf1 = compute_uf_star(w, 1.0, model, measure).value
-    pof = (uf0 - uf1) / uf0
+    problem = Problem(_load_instance(args), ItemUtilityModel(args.delta), measure)
+    uf0, uf1, pof = price_of_fairness_terms(problem)
     print(f"uf_unconstrained = {uf0:.9g}")
     print(f"uf_full_fairness = {uf1:.9g}")
     print(f"pof = {pof:.9g}")
@@ -251,11 +242,11 @@ def cmd_validate(args) -> int:
     max_if_err = 0.0
     max_uf_err = 0.0
     for a in alphas:
-        w = gen_two_type(v, a, m)
-        realized = float(np.sum(w.type_of == 0)) / m
+        problem = Problem(gen_two_type(v, a, m))
+        realized = float(np.sum(problem.w.type_of == 0)) / m
         sol = two_type_solution(TwoTypeSpec(v, realized))
-        if_lp = compute_if_star(w).value
-        uf_lp = compute_uf_star(w, 1.0).value
+        if_lp = problem.if_star.value
+        uf_lp = price_of_fairness_terms(problem)[1]
         if_err = abs(if_lp - sol.if_star)
         uf_err = abs(uf_lp - sol.uf1)
         max_if_err = max(max_if_err, if_err)

@@ -7,17 +7,20 @@ policy row per user type; averaging the rows of any feasible policy within
 a type changes no item utility and never hurts the worst-off user, so the
 reduction is lossless.
 
-For the max-min and sum-of-k-smallest measures both sides are sparse
-linear programs over the flattened K x n policy.  The item-fairness optimum
-IF* is the measure's epigraph lift of the n item rows, solved cold.  The
-UF* program is the item floor (the n item rows for max-min, one sum-k
-certificate row for sum-k) plus the user-side lift, one epigraph row per
-type; sum-k weights each type's row by its user count, so the program's
-size depends on the types alone.  The floor has bound +inf at gamma = 0, so
-only its right-hand sides depend on gamma: a sweep builds the program once
-as an ``lp.WarmLP`` and re-solves each gamma from the previous optimal
-basis.  For max-min the canonical tie-break projects the uniform policy
-onto that solve's exact optimal face, read from its duals.
+A ``Problem`` is one instance assembled once: its type reduction, the
+per-type user rows and item rows, and its IF*, solved on first use.  Every
+solve and price reads them from it.  For the max-min and sum-of-k-smallest
+measures both sides are sparse linear programs over the flattened K x n
+policy.  The item-fairness optimum IF* is the measure's epigraph lift of the
+n item rows, solved cold.  The UF* program is the item floor (the n item
+rows for max-min, one sum-k certificate row for sum-k) plus the user-side
+lift, one epigraph row per type; sum-k weights each type's row by its user
+count, so the program's size depends on the types alone.  The floor has
+bound +inf at gamma = 0, so only its right-hand sides depend on gamma: a
+sweep, and the two ends of the price of fairness, build the program once as
+an ``lp.WarmLP`` and re-solve each gamma from the previous optimal basis.
+For max-min the canonical tie-break projects the uniform policy onto that
+solve's exact optimal face, read from its duals.
 Nash welfare (sum of logs) is handled by a first-order concave maximizer
 plus Lagrangian bisection on the item constraint.
 """
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -101,81 +104,29 @@ def expand_policy(rows_by_type: np.ndarray, reduction: TypeReduction) -> np.ndar
     return np.asarray(rows_by_type, dtype=float)[reduction.user_to_type]
 
 
-def _user_norm_rows(wt: np.ndarray) -> np.ndarray:
-    """U_k = sum_j B[k, j] rho[k, j] with B the row-normalized utilities."""
-    return wt / wt.max(axis=1, keepdims=True)
-
-
-def _item_share_rows(wt: np.ndarray, counts: np.ndarray, model: ItemUtilityModel) -> np.ndarray:
-    """I_j = sum_k A[k, j] rho[k, j] on the delta-transformed matrix."""
-    wi = model.delta + (1.0 - model.delta) * wt
-    weighted = counts[:, None] * wi
-    return weighted / weighted.sum(axis=0, keepdims=True)
-
-
-def _user_rows(b: np.ndarray) -> coo_array:
-    """(K, K*n) coefficient rows for the per-type user utilities."""
-    k, n = b.shape
+def _coefficient_rows(coef: np.ndarray, by_item: bool = False) -> coo_array:
+    """Sparse rows over the flattened K x n policy holding the K x n
+    coefficients: one row per type, (K, K*n), or with ``by_item`` one row
+    per item, (n, K*n)."""
+    k, n = coef.shape
     idx = np.arange(k * n)
-    return coo_array((b.ravel(), (idx // n, idx)), shape=(k, k * n))
+    row, num_rows = (idx % n, n) if by_item else (idx // n, k)
+    return coo_array((coef.ravel(), (row, idx)), shape=(num_rows, k * n))
 
 
-def _item_rows(a: np.ndarray) -> coo_array:
-    """(n, K*n) coefficient rows for the item utilities."""
-    k, n = a.shape
-    idx = np.arange(k * n)
-    return coo_array((a.ravel(), (idx % n, idx)), shape=(n, k * n))
-
-
-def _simplex_region(k: int, n: int) -> lp.Region:
-    """Row-stochastic K x n policies, flattened row by row."""
-    return lp.Region(k * n, a_eq=_user_rows(np.ones((k, n))), b_eq=np.ones(k))
-
-
-def _uf_program(
-    user_rows: coo_array, item_rows: coo_array, counts: np.ndarray, measure: FairnessMeasure
-) -> lp.WarmLP:
-    """The UF* program of an LP measure over the K simplex rows: the item
-    floor's ``<=`` rows, then the user lift's.  The floor starts inactive,
-    right-hand side +inf; ``_solve_uf`` sets it per gamma.
-
-    Max-min: the floor is the n item rows -I_j(x) <= SLACK - target, the
-    lift max t with t - U_k(x) <= 0 per type.  Sum-k: the floor is
-    ``lp.sum_k_smallest_floor``'s n item epigraph rows and its certificate
-    row, with right-hand side SLACK - target; the lift has one epigraph row
-    per type, weighted by the type's user count.
-    """
-    k, n = user_rows.shape[0], item_rows.shape[0]
-    region = _simplex_region(k, n)
-    if measure.kind is MeasureKind.MAX_MIN:
-        return lp.WarmLP(*lp.maxmin_lift(user_rows, region.extend(-item_rows, np.full(n, np.inf))))
-    region = lp.sum_k_smallest_floor(item_rows, measure.k, -np.inf, region)
-    # The user rows read x only; the certificate variables get coefficient 0.
-    user_rows = coo_array((user_rows.data, (user_rows.row, user_rows.col)), shape=(k, region.num_vars))
-    return lp.WarmLP(*lp.sum_k_lift(user_rows, measure.k, region, weights=counts), feas_tol=SUM_K_FEAS_TOL)
-
-
-def _solve_uf(
-    program: lp.WarmLP, gamma: float, if_target: float, measure: FairnessMeasure, n: int
-) -> np.ndarray:
-    """Optimal point of ``_uf_program`` at gamma; only the floor moves."""
-    b_ub = program.region.b_ub.copy()
-    floor = slice(0, n) if measure.kind is MeasureKind.MAX_MIN else n
-    b_ub[floor] = SLACK - if_target if gamma > 0 else np.inf
-    sol = program.solve(b_ub)
-    if sol.status is not lp.LPStatus.OPTIMAL:
-        raise lp.LPSolverError(sol.status, sol.message)
-    return sol.point
-
-
-def _validate_measure(measure: FairnessMeasure, m: int, n: int, tie_break=TieBreak.SOLVER) -> None:
-    if TieBreak(tie_break) is TieBreak.CANONICAL and measure.kind is not MeasureKind.MAX_MIN:
-        raise ValueError("the canonical tie-break is defined for the max-min measure only")
+def _validate_measure(measure: FairnessMeasure, m: int, n: int) -> None:
     if measure.kind is MeasureKind.SUM_K_MIN:
         if measure.k > m:
             raise ValueError(f"k = {measure.k} exceeds the population of {m} users")
         if measure.k > n:
             raise ValueError(f"k = {measure.k} exceeds the catalog of {n} items")
+
+
+def _tie_break(tie_break, measure: FairnessMeasure) -> TieBreak:
+    tie_break = TieBreak(tie_break)
+    if tie_break is TieBreak.CANONICAL and measure.kind is not MeasureKind.MAX_MIN:
+        raise ValueError("the canonical tie-break is defined for the max-min measure only")
+    return tie_break
 
 
 def check_gamma_grid(gammas) -> list[float]:
@@ -190,24 +141,116 @@ def check_gamma_grid(gammas) -> list[float]:
 
 
 @dataclass(frozen=True)
-class IfStarResult:
-    """Item-fairness optimum IF* together with an attaining policy.
-
-    The policy is held in type space, one row per type of ``reduction``;
-    ``policy`` expands it to one row per user on first access.
-    """
+class TypeSpacePolicy:
+    """An optimum and its attaining policy, held in type space, one row per
+    type of ``reduction``; ``policy`` expands it to one row per user on
+    first access."""
 
     value: float
     rows_by_type: np.ndarray
     reduction: TypeReduction
+
+    @cached_property
+    def policy(self) -> RecommendationPolicy:
+        return RecommendationPolicy(expand_policy(self.rows_by_type, self.reduction))
+
+
+@dataclass(frozen=True)
+class IfStarResult(TypeSpacePolicy):
+    """Item-fairness optimum IF* together with an attaining policy."""
+
     measure: FairnessMeasure
     delta: float
     lp_solution: lp.LPSolution | None = None
     gap: float | None = None
 
+
+@dataclass(frozen=True)
+class UfStarResult(TypeSpacePolicy):
+    """Constrained user-fairness optimum for one gamma."""
+
+    gamma: float
+    if_star: float | None
+    if_target: float
+    measure: FairnessMeasure
+    delta: float
+
+
+@dataclass(frozen=True, eq=False)
+class Problem:
+    """One instance, assembled once in type space for every solve on it.
+
+    The constructor checks the measure against the shape and reduces ``w``
+    to types.  ``b`` holds each type's row-normalized user utilities and
+    ``a`` each item's utility shares on the delta-transformed matrix, K x n,
+    so that U_k = sum_j b[k, j] x[k, j] and I_j = sum_k a[k, j] x[k, j];
+    ``user_rows`` (K, K*n) and ``item_rows`` (n, K*n) are the same as sparse
+    rows over the flattened policy, and ``simplex`` is the row-stochastic
+    region.  ``if_star`` is solved on first access; ``uf_program`` builds a
+    fresh UF* program.
+    """
+
+    w: UtilityMatrix
+    model: ItemUtilityModel | None = None
+    measure: FairnessMeasure = MAX_MIN
+    reduction: TypeReduction = field(init=False)
+    b: np.ndarray = field(init=False)
+    a: np.ndarray = field(init=False)
+    user_rows: coo_array = field(init=False)
+    item_rows: coo_array = field(init=False)
+    simplex: lp.Region = field(init=False)
+
+    def __post_init__(self):
+        _validate_measure(self.measure, self.w.m, self.w.n)
+        model = self.model or ItemUtilityModel()
+        red = reduce_by_types(self.w)
+        wt, (k, n) = red.matrix.values, red.matrix.values.shape
+        weighted = red.counts[:, None] * (model.delta + (1.0 - model.delta) * wt)
+        b, a = wt / wt.max(axis=1, keepdims=True), weighted / weighted.sum(axis=0, keepdims=True)
+        simplex = lp.Region(k * n, a_eq=_coefficient_rows(np.ones((k, n))), b_eq=np.ones(k))
+        derived = dict(model=model, reduction=red, b=b, a=a, simplex=simplex)
+        derived.update(user_rows=_coefficient_rows(b), item_rows=_coefficient_rows(a, by_item=True))
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
     @cached_property
-    def policy(self) -> RecommendationPolicy:
-        return RecommendationPolicy(expand_policy(self.rows_by_type, self.reduction))
+    def if_star(self) -> IfStarResult:
+        """Best attainable item fairness: the measure's lift of the item
+        rows over the simplex, solved cold, or the Nash item welfare."""
+        (k, n), measure = self.b.shape, self.measure
+        lp_solution = gap = None
+        if measure.kind is MeasureKind.MAX_MIN:
+            _, point, lp_solution = lp.solve_maxmin_linear(self.item_rows, self.simplex)
+        elif measure.kind is MeasureKind.SUM_K_MIN:
+            _, point, lp_solution = lp.sum_k_smallest_epigraph(self.item_rows, measure.k, self.simplex)
+        else:
+            res = nash_concave_solve(LogObjective(self.item_rows.toarray()), SimplexProduct(k, n))
+            if not res.converged:
+                raise NonConvergenceError("item-side Nash optimization hit the iteration cap")
+            point, gap = res.point, res.gap
+        rows = RecommendationPolicy.from_solver(point.reshape(k, n)).rows
+        value = measure_value((self.a * rows).sum(axis=0), measure)
+        return IfStarResult(value, rows, self.reduction, measure, self.model.delta, lp_solution, gap)
+
+    def uf_program(self) -> lp.WarmLP:
+        """A fresh UF* program of an LP measure over the K simplex rows: the
+        item floor's ``<=`` rows, then the user lift's.  The floor starts
+        inactive, right-hand side +inf; ``compute_uf_star`` sets it per gamma.
+
+        Max-min: the floor is the n item rows -I_j(x) <= SLACK - target, the
+        lift max t with t - U_k(x) <= 0 per type.  Sum-k: the floor is
+        ``lp.sum_k_smallest_floor``'s n item epigraph rows and its certificate
+        row, with right-hand side SLACK - target; the lift has one epigraph row
+        per type, weighted by the type's user count.
+        """
+        (k, n), measure, rows = self.b.shape, self.measure, self.user_rows
+        if measure.kind is MeasureKind.MAX_MIN:
+            return lp.WarmLP(*lp.maxmin_lift(rows, self.simplex.extend(-self.item_rows, np.full(n, np.inf))))
+        region = lp.sum_k_smallest_floor(self.item_rows, measure.k, -np.inf, self.simplex)
+        # The user rows read x only; the certificate variables get coefficient 0.
+        rows = coo_array((rows.data, (rows.row, rows.col)), shape=(k, region.num_vars))
+        lifted = lp.sum_k_lift(rows, measure.k, region, weights=self.reduction.counts)
+        return lp.WarmLP(*lifted, feas_tol=SUM_K_FEAS_TOL)
 
 
 _IF_STAR_CACHE: dict[bytes, IfStarResult] = {}
@@ -232,57 +275,20 @@ def compute_if_star(
     item_model: ItemUtilityModel | None = None,
     measure: FairnessMeasure = MAX_MIN,
 ) -> IfStarResult:
-    """Best attainable item fairness, cached per (matrix, delta, measure)."""
+    """``Problem(w, item_model, measure).if_star``, memoized per (matrix,
+    delta, measure) under a sha256 key of the whole matrix.
+
+    No solve path calls it; they read the IF* of their ``Problem``.  The
+    memo and its three names (``_IF_STAR_CACHE``, ``_cache_key``,
+    ``clear_caches``) stay only because the benchmark under ``perfbench/``
+    reads them, and go once it stops (ROADMAP item 1)."""
     model = item_model or ItemUtilityModel()
     key = _cache_key(w, model, measure)
-    hit = _IF_STAR_CACHE.get(key)
-    if hit is not None:
-        return hit
-    _validate_measure(measure, w.m, w.n)
-    red = reduce_by_types(w)
-    k, n = red.k, w.n
-    a = _item_share_rows(red.matrix.values, red.counts, model)
-    item_rows = _item_rows(a)
-    lp_solution = None
-    gap = None
-    if measure.kind is MeasureKind.MAX_MIN:
-        _, point, lp_solution = lp.solve_maxmin_linear(item_rows, _simplex_region(k, n))
-    elif measure.kind is MeasureKind.SUM_K_MIN:
-        _, point, lp_solution = lp.sum_k_smallest_epigraph(item_rows, measure.k, _simplex_region(k, n))
-    else:
-        res = nash_concave_solve(LogObjective(item_rows.toarray()), SimplexProduct(k, n))
-        if not res.converged:
-            raise NonConvergenceError("item-side Nash optimization hit the iteration cap")
-        point, gap = res.point, res.gap
-    rows = RecommendationPolicy.from_solver(point.reshape(k, n)).rows
-    value = measure_value((a * rows).sum(axis=0), measure)
-    result = IfStarResult(value, rows, red, measure, model.delta, lp_solution, gap)
-    if len(_IF_STAR_CACHE) > 256:
-        _IF_STAR_CACHE.clear()
-    _IF_STAR_CACHE[key] = result
-    return result
-
-
-@dataclass(frozen=True)
-class UfStarResult:
-    """Constrained user-fairness optimum for one gamma.
-
-    The policy is held in type space, one row per type of ``reduction``;
-    ``policy`` expands it to one row per user on first access.
-    """
-
-    value: float
-    rows_by_type: np.ndarray
-    reduction: TypeReduction
-    gamma: float
-    if_star: float | None
-    if_target: float
-    measure: FairnessMeasure
-    delta: float
-
-    @cached_property
-    def policy(self) -> RecommendationPolicy:
-        return RecommendationPolicy(expand_policy(self.rows_by_type, self.reduction))
+    if key not in _IF_STAR_CACHE:
+        if len(_IF_STAR_CACHE) > 256:
+            _IF_STAR_CACHE.clear()
+        _IF_STAR_CACHE[key] = Problem(w, model, measure).if_star
+    return _IF_STAR_CACHE[key]
 
 
 def _argmax_mixing_rows(wt: np.ndarray) -> np.ndarray:
@@ -335,7 +341,7 @@ def compute_uf_star(
     gamma: float,
     item_model: ItemUtilityModel | None = None,
     measure: FairnessMeasure = MAX_MIN,
-    if_star: IfStarResult | None = None,
+    problem: Problem | None = None,
     tie_break: TieBreak = TieBreak.SOLVER,
     *,
     _program: lp.WarmLP | None = None,
@@ -343,31 +349,33 @@ def compute_uf_star(
     """Best attainable user fairness when the item side must keep a gamma
     fraction of its optimum.  gamma = 0 drops the item constraint entirely.
 
-    ``_program`` is ``tradeoff_sweep``'s UF* program for this instance and
-    an LP measure, re-solved warm; without it a fresh program is built and
-    solved cold."""
+    ``problem`` is ``Problem(w, item_model, measure)`` and stands in for
+    those three arguments; without it one is built.  Passing one problem to
+    several calls shares its type reduction, rows and IF* among them.
+    ``_program`` is a UF* program of the problem, for an LP measure, that a
+    sweep or ``price_of_fairness_terms`` re-solves warm from its last basis;
+    without it a fresh program is solved cold."""
     (gamma,) = check_gamma_grid([gamma])
-    model = item_model or ItemUtilityModel()
-    tie_break = TieBreak(tie_break)
-    _validate_measure(measure, w.m, w.n, tie_break)
-    if gamma > 0 and if_star is None:
-        if_star = compute_if_star(w, model, measure)
-    red = if_star.reduction if if_star is not None else reduce_by_types(w)
-    k, n = red.k, w.n
-    b = _user_norm_rows(red.matrix.values)
-    a = _item_share_rows(red.matrix.values, red.counts, model)
-    user_rows = _user_rows(b)
-    item_rows = _item_rows(a)
-    if_value = if_star.value if if_star is not None else None
+    p = problem if problem is not None else Problem(w, item_model, measure)
+    red, measure = p.reduction, p.measure
+    tie_break = _tie_break(tie_break, measure)
+    k, n = p.b.shape
+    if_value = p.if_star.value if gamma > 0 else None
 
     if measure.kind is MeasureKind.NASH_WELFARE:
         if_target = (if_value / gamma) if gamma > 0 else -np.inf
-        rows = _nash_uf_rows(red, user_rows.toarray(), item_rows.toarray(), gamma, if_target, k, n)
+        rows = _nash_uf_rows(red, p.user_rows.toarray(), p.item_rows.toarray(), gamma, if_target, k, n)
     else:
         if_target = gamma * if_value if gamma > 0 else 0.0
-        program = _program if _program is not None else _uf_program(user_rows, item_rows, red.counts, measure)
-        point = _solve_uf(program, gamma, if_target, measure, n)
-        rows = point[: k * n].reshape(k, n)
+        program = _program if _program is not None else p.uf_program()
+        # Only the item floor moves with gamma: the n item rows, or sum-k's certificate row.
+        floor = slice(0, n) if measure.kind is MeasureKind.MAX_MIN else n
+        b_ub = program.region.b_ub.copy()
+        b_ub[floor] = SLACK - if_target if gamma > 0 else np.inf
+        sol = program.solve(b_ub)
+        if sol.status is not lp.LPStatus.OPTIMAL:
+            raise lp.LPSolverError(sol.status, sol.message)
+        rows = sol.point[: k * n].reshape(k, n)
         if tie_break is TieBreak.CANONICAL and gamma == 0:
             rows = _argmax_mixing_rows(red.matrix.values)
         elif tie_break is TieBreak.CANONICAL:
@@ -375,12 +383,12 @@ def compute_uf_star(
             # A symmetry of the instance permutes the face and fixes the
             # uniform policy; the projection is unique, so it inherits every
             # such symmetry, and tied supports end up uniformly mixed.
-            rows = min_norm_face_point(np.full(k * n, 1.0 / n), program.optimal_face(), point, gamma)
+            rows = min_norm_face_point(np.full(k * n, 1.0 / n), program.optimal_face(), sol.point, gamma)
             rows = rows.reshape(k, n)
 
     policy_rows = RecommendationPolicy.from_solver(rows).rows
-    value = measure_value((b * policy_rows).sum(axis=1), measure, weights=red.counts)
-    return UfStarResult(value, policy_rows, red, gamma, if_value, if_target, measure, model.delta)
+    value = measure_value((p.b * policy_rows).sum(axis=1), measure, weights=red.counts)
+    return UfStarResult(value, policy_rows, red, gamma, if_value, if_target, measure, p.model.delta)
 
 
 def _nash_uf_rows(red, user_rows, item_rows, gamma, target, k, n):
@@ -458,18 +466,28 @@ def require_price_measure(measure: FairnessMeasure, price: str) -> None:
         )
 
 
+def price_of_fairness_terms(problem: Problem) -> tuple[float, float, float]:
+    """UF*(0), UF*(1) and the price of fairness ``(UF*(0) - UF*(1)) / UF*(0)``.
+
+    Both ends are solved on one UF* program, UF*(1) warm from UF*(0)'s
+    basis as a sweep solves it, and only once UF*(0) is known to be nonzero
+    (ValueError otherwise)."""
+    require_price_measure(problem.measure, "price of fairness")
+    program = problem.uf_program()
+    uf0 = compute_uf_star(problem.w, 0.0, problem=problem, _program=program).value
+    if abs(uf0) < 1e-12:
+        raise ValueError("price of fairness is undefined when the unconstrained optimum is 0")
+    uf1 = compute_uf_star(problem.w, 1.0, problem=problem, _program=program).value
+    return uf0, uf1, (uf0 - uf1) / uf0
+
+
 def price_of_fairness(
     w: UtilityMatrix,
     item_model: ItemUtilityModel | None = None,
     measure: FairnessMeasure = MAX_MIN,
 ) -> float:
     """Relative loss in optimal user fairness caused by maximal item fairness."""
-    require_price_measure(measure, "price of fairness")
-    uf0 = compute_uf_star(w, 0.0, item_model, measure).value
-    if abs(uf0) < 1e-12:
-        raise ValueError("price of fairness is undefined when the unconstrained optimum is 0")
-    uf1 = compute_uf_star(w, 1.0, item_model, measure).value
-    return (uf0 - uf1) / uf0
+    return price_of_fairness_terms(Problem(w, item_model, measure))[2]
 
 
 def misestimated_users(w: UtilityMatrix, w_hat: UtilityMatrix) -> np.ndarray:
@@ -494,10 +512,11 @@ def price_of_misestimation(
     tie-break) are evaluated on the true matrix, over the misestimated users
     when scope says so.  The grid, scope, measure and tie-break, and a sum-k
     ``k`` above the scope's size, are checked before any solve.  The
-    misestimated users, each side's IF* and reduction, and the class
-    partition are computed once per grid.  The UF* solves stay cold on
-    purpose: the estimated optimal face is not a point (ROADMAP item 6), and
-    a warm start from the previous gamma lands on another of its vertices.
+    misestimated users, each side's ``Problem`` and the class partition are
+    built once per grid; a side's IF* is solved only if some gamma > 0.
+    Each UF* solve is cold, on a fresh program of its problem, on purpose:
+    the estimated optimal face is not a point (ROADMAP item 6), and a warm
+    start from the previous gamma lands on another of its vertices.
 
     A user's utility under both policies depends only on their type in
     ``w`` and their type in ``w_hat``, so the scope's users are grouped by
@@ -513,23 +532,17 @@ def price_of_misestimation(
         users = np.arange(w.m)
     elif users.size == 0:
         raise ValueError("no users are misestimated; the group scope is undefined")
-    _validate_measure(measure, w.m, w.n, tie_break)
+    tie_break = _tie_break(tie_break, measure)
+    ref_p, est_p = Problem(w, item_model, measure), Problem(w_hat, item_model, measure)
     if measure.kind is MeasureKind.SUM_K_MIN and measure.k > users.size:
         raise ValueError(f"k = {measure.k} exceeds the {users.size} users of the {scope.value} scope")
-    model = item_model or ItemUtilityModel()
-    solve_if = bool(gammas) and gammas[-1] > 0
-    if_ref = compute_if_star(w, model, measure) if solve_if else None
-    if_est = compute_if_star(w_hat, model, measure) if solve_if else None
+    t_ref, t_est = ref_p.reduction.user_to_type[users], est_p.reduction.user_to_type[users]
+    _, first, counts = np.unique(t_ref * est_p.reduction.k + t_est, return_index=True, return_counts=True)
+    t_ref, t_est, w_rep = t_ref[first], t_est[first], UtilityMatrix(w.values[users[first]])
     poms = []
     for g in gammas:
-        ref = compute_uf_star(w, g, model, measure, if_star=if_ref, tie_break=tie_break)
-        est = compute_uf_star(w_hat, g, model, measure, if_star=if_est, tie_break=tie_break)
-        if not poms:  # the reductions are the same at every gamma
-            t_ref, t_est = ref.reduction.user_to_type[users], est.reduction.user_to_type[users]
-            _, first, counts = np.unique(
-                t_ref * est.reduction.k + t_est, return_index=True, return_counts=True
-            )
-            t_ref, t_est, w_rep = t_ref[first], t_est[first], UtilityMatrix(w.values[users[first]])
+        ref = compute_uf_star(w, g, problem=ref_p, tie_break=tie_break)
+        est = compute_uf_star(w_hat, g, problem=est_p, tie_break=tie_break)
         u_ref = user_utility_vector(RecommendationPolicy(ref.rows_by_type[t_ref]), w_rep)
         u_est = user_utility_vector(RecommendationPolicy(est.rows_by_type[t_est]), w_rep)
         ref_val = measure_value(u_ref, measure, weights=counts)
@@ -579,27 +592,22 @@ def tradeoff_sweep(
     the solver contract is broken and raises LPSolverError with status
     FAILED.
     """
-    model = item_model or ItemUtilityModel()
     gammas = check_gamma_grid(gammas)
-    ifres = compute_if_star(w, model, measure)
-    red = ifres.reduction
-    a = _item_share_rows(red.matrix.values, red.counts, model)
-    program = None
-    if measure.kind is not MeasureKind.NASH_WELFARE:
-        user_rows = _user_rows(_user_norm_rows(red.matrix.values))
-        program = _uf_program(user_rows, _item_rows(a), red.counts, measure)
+    p = Problem(w, item_model, measure)
+    if_star = p.if_star.value
+    program = p.uf_program() if measure.kind is not MeasureKind.NASH_WELFARE else None
     rows = []
     prev_ok = np.inf
     for g in gammas:
         start = time.perf_counter()
         try:
-            r = compute_uf_star(w, g, model, measure, if_star=ifres, tie_break=tie_break, _program=program)
+            r = compute_uf_star(w, g, problem=p, tie_break=tie_break, _program=program)
         except (lp.LPSolverError, NonConvergenceError) as exc:
             elapsed = (time.perf_counter() - start) * 1000.0
             rows.append(TradeoffRow(g, np.nan, np.nan, np.nan, f"error: {exc}", elapsed))
             continue
         elapsed = (time.perf_counter() - start) * 1000.0
-        i_vals = (a * r.rows_by_type).sum(axis=0)
+        i_vals = (p.a * r.rows_by_type).sum(axis=0)
         if measure.kind is MeasureKind.NASH_WELFARE and np.any(i_vals <= 0.0):
             # a starved item puts the log-welfare at its floor
             if_achieved = -np.inf
@@ -616,11 +624,11 @@ def tradeoff_sweep(
         "tool": "fairrec",
         "measure": measure.kind.value,
         "k": measure.k,
-        "delta": model.delta,
+        "delta": p.model.delta,
         "tie_break": TieBreak(tie_break).value,
         "matrix_sha256": hashlib.sha256(w.values.data).hexdigest()[:16],
         "feasibility_tol": lp.FEAS_TOL,
         "optimality_tol": lp.OPT_TOL,
         "nash_gap_tol": GAP_TOL,
     }
-    return TradeoffCurve(tuple(rows), ifres.value, measure, model.delta, provenance)
+    return TradeoffCurve(tuple(rows), if_star, measure, p.model.delta, provenance)

@@ -229,12 +229,38 @@ def test_cli_pof_reports_worked_value(tmp_path, capsys):
     assert "pof = 0.142857143" in printed
 
 
+def test_cli_pof_full_fairness_equals_the_tradeoff_gamma_1_row(tmp_path, worked_instance):
+    from fairrec.optimizer import Problem, price_of_fairness_terms, tradeoff_sweep
+
+    uf1 = price_of_fairness_terms(Problem(worked_instance))[1]
+    assert uf1 == tradeoff_sweep(worked_instance, cli.parse_gamma_grid("11")).rows[-1].uf_achieved
+    flags = ["--values", "3,2,1", "--alpha", "0.5", "--users", "10", "--out"]
+    assert run(["pof", *flags, str(tmp_path / "pof.csv")]) == 0
+    assert run(["tradeoff", *flags, str(tmp_path / "t.csv")]) == 0
+
+    def rows(name):
+        lines = [ln for ln in (tmp_path / name).read_text().splitlines() if not ln.startswith("#")]
+        return list(csv.DictReader(lines))
+
+    assert rows("pof.csv")[0]["uf_full_fairness"] == rows("t.csv")[-1]["uf_achieved"]
+
+
 def test_cli_validate_closed_form_passes(tmp_path):
     out = tmp_path / "report.csv"
     assert run(["validate-closed-form", "--values", "5,2,1.5,1", "--alpha", "9",
                 "--users", "20", "--out", str(out)]) == 0
     lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
     assert len(lines) == 10
+
+
+@pytest.mark.parametrize("command", ["validate-closed-form", "sweep-alpha"])
+def test_cli_empty_alpha_grid_exits_with_config_error(tmp_path, command):
+    out = tmp_path / "a.csv"
+    assert run([command, "--values", "3,2,1", "--alpha", ",", "--out", str(out)]) == 2
+    assert not out.exists()
+    record = json.loads((tmp_path / "error.json").read_text())
+    assert record["error"] == "ValueError"
+    assert "empty alpha grid" in record["message"]
 
 
 def test_cli_sweep_alpha_writes_curve(tmp_path):
@@ -249,10 +275,13 @@ def test_cli_sweep_alpha_writes_curve(tmp_path):
 
 
 def test_cli_nash_pof_exits_before_any_solve(tmp_path, monkeypatch):
+    import fairrec.optimizer as opt
+
     def solved(*args, **kwargs):
         raise AssertionError("the Nash price of fairness was solved")
 
-    monkeypatch.setattr(cli, "compute_uf_star", solved)
+    monkeypatch.setattr(opt, "compute_uf_star", solved)
+    monkeypatch.setattr(opt, "nash_concave_solve", solved)
     code = run(["pof", "--values", "3,2,1", "--alpha", "0.5", "--users", "10",
                 "--measure", "nash", "--out", str(tmp_path / "pof.csv")])
     assert code == 2
@@ -278,7 +307,7 @@ def test_cli_sum_k_above_the_group_exits_before_any_solve(tmp_path, monkeypatch)
     def solved(*args, **kwargs):
         raise AssertionError("a misestimation price was solved")
 
-    monkeypatch.setattr(opt, "compute_if_star", solved)
+    monkeypatch.setattr(lp, "solve_lp", solved)
     monkeypatch.setattr(opt, "compute_uf_star", solved)
     out = tmp_path / "pom.csv"
     code = run(["misest", "--values", "3,2,1", "--beta", "0.4", "--users", "10", "--measure", "sumkmin",
@@ -293,14 +322,16 @@ def test_cli_sum_k_above_the_group_exits_before_any_solve(tmp_path, monkeypatch)
 def test_cli_pof_checks_unconstrained_optimum_before_full_fairness(tmp_path, monkeypatch):
     import dataclasses
 
-    real = cli.compute_uf_star
+    import fairrec.optimizer as opt
+
+    real = opt.compute_uf_star
     gammas = []
 
     def zero_at_gamma_0(w, gamma, *args, **kwargs):
         gammas.append(gamma)
         return dataclasses.replace(real(w, gamma, *args, **kwargs), value=0.0)
 
-    monkeypatch.setattr(cli, "compute_uf_star", zero_at_gamma_0)
+    monkeypatch.setattr(opt, "compute_uf_star", zero_at_gamma_0)
     code = run(["pof", "--values", "3,2,1", "--alpha", "0.5", "--users", "10",
                 "--out", str(tmp_path / "pof.csv")])
     assert code == 2
@@ -413,6 +444,33 @@ def test_cli_uncertified_canonical_point_exit_and_record(tmp_path, monkeypatch):
     assert record["exit_code"] == 3
     assert record["error"] == "LPSolverError"
     assert "gamma = 0.2" in record["message"]
+
+
+def test_misest_demo_writes_the_canonical_prices(tmp_path, capsys):
+    import importlib.util
+    from pathlib import Path
+
+    from fairrec.optimizer import Scope, TieBreak, price_of_misestimation
+
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_misest_demo.py"
+    spec = importlib.util.spec_from_file_location("run_misest_demo", path)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    demo.main(["--out", str(tmp_path / "demo")])
+    data = gen_misestimation(np.array([3.0, 2.0, 1.0]), 0.4, 10, seed=0)
+    gammas = np.linspace(0.0, 1.0, 11)
+    poms = price_of_misestimation(
+        data.w, data.w_hat, gammas, Scope.MISESTIMATED_GROUP, tie_break=TieBreak.CANONICAL
+    )
+    write_rows_csv(tmp_path / "direct.csv", ["gamma", "pom"], [[g, pom] for g, pom in zip(gammas, poms)])
+
+    def data_lines(path):
+        return [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+
+    written = data_lines(tmp_path / "demo" / "misest_price.csv")
+    assert len(written) == 1 + 11
+    assert written == data_lines(tmp_path / "direct.csv")
+    assert (tmp_path / "demo" / "misest_price.svg").exists()
 
 
 def test_cli_rejects_unknown_subcommand():

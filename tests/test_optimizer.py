@@ -20,6 +20,7 @@ from fairrec.core import (
     user_utility_vector,
 )
 from fairrec.optimizer import (
+    Problem,
     Scope,
     TieBreak,
     _argmax_mixing_rows,
@@ -291,9 +292,19 @@ def test_constraint_target_is_met_along_gamma():
         assert achieved >= gamma * if_star - 1e-6
 
 
-def test_if_star_result_reused_when_passed_in(worked_instance):
-    pre = compute_if_star(worked_instance)
-    res = compute_uf_star(worked_instance, 1.0, if_star=pre)
+def test_if_star_result_reused_when_passed_in(worked_instance, monkeypatch):
+    solves = []
+    real = lp.solve_lp
+
+    def counted(*args):
+        solves.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(lp, "solve_lp", counted)
+    problem = Problem(worked_instance)
+    results = [compute_uf_star(worked_instance, g, problem=problem) for g in (0.5, 1.0, 0.25)]
+    assert len(solves) == 1
+    pre, res = problem.if_star, results[1]
     assert abs(res.if_target - pre.value) < 1e-15
     assert res.if_star == pre.value
 
@@ -432,17 +443,18 @@ def test_price_of_misestimation_does_per_matrix_work_once_per_grid(monkeypatch):
     import fairrec.optimizer as opt
 
     if_star_calls, misest_calls = [], []
-    real_if_star, real_misest = opt.compute_if_star, opt.misestimated_users
+    real_if_star, real_misest = vars(opt.Problem)["if_star"], opt.misestimated_users
 
-    def if_star(w, *args, **kwargs):
-        if_star_calls.append(id(w))
-        return real_if_star(w, *args, **kwargs)
+    def if_star(problem):
+        if "if_star" not in vars(problem):  # not solved yet
+            if_star_calls.append(id(problem.w))
+        return real_if_star.__get__(problem)
 
     def misest(*args):
         misest_calls.append(1)
         return real_misest(*args)
 
-    monkeypatch.setattr(opt, "compute_if_star", if_star)
+    monkeypatch.setattr(opt.Problem, "if_star", property(if_star))
     monkeypatch.setattr(opt, "misestimated_users", misest)
     data = gen_misestimation(V4321, 0.3, 100, seed=1)
     for scope in Scope:
@@ -462,7 +474,7 @@ def _refuse_solves(monkeypatch):
     def solved(*args, **kwargs):
         raise AssertionError("a solve ran before the arguments were checked")
 
-    monkeypatch.setattr(opt, "compute_if_star", solved)
+    monkeypatch.setattr(lp, "solve_lp", solved)
     monkeypatch.setattr(opt, "compute_uf_star", solved)
     return opt
 
@@ -511,7 +523,7 @@ def test_sweep_requires_increasing_gammas(worked_instance, monkeypatch):
     def solved_too_early(*args, **kwargs):
         raise AssertionError("IF* was solved before the gamma grid was checked")
 
-    monkeypatch.setattr(opt, "compute_if_star", solved_too_early)
+    monkeypatch.setattr(lp, "solve_lp", solved_too_early)
     for gammas in ([0.5, 0.5], [1.0, 0.0], [0.0, 1.5], [-0.5, 0.5]):
         with pytest.raises(ValueError):
             opt.tradeoff_sweep(worked_instance, gammas)
@@ -781,3 +793,34 @@ def test_solves_and_prices_stay_in_type_space(monkeypatch):
         assert np.array_equal(res.policy.rows, real_expand(res.rows_by_type, res.reduction))
         assert res.policy is res.policy
     assert len(calls) == 1 + len(results)
+
+
+def test_only_the_sweep_provenance_hashes_the_matrix(worked_instance, monkeypatch, tmp_path):
+    """IF* is read from each solve path's Problem, not found by hashing the
+    matrix; the one sha256 left is the sweep's ``matrix_sha256`` line."""
+    import hashlib
+
+    import fairrec.optimizer as opt
+    from fairrec import cli
+
+    calls = []
+    real = hashlib.sha256
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    def hashes(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    monkeypatch.setattr(opt.hashlib, "sha256", counted)
+    data = gen_misestimation(V321, 0.3, 10, seed=0)
+    validate = ["validate-closed-form", "--alpha", "3", "--users", "10", "--out", str(tmp_path / "v.csv")]
+    assert hashes(lambda: opt.tradeoff_sweep(worked_instance, GRID11)) == 1
+    assert hashes(lambda: opt.price_of_misestimation(data.w, data.w_hat, GRID11, Scope.ALL_USERS)) == 0
+    assert hashes(lambda: opt.price_of_fairness(worked_instance)) == 0
+    codes = []
+    assert hashes(lambda: codes.append(cli.main(validate))) == 0
+    assert codes == [0]
