@@ -1,11 +1,13 @@
-"""First-order numerical routines used by the optimizer.
+"""Numerical routines used by the optimizer.
 
 One region type, ``SimplexProduct`` (a product of probability simplices,
-with its Euclidean projection), carries a maximizer for weighted sums of
-logarithms of linear functionals (projected gradient ascent), which stops
-on the Frank-Wolfe duality gap, an upper bound on the distance to the
-optimum value.  Dykstra's alternating projections onto halfspace-cut
-simplex products remain here, but no solve path calls them.
+with its Euclidean projection), carries ``nash_concave_solve``: a
+log-barrier Newton maximizer for weighted sums of logarithms of linear
+functionals, optionally under a floor on a second such sum.  It returns a
+weak-duality certificate computed from its point, an upper bound on the
+distance to the optimum value.  Dykstra's alternating projections onto
+halfspace-cut simplex products remain here only because the benchmark under
+``perfbench/`` wraps ``dykstra_project``; no solve path calls them.
 """
 from __future__ import annotations
 
@@ -15,7 +17,18 @@ import numpy as np
 
 # Default certificate tolerance for the concave solver.
 GAP_TOL = 1e-6
-MAX_ITER = 100_000
+# Cap on Newton steps per solve.
+MAX_ITER = 500
+# The barrier parameter t grows by BARRIER_GROWTH once a Newton step finds the
+# point centered, i.e. with Newton decrement squared at most CENTERED.
+BARRIER_GROWTH = 100
+CENTERED = 1e-2
+# Full Newton steps at the final t before t grows again.
+POLISH_STEPS = 8
+# The line search gives up below this step length.
+MIN_STEP = 1e-10
+# Sufficient-decrease fraction of the backtracking line search.
+ARMIJO = 0.01
 # Dykstra stops once a full cycle moves the iterate by at most DYKSTRA_TOL (sup norm).
 DYKSTRA_TOL = 1e-12
 DYKSTRA_MAX_CYCLES = 200_000
@@ -114,55 +127,99 @@ class LogObjective:
             return -np.inf
         return float(self.weights @ np.log(vals))
 
-    def gradient(self, x):
-        vals = self.coeffs @ x
-        return self.coeffs.T @ (self.weights / vals)
-
 
 @dataclass(frozen=True)
 class ConcaveResult:
+    """A solve's point and value, and ``gap``, an upper bound on the optimum
+    minus ``value`` computed from ``point``; ``t`` is the barrier parameter
+    at which it stopped."""
+
     value: float
     point: np.ndarray
     gap: float
     iterations: int
     converged: bool
+    t: float
 
 
-def _armijo_accept(f_new, f_old, g, x_new, x_old) -> bool:
-    return np.isfinite(f_new) and f_new >= f_old + 1e-4 * float(g @ (x_new - x_old))
+def _fw_gap(grad: np.ndarray, x: np.ndarray, region: SimplexProduct) -> float:
+    """max over the region of grad . (y - x): the Frank-Wolfe gap at x."""
+    g, xr = grad.reshape(region.num_rows, region.row_len), x.reshape(region.num_rows, region.row_len)
+    return float(np.sum(g.max(axis=1) - np.einsum("ij,ij->i", g, xr)))
 
 
-def _ascend_simplex_product(objective, region, start, tol, max_iter) -> ConcaveResult:
+def _normalize_rows(x: np.ndarray, region: SimplexProduct) -> np.ndarray:
+    rows = x.reshape(region.num_rows, region.row_len)
+    return (rows / rows.sum(axis=1, keepdims=True)).ravel()
+
+
+def _newton_step(x, region, t, f, floor=None):
+    """The Newton step dx of phi = -t F - sum log x - rho log(G - tau) on
+    the simplex rows, and its decrement dx^T H dx.
+
+    ``f`` is (P, weights, P x) of the objective's log terms; ``floor`` is
+    (P, weights, P x, G(x) - tau, rho) of the floor's.  In u = dx / x the
+    Hessian is I + W W^T + (rho / slack^2) z z^T and minus the gradient is
+    1 + W h + (rho / slack) z: W = X V has one column per log term, h holds
+    their multipliers, and z = X grad G.  One Householder reflection per
+    simplex row maps u onto the null space of that row's constraint
+    x_k . u_k = 0.  With the thin SVD W = U S V^T there,
+    (I + W W^T)^-1 = I - U diag(s^2 / (1 + s^2)) U^T and
+    (I + W W^T)^-1 W h = U diag(s / (1 + s^2)) V^T h, so no weight-sized
+    number is cancelled.  z = W h_z lies in the floor's columns, so its
+    rho / slack^2 term enters by Sherman-Morrison through h_z and the SVD
+    never sees that weight.  No dense (K n)^2 matrix is formed.
+    """
     k, n = region.num_rows, region.row_len
-    x = start.copy()
-    fx = objective.value(x)
-    if not np.isfinite(fx):
-        raise ValueError("starting point is not strictly feasible for the log objective")
-    eta = 1.0
-    gap = np.inf
-    for it in range(1, max_iter + 1):
-        g = objective.gradient(x)
-        grid = g.reshape(k, n)
-        xg = x.reshape(k, n)
-        gap = float(np.sum(grid.max(axis=1) - np.einsum("ij,ij->i", grid, xg)))
-        if gap <= tol * (1.0 + abs(fx)):
-            return ConcaveResult(fx, x, gap, it, True)
-        eta = min(eta * 2.0, 1e8)
-        while True:
-            xn = region.project(x + eta * g)
-            fn = objective.value(xn)
-            if _armijo_accept(fn, fx, g, xn, x):
-                break
-            eta *= 0.5
-            if eta < 1e-18:
-                xn, fn = x, fx  # no productive step left; gap check decides next round
-                break
-        if np.array_equal(xn, x):
-            # Projection is at a fixed point; nothing further to gain from
-            # shrinking steps, so report whatever certificate is in hand.
-            return ConcaveResult(fx, x, gap, it, gap <= tol * (1.0 + abs(fx)))
-        x, fx = xn, fn
-    return ConcaveResult(fx, x, gap, max_iter, False)
+    b, c, bx = f
+    cols, h = [b.T * (np.sqrt(t * c) / bx)], [np.sqrt(t * c)]
+    if floor is not None:
+        a, wa, ax, slack, rho = floor
+        cols.append(a.T * (np.sqrt(rho * wa / slack) / ax))
+        h.append(np.zeros(wa.size))
+    w = (x[:, None] * np.hstack(cols)).reshape(k, n, -1)
+    # Householder vector per row, x_k / |x_k| + e_1 scaled to norm sqrt(2):
+    # its reflection sends x_k to a multiple of e_1, so the other n - 1
+    # coordinates span the null space of x_k . u_k = 0.
+    xr = x.reshape(k, n)
+    refl = xr / np.linalg.norm(xr, axis=1, keepdims=True)
+    refl[:, 0] += 1.0
+    refl *= np.sqrt(2.0) / np.linalg.norm(refl, axis=1, keepdims=True)
+    w = (w - refl[:, :, None] * np.einsum("kj,kjm->km", refl, w)[:, None, :])[:, 1:, :].reshape(k * (n - 1), -1)
+    one = (1.0 - refl * refl.sum(axis=1, keepdims=True))[:, 1:].ravel()
+    basis, sv, vt = np.linalg.svd(w, full_matrices=False)
+    shrink = sv**2 / (1.0 + sv**2)
+
+    def inverse(v):  # (I + W W^T)^-1 v
+        return v - basis @ (shrink * (basis.T @ v))
+
+    h = np.concatenate(h)
+    red = inverse(one) + basis @ (sv / (1.0 + sv**2) * (vt @ h))
+    if floor is not None:
+        # X grad G = W h_z: grad G is a combination of the floor's columns.
+        h_z = np.concatenate([np.zeros(c.size), np.sqrt(wa * slack / rho)])
+        z, proj = w @ h_z, vt @ h_z
+        az = basis @ (sv / (1.0 + sv**2) * proj)  # (I + W W^T)^-1 z
+        den = slack**2 / rho + float(np.sum(shrink * proj**2))
+        red += az * ((slack - z @ red) / den)
+    # One round of iterative refinement.  The residual is grouped so that its
+    # rounding lies in the stiff directions, which the solve damps.
+    res = one - red + w @ (h - w.T @ red)
+    if floor is not None:
+        res += z * (rho / slack * (1.0 - (z @ red) / slack))
+    corr = inverse(res)
+    if floor is not None:
+        corr -= az * ((z @ corr) / den)
+    red += corr
+    red = np.hstack([np.zeros((k, 1)), red.reshape(k, n - 1)])
+    u = (red - refl * np.einsum("kj,kj->k", refl, red)[:, None]).ravel()
+    dx = x * u
+    r_f = (b @ dx) / bx
+    decrement = float(u @ u + t * (c @ r_f**2))
+    if floor is not None:
+        r_g = (a @ dx) / ax
+        decrement += rho / slack * float(wa @ r_g**2 + (wa @ r_g) ** 2 / slack)
+    return dx, decrement
 
 
 def nash_concave_solve(
@@ -171,16 +228,101 @@ def nash_concave_solve(
     start: np.ndarray | None = None,
     tol: float = GAP_TOL,
     max_iter: int = MAX_ITER,
+    constraint: tuple[LogObjective, float] | None = None,
 ) -> ConcaveResult:
-    """Maximize a weighted sum of logs of affine functionals over ``region``.
+    """Maximize F, a weighted sum of logs of linear functionals, over the
+    SimplexProduct ``region``, optionally subject to ``constraint`` = (G, tau):
+    another such sum and its floor, G(x) >= tau.
 
-    ``region`` is a SimplexProduct; the solver is projected gradient ascent
-    with backtracking line search.  Returns the point, the value, and the
-    final Frank-Wolfe gap certificate; convergence means
-    gap <= tol * (1 + |value|), and ``converged`` is False when the
-    iteration cap is exhausted first.
+    Log-barrier Newton method (Boyd & Vandenberghe, ch. 11): damped Newton
+    steps (``_newton_step``) on t F + sum log x + rho log(G - tau), with
+    rho = K n, over the simplex rows, and t grows by BARRIER_GROWTH whenever
+    a step finds the point centered.  ``start`` (default: uniform) must be
+    strictly positive and strictly feasible.  The iterate is held as
+    start + delta, and each change of F, G and the barrier is computed from
+    the change of delta by log1p of relative changes, so that a thin floor
+    (tau just below max G) is resolved far below the rounding of G itself.
+    Each step keeps every simplex row's sum; the returned point is
+    renormalized to sum to 1.
+
+    The certificate is computed from the returned point: for a multiplier
+    lambda >= 0, lambda (G(x) - tau) plus the Frank-Wolfe gap of
+    F + lambda G at x bounds the optimum minus F(x) by weak duality.
+    ``gap`` is that bound at lambda = rho / (t (G(x) - tau)), the multiplier
+    of the central path; without a floor it is the Frank-Wolfe gap of F.
+    ``converged`` means gap <= tol * (1 + |value|).  It is False when
+    ``max_iter`` Newton steps are spent first, or when a step that promises a
+    decrease finds none.  ``iterations`` counts Newton steps.
     """
     if not isinstance(region, SimplexProduct):
         raise TypeError(f"unsupported region type {type(region).__name__}")
-    x0 = region.uniform() if start is None else np.asarray(start, dtype=float).copy()
-    return _ascend_simplex_product(objective, region, x0, tol, max_iter)
+    k, n, size = region.num_rows, region.row_len, region.num_vars
+    x0 = region.uniform() if start is None else _normalize_rows(np.asarray(start, dtype=float), region)
+    b, c = objective.coeffs, objective.weights
+    bx = b @ x0
+    if np.any(x0 <= 0) or np.any(bx <= 0):
+        raise ValueError("starting point is not strictly inside the region and the log domain")
+    floor, rho = None, 0.0
+    if constraint is not None:
+        g_obj, tau = constraint
+        a, wa, rho = g_obj.coeffs, g_obj.weights, float(size)
+        ax = a @ x0
+        slack = g_obj.value(x0) - tau
+        if not slack > 0:
+            raise ValueError(f"starting point is not strictly feasible: G(x) - tau = {slack:.3e}")
+    x, delta, value = x0, np.zeros(size), float(c @ np.log(bx))
+    t = (size + rho) / max(_fw_gap(b.T @ (c / bx), x, region), 1e-12)
+    decrement, gap, polished = np.inf, np.inf, 0
+    for it in range(max_iter + 1):
+        grad = b.T @ (c / bx)
+        if constraint is None:
+            gap = _fw_gap(grad, x, region)
+        else:
+            grad_g = a.T @ (wa / ax)
+            gap = rho / t + _fw_gap(grad + rho / (t * slack) * grad_g, x, region)
+        target = tol * (1.0 + abs(value))
+        if gap <= target or it == max_iter:
+            break
+        # t grows by BARRIER_GROWTH once a step finds the point centered, up
+        # to t_final, where the central point's gap, about (K n + rho) / t,
+        # is half the target.  There, centered steps polish: the certificate
+        # needs the point centered in the floor's stiff directions, beyond
+        # where phi's rounding lets a line search see progress, so they are
+        # taken in full.  If POLISH_STEPS of them do not certify, t grows.
+        t_final = 2.0 * (size + rho) / target
+        polish = decrement <= CENTERED and t >= t_final
+        if decrement <= CENTERED and t < t_final:
+            t = min(t * BARRIER_GROWTH, t_final)
+        elif polish:
+            polished += 1
+            if polished > POLISH_STEPS:
+                t, polished, polish = t * BARRIER_GROWTH, 0, False
+        if constraint is not None:
+            floor = (a, wa, ax, slack, rho)
+        dx, decrement = _newton_step(x, region, t, (b, c, bx), floor)
+        # Backtracking line search on phi = -t F - sum log x - rho log(G - tau).
+        neg = dx < 0
+        step = min(1.0, 0.99 * float(np.min(-x[neg] / dx[neg]))) if neg.any() else 1.0
+        while step >= MIN_STEP:
+            d = step * dx
+            d -= x * np.repeat(d.reshape(k, n).sum(axis=1), n)  # keep each row's sum
+            with np.errstate(invalid="ignore", divide="ignore"):
+                d_phi = -t * float(c @ np.log1p((b @ d) / bx)) - float(np.sum(np.log1p(d / x)))
+                if floor is not None:
+                    d_g = float(wa @ np.log1p((a @ d) / ax))
+                    d_phi -= rho * np.log1p(d_g / slack)
+            if np.isfinite(d_phi) and (polish or d_phi <= -ARMIJO * step * decrement):
+                break
+            step *= 0.5
+        else:
+            if decrement > CENTERED:
+                break  # no decrease along a step that promises one: stalled
+            decrement = 0.0  # centered up to rounding: stay, and grow t
+            continue
+        delta += d
+        x = x0 + delta
+        bx = b @ x
+        value = float(c @ np.log(bx))
+        if floor is not None:
+            ax, slack = a @ x, slack + d_g
+    return ConcaveResult(value, _normalize_rows(x, region), gap, it, gap <= tol * (1.0 + abs(value)), t)

@@ -21,8 +21,11 @@ sweep, and the two ends of the price of fairness, build the program once as
 an ``lp.WarmLP`` and re-solve each gamma from the previous optimal basis.
 For max-min the canonical tie-break projects the uniform policy onto that
 solve's exact optimal face, read from its duals.
-Nash welfare (sum of logs) is handled by a first-order concave maximizer
-plus Lagrangian bisection on the item constraint.
+Nash welfare (sum of logs) takes one log-barrier Newton solve per value
+(``numerics.nash_concave_solve``): IF* is the item welfare over the simplex,
+and UF*(gamma > 0) the user welfare under the item welfare's floor, started
+inside it from the IF* point; UF*(0) is the closed form that puts every type
+on its favorite items.
 """
 from __future__ import annotations
 
@@ -46,11 +49,14 @@ from .core import (
     measure_value,
     user_utility_vector,
 )
-from .numerics import GAP_TOL, LogObjective, NonConvergenceError, SimplexProduct, nash_concave_solve
+from .numerics import GAP_TOL, MAX_ITER, LogObjective, NonConvergenceError, SimplexProduct, nash_concave_solve
 
 # Backoff applied when an optimal value is reused as a constraint threshold,
 # so that floating-point optima stay feasible.
 SLACK = 1e-9
+# Relative certificate tolerance of the Nash IF* solve.  UF*(1)'s floor sits
+# SLACK below IF*, so IF* is solved to a gap of the same order as SLACK.
+NASH_IF_TOL = 1e-10
 # Tolerance for sweep monotonicity and constraint satisfaction checks.
 SWEEP_TOL = 1e-6
 # HiGHS's primal feasibility tolerance on the sum-k UF* program.  A user
@@ -167,13 +173,15 @@ class IfStarResult(TypeSpacePolicy):
 
 @dataclass(frozen=True)
 class UfStarResult(TypeSpacePolicy):
-    """Constrained user-fairness optimum for one gamma."""
+    """Constrained user-fairness optimum for one gamma.  For the Nash measure
+    ``gap`` bounds UF* minus ``value``, computed from the returned policy."""
 
     gamma: float
     if_star: float | None
     if_target: float
     measure: FairnessMeasure
     delta: float
+    gap: float | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,9 +232,8 @@ class Problem:
         elif measure.kind is MeasureKind.SUM_K_MIN:
             _, point, lp_solution = lp.sum_k_smallest_epigraph(self.item_rows, measure.k, self.simplex)
         else:
-            res = nash_concave_solve(LogObjective(self.item_rows.toarray()), SimplexProduct(k, n))
-            if not res.converged:
-                raise NonConvergenceError("item-side Nash optimization hit the iteration cap")
+            res = nash_concave_solve(LogObjective(self.item_rows.toarray()), SimplexProduct(k, n), tol=NASH_IF_TOL)
+            _require_certified(res, "item phase (IF*, shared by every gamma > 0)", k, n)
             point, gap = res.point, res.gap
         rows = RecommendationPolicy.from_solver(point.reshape(k, n)).rows
         value = measure_value((self.a * rows).sum(axis=0), measure)
@@ -361,10 +368,11 @@ def compute_uf_star(
     tie_break = _tie_break(tie_break, measure)
     k, n = p.b.shape
     if_value = p.if_star.value if gamma > 0 else None
+    gap = None
 
     if measure.kind is MeasureKind.NASH_WELFARE:
         if_target = (if_value / gamma) if gamma > 0 else -np.inf
-        rows = _nash_uf_rows(red, p.user_rows.toarray(), p.item_rows.toarray(), gamma, if_target, k, n)
+        rows, gap = _nash_uf_rows(p, gamma, if_target)
     else:
         if_target = gamma * if_value if gamma > 0 else 0.0
         program = _program if _program is not None else p.uf_program()
@@ -388,68 +396,52 @@ def compute_uf_star(
 
     policy_rows = RecommendationPolicy.from_solver(rows).rows
     value = measure_value((p.b * policy_rows).sum(axis=1), measure, weights=red.counts)
-    return UfStarResult(value, policy_rows, red, gamma, if_value, if_target, measure, p.model.delta)
+    return UfStarResult(value, policy_rows, red, gamma, if_value, if_target, measure, p.model.delta, gap)
 
 
-def _nash_uf_rows(red, user_rows, item_rows, gamma, target, k, n):
-    """Lagrangian bisection for the Nash path.
+def _nash_uf_rows(p: Problem, gamma: float, target: float) -> tuple[np.ndarray, float]:
+    """The Nash UF* rows and their certificate, the bound on UF* minus
+    their welfare.
 
-    The inner problem max U_NW + mu * I_NW is an unconstrained weighted
-    log-sum over the simplex product; the achieved item welfare increases
-    with mu, so bisection finds the multiplier where the constraint just
-    binds.  gamma = 0 needs no multiplier at all.
+    At gamma = 0 every type on its favorite items puts each log term at 0,
+    the maximum; the certificate is the Frank-Wolfe gap there, 0 unless
+    near-ties were mixed.  At gamma > 0 it is one barrier solve of the user
+    welfare under the item floor G(x) >= target - SLACK, G the item Nash
+    welfare.  The start is the IF* point moved toward the uniform policy by
+    theta = min(1/2, (G(x_IF) - tau) / (2 (G(x_IF) - G(uniform)))).  G is
+    concave, so the start keeps at least half the IF* point's slack and is
+    strictly feasible for every gamma <= 1; at gamma = 1 theta is of order
+    SLACK, the IF* point itself.  Below gamma = 1 it keeps every entry away
+    from 0, which spares the barrier the Newton steps that only double tiny
+    entries.
     """
-    region = SimplexProduct(k, n)
-    counts = red.counts.astype(float)
-    user_obj = LogObjective(user_rows, counts)
+    if gamma == 0:
+        rows = _argmax_mixing_rows(p.reduction.matrix.values)
+        u = (p.b * rows).sum(axis=1)
+        return rows, float(p.reduction.counts @ ((1.0 - u) / u))
+    k, n = p.b.shape
+    item, tau = LogObjective(p.item_rows.toarray()), target - SLACK
+    x_if, uniform = p.if_star.rows_by_type.ravel(), np.full(k * n, 1.0 / n)
+    g_if = item.value(x_if)
+    gain = g_if - item.value(uniform)
+    theta = 0.5 if gain <= 0 else min(0.5, 0.5 * (g_if - tau) / gain)
+    res = nash_concave_solve(
+        LogObjective(p.user_rows.toarray(), p.reduction.counts.astype(float)),
+        SimplexProduct(k, n),
+        start=(1.0 - theta) * x_if + theta * uniform,
+        constraint=(item, tau),
+    )
+    _require_certified(res, f"user phase at gamma = {gamma}", k, n)
+    return res.point.reshape(k, n), res.gap
 
-    def inw(x) -> float:
-        vals = item_rows @ x
-        if np.any(vals <= 0):
-            return -np.inf
-        return float(np.log(vals).sum())
 
-    res = nash_concave_solve(user_obj, region)
+def _require_certified(res, phase: str, k: int, n: int) -> None:
+    """NonConvergenceError with the solve's context unless ``res`` is certified."""
     if not res.converged:
-        raise NonConvergenceError("user-side Nash optimization hit the iteration cap")
-    if gamma == 0 or inw(res.point) >= target - SLACK:
-        return res.point.reshape(k, n)
-
-    stacked = np.vstack([user_rows, item_rows])
-
-    def inner(mu, x0):
-        obj = LogObjective(stacked, np.concatenate([counts, np.full(n, mu)]))
-        # Warm starts can sit on the boundary of the log domain; pull them
-        # toward the uniform policy until strictly feasible.
-        for t in (0.0, 1e-6, 1e-3, 1e-1, 1.0):
-            start = (1.0 - t) * x0 + t * region.uniform()
-            if np.isfinite(obj.value(start)):
-                break
-        out = nash_concave_solve(obj, region, start=start)
-        if not out.converged:
-            raise NonConvergenceError(f"Nash inner solve stalled at multiplier {mu}")
-        return out
-
-    lo, hi = 0.0, 1.0
-    res_hi = inner(hi, res.point)
-    while inw(res_hi.point) < target - SLACK:
-        if hi >= 1e12:
-            raise NonConvergenceError("item constraint unreachable within the multiplier range")
-        lo, hi = hi, hi * 10.0
-        res_hi = inner(hi, res_hi.point)
-    slack_tol = SLACK * (1.0 + abs(target))
-    for _ in range(120):
-        if inw(res_hi.point) - target <= slack_tol:
-            break
-        mid = 0.5 * (lo + hi)
-        res_mid = inner(mid, res_hi.point)
-        if inw(res_mid.point) >= target - SLACK:
-            hi, res_hi = mid, res_mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-12 * (1.0 + hi):
-            break
-    return res_hi.point.reshape(k, n)
+        raise NonConvergenceError(
+            f"Nash {phase}, {k}x{n}: not certified after {res.iterations} Newton steps "
+            f"(cap {MAX_ITER}), last gap {res.gap:.3e}, t = {res.t:.3e}"
+        )
 
 
 def require_price_measure(measure: FairnessMeasure, price: str) -> None:

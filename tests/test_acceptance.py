@@ -15,7 +15,9 @@ from oracles import grid_if_and_uf
 
 from fairrec.analytic import MisestSpec, TwoTypeSpec, misest_solution, two_type_pof_curve, two_type_solution
 from fairrec.core import FairnessMeasure, MeasureKind, UtilityMatrix, item_utility_vector
+from fairrec.numerics import GAP_TOL
 from fairrec.optimizer import (
+    Problem,
     Scope,
     TieBreak,
     compute_if_star,
@@ -321,4 +323,25 @@ def test_criterion_11_grid_search_confirms_micro_instances():
         "criterion 11: pipeline matches dense grid search on micro instances",
         ok,
         f"max |solver - grid| = {worst:.4f}, {elapsed:.1f}s",
+    )
+
+
+def test_criterion_12_nash_rows_are_certified_within_budget():
+    # 40 x 40, seed 0: the Lagrangian bisection raised NonConvergenceError here.
+    w = UtilityMatrix(np.random.default_rng(0).uniform(0.1, 1.0, (40, 40)))
+    start = time.perf_counter()
+    problem = Problem(w, measure=FairnessMeasure(MeasureKind.NASH_WELFARE))
+    problem.if_star
+    times = [time.perf_counter() - start]
+    worst = 0.0
+    for gamma in (0.3, 1.0):
+        start = time.perf_counter()
+        res = compute_uf_star(w, gamma, problem=problem)
+        times.append(time.perf_counter() - start)
+        worst = max(worst, res.gap / (GAP_TOL * (1.0 + abs(res.value))))
+    ok = worst <= 1.0 and max(times) < 2.0
+    report(
+        "criterion 12: 40 x 40 Nash IF* and rows (gamma 0.3, 1) certified, each under 2 s",
+        ok,
+        f"max gap / tolerance = {worst:.2f}, IF* {times[0]:.2f}s, rows {times[1]:.2f}s, {times[2]:.2f}s",
     )

@@ -1,21 +1,27 @@
 """Projections and concave maximization over simplex products, and the
 nearest point of an LP face."""
+import functools
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import fairrec.optimizer as opt
+from fairrec.core import FairnessMeasure, MeasureKind
 from fairrec.lp import Region
 from fairrec.numerics import (
     HalfspaceSet,
     LogObjective,
+    NonConvergenceError,
     SimplexProduct,
     dykstra_project,
     nash_concave_solve,
     project_rows_to_simplex,
 )
-from fairrec.optimizer import min_norm_face_point
+from fairrec.optimizer import Problem, compute_uf_star, min_norm_face_point
 
 
 def test_simplex_projection_known_points():
@@ -84,6 +90,32 @@ def test_iteration_cap_reports_nonconvergence():
     objective = LogObjective(np.eye(3), np.array([5.0, 1.0, 1.0]))
     res = nash_concave_solve(objective, SimplexProduct(1, 3), tol=1e-12, max_iter=1)
     assert not res.converged
+
+
+def test_floor_constraint_meets_its_closed_form():
+    # max log x1 over the simplex subject to log x2 >= log(1/4) sits at (3/4, 1/4).
+    floor = (LogObjective(np.array([[0.0, 1.0]])), np.log(0.25))
+    res = nash_concave_solve(LogObjective(np.array([[1.0, 0.0]])), SimplexProduct(1, 2), tol=1e-9, constraint=floor)
+    assert res.converged
+    assert 0.0 <= np.log(0.75) - res.value <= res.gap <= 1e-9 * (1.0 + abs(res.value))
+    assert np.allclose(res.point, [0.75, 0.25], atol=1e-6)
+    with pytest.raises(ValueError, match="strictly feasible"):
+        nash_concave_solve(floor[0], SimplexProduct(1, 2), start=np.array([0.9, 0.1]), constraint=floor)
+
+
+def test_newton_step_cap_raises_typed_error_naming_the_phase(worked_instance, monkeypatch):
+    capped = functools.partial(nash_concave_solve, max_iter=3)
+    nash = FairnessMeasure(MeasureKind.NASH_WELFARE)
+    monkeypatch.setattr(opt, "nash_concave_solve", capped)
+    with pytest.raises(NonConvergenceError, match=r"item phase \(IF\*.*2x3: not certified after 3 Newton steps"):
+        Problem(worked_instance, measure=nash).if_star
+    monkeypatch.undo()
+    problem = Problem(worked_instance, measure=nash)
+    problem.if_star
+    monkeypatch.setattr(opt, "nash_concave_solve", capped)
+    with pytest.raises(NonConvergenceError) as err:
+        compute_uf_star(worked_instance, 0.5, problem=problem)
+    assert re.search(r"user phase at gamma = 0\.5, 2x3: .* last gap \d\.\d+e[+-]\d+, t = \d", str(err.value))
 
 
 def test_region_type_is_checked():

@@ -8,6 +8,7 @@ import pytest
 from conftest import duplicated_item_matrix, random_positive_matrix
 from oracles import grid_nash_if_and_uf
 
+import fairrec.optimizer as opt
 from fairrec import lp
 from fairrec.core import (
     FairnessMeasure,
@@ -19,6 +20,7 @@ from fairrec.core import (
     measure_value,
     user_utility_vector,
 )
+from fairrec.numerics import GAP_TOL, nash_concave_solve
 from fairrec.optimizer import (
     Problem,
     Scope,
@@ -399,6 +401,74 @@ def test_nash_pipeline_matches_grid_search(worked_instance):
     assert if_solver >= if_grid - 1e-9
     assert abs(if_solver - if_grid) < 0.05
     assert abs(uf_solver - uf_grid) < 0.15
+
+
+def _postsolve_nash_matrix(seed: int) -> UtilityMatrix:
+    """The 6 x 6 Nash instance of the benchmark's postsolve_small workload:
+    seed j draws a 10 x 10 and then a 6 x 6 uniform(0.1, 1) matrix."""
+    rng = np.random.default_rng(seed)
+    rng.uniform(0.1, 1.0, (10, 10))
+    return UtilityMatrix(rng.uniform(0.1, 1.0, (6, 6)))
+
+
+def _assert_nash_row(res, p):
+    """Certified, row-stochastic to 1e-12, and no normalized utility above 1."""
+    assert res.gap is not None and 0.0 <= res.gap <= GAP_TOL * (1.0 + abs(res.value))
+    assert np.all(np.abs(res.rows_by_type.sum(axis=1) - 1.0) <= 1e-12)
+    assert np.all((p.b * res.rows_by_type).sum(axis=1) <= 1.0 + 1e-12)
+    assert res.value <= 1e-12
+
+
+def test_nash_rows_that_stalled_the_bisection_are_certified():
+    # The Lagrangian bisection failed on these rows: instance 6 at gamma = 0.2,
+    # 0.4 and 1 (inner stalls, multiplier range exhausted), instance 0 at
+    # gamma = 1, and the 20 x 20 seed-0 rows; the 10 x 10 gamma = 0.3 row took 64 s.
+    curve = tradeoff_sweep(_postsolve_nash_matrix(6), np.linspace(0.0, 1.0, 6), measure=NASH)
+    assert [r.status for r in curve.rows] == ["ok"] * 6
+    p6 = Problem(_postsolve_nash_matrix(6), measure=NASH)
+    for gamma in np.linspace(0.0, 1.0, 6):
+        _assert_nash_row(compute_uf_star(p6.w, gamma, problem=p6), p6)
+    p0 = Problem(_postsolve_nash_matrix(0), measure=NASH)
+    _assert_nash_row(compute_uf_star(p0.w, 1.0, problem=p0), p0)
+    for n in (10, 20):
+        p = Problem(UtilityMatrix(np.random.default_rng(0).uniform(0.1, 1.0, (n, n))), measure=NASH)
+        for gamma in (0.3, 1.0):
+            _assert_nash_row(compute_uf_star(p.w, gamma, problem=p), p)
+
+
+def _nash_instances(worked_instance):
+    rngs = (np.random.default_rng(seed) for seed in (71, 72))
+    return [worked_instance] + [UtilityMatrix(rng.uniform(0.1, 1.0, (4, 3))) for rng in rngs]
+
+
+def test_nash_certificate_bounds_a_tight_solve(worked_instance, monkeypatch):
+    # Every production solve, re-run to tol = 1e-12 from the same start: the
+    # tighter value is attained by a feasible point, so it is at most the
+    # optimum, and the reported gap must cover the distance to it.
+    calls = []
+
+    def recording(*args, **kwargs):
+        res = nash_concave_solve(*args, **kwargs)
+        calls.append((args, kwargs, res))
+        return res
+
+    monkeypatch.setattr(opt, "nash_concave_solve", recording)
+    for w in _nash_instances(worked_instance):
+        p = Problem(w, measure=NASH)
+        for gamma in (0.5, 1.0):
+            compute_uf_star(w, gamma, problem=p)
+    assert len(calls) == 9  # IF* and two rows per instance
+    for args, kwargs, res in calls:
+        assert res.converged and res.gap >= 0.0
+        tight = nash_concave_solve(*args, **{**kwargs, "tol": 1e-12})
+        assert tight.value - res.value <= res.gap
+
+
+def test_nash_rows_stay_on_the_simplex(worked_instance):
+    for w in _nash_instances(worked_instance):
+        p = Problem(w, measure=NASH)
+        for gamma in (0.0, 0.25, 0.5, 0.75, 1.0):
+            _assert_nash_row(compute_uf_star(w, gamma, problem=p), p)
 
 
 def test_misestimated_users_detection():
