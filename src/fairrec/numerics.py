@@ -317,7 +317,7 @@ def nash_concave_solve(
         else:
             if decrement > CENTERED:
                 break  # no decrease along a step that promises one: stalled
-            decrement = 0.0  # centered up to rounding: stay, and grow t
+            decrement = 0.0  # centered up to rounding: stay; t grows, now or after POLISH_STEPS
             continue
         delta += d
         x = x0 + delta
