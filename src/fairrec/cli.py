@@ -142,7 +142,7 @@ def cmd_generate(args) -> int:
     data = gen_misestimation(v, args.beta, args.users, seed=args.seed)
     base = _strip_csv(args.out)
     cfg = _config_echo(args, ["values", "beta", "users"])
-    misest_note = "# misestimated_users: " + ",".join(str(i) for i in data.misestimated)
+    misest_note = "# misestimated_users: " + ",".join(map(str, data.misestimated.tolist()))
     save_utility_csv(base + ".true.csv", data.w, provenance_lines("generate misest", cfg, args.seed))
     save_utility_csv(
         base + ".hat.csv",

@@ -112,6 +112,20 @@ class UtilityMatrix:
         if self.item_labels is not None and len(self.item_labels) != values.shape[1]:
             raise ValueError("item_labels length does not match the number of columns")
 
+    @classmethod
+    def from_types(cls, rows, type_of, user_labels=None, item_labels=None) -> UtilityMatrix:
+        """User i has type ``type_of[i]`` and row ``rows[type_of[i]]``.  Only the
+        K type rows are checked: the one gather, the only m x n array made,
+        gives the users of a type identical rows."""
+        w, type_of = cls(rows, item_labels=item_labels), np.asarray(type_of, dtype=int)
+        if type_of.ndim != 1 or type_of.size == 0 or not 0 <= type_of.min() <= type_of.max() < w.m:
+            raise ValueError(f"type_of must be a nonempty vector of ids into the {w.m} type rows")
+        if user_labels is not None and len(user_labels) != type_of.size:
+            raise ValueError("user_labels length does not match the number of rows")
+        # w is new and still private, so its fields can be set in place.
+        vars(w).update(values=_freeze(w.values[type_of]), type_of=_freeze(type_of.copy()), user_labels=user_labels)
+        return w
+
     @property
     def m(self) -> int:
         return self.values.shape[0]

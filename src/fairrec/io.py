@@ -6,8 +6,9 @@ provenance comments and are skipped on load.  Numbers are written with 12
 significant digits, enough to verify 1e-6 tolerances without false diffs.
 
 Populations repeat a few type rows many times, so each distinct row is
-formatted once on save and each distinct value string is parsed and checked
-once on load; the files and error messages are those of a per-row pass.
+formatted once on save, its users written as label + row bytes, and each
+distinct value string is parsed and checked once on load, into one type per
+distinct row; the files and error messages are those of a per-row pass.
 """
 from __future__ import annotations
 
@@ -15,6 +16,10 @@ import numpy as np
 
 from . import __version__
 from .core import UtilityMatrix
+from .optimizer import reduce_by_types
+
+# Users written per block, so that the file is never held whole in memory.
+WRITE_BLOCK = 4096
 
 
 class MatrixFormatError(ValueError):
@@ -48,21 +53,15 @@ def provenance_lines(command: str, config: dict, seed: int | None = None) -> lis
 
 
 def save_utility_csv(path, w: UtilityMatrix, provenance: list[str] | None = None) -> None:
-    m, n = w.m, w.n
-    users = w.user_labels if w.user_labels is not None else [f"u{i}" for i in range(m)]
-    items = w.item_labels if w.item_labels is not None else [f"i{j}" for j in range(n)]
-    # Utilities are finite and strictly positive, so equal bytes format equally.
-    tails: dict[bytes, str] = {}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in provenance or []:
-            fh.write(line + "\n")
-        fh.write("user_id," + ",".join(items) + "\n")
-        for label, row in zip(users, w.values):
-            key = row.tobytes()
-            tail = tails.get(key)
-            if tail is None:
-                tail = tails[key] = "," + ",".join(_fmt(v) for v in row) + "\n"
-            fh.write(label + tail)
+    users = w.user_labels if w.user_labels is not None else [f"u{i}" for i in range(w.m)]
+    items = w.item_labels if w.item_labels is not None else [f"i{j}" for j in range(w.n)]
+    red = reduce_by_types(w)
+    tails = np.array([f",{','.join(map(_fmt, row))}\n".encode() for row in red.matrix.values], dtype=object)
+    with open(path, "wb") as fh:
+        fh.write("".join(line + "\n" for line in [*(provenance or []), "user_id," + ",".join(items)]).encode())
+        for s in range(0, w.m, WRITE_BLOCK):
+            labels = map(str.encode, users[s : s + WRITE_BLOCK])
+            fh.write(b"".join(map(bytes.__add__, labels, tails[red.user_to_type[s : s + WRITE_BLOCK]])))
 
 
 def _parse_row(path, lineno: int, line: str, item_labels: list[str]) -> np.ndarray:
@@ -102,25 +101,27 @@ def load_utility_csv(path) -> UtilityMatrix:
     if len(header) < 2:
         raise MatrixFormatError(f"{path}: header names no items")
     item_labels = header[1:]
-    user_labels = []
-    # Each distinct value string is parsed and checked once; a repeat of a
-    # tail that passed needs no check, so the first bad line still raises.
+    user_labels, type_of = [], []
+    # Each distinct value string is parsed and checked once, and tails that
+    # parse to the same row share its type; a repeat of a tail that passed
+    # needs no check, so the first bad line still raises.
     tails: dict[str, int] = {}
-    unique_rows = []
-    index = []
+    rows: dict[bytes, int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         uid, comma, tail = line.partition(",")
         t = tails.get(tail) if comma else None
         if t is None:
-            unique_rows.append(_parse_row(path, lineno, line, item_labels))
-            t = tails[tail] = len(unique_rows) - 1
+            row = _parse_row(path, lineno, line, item_labels)
+            t = tails[tail] = rows.setdefault(row.tobytes(), len(rows))
         user_labels.append(uid)
-        index.append(t)
-    if not index:
+        type_of.append(t)
+    if not type_of:
         raise MatrixFormatError(f"{path}: no user rows")
-    return UtilityMatrix(
-        np.asarray(unique_rows)[index], user_labels=tuple(user_labels), item_labels=tuple(item_labels)
-    )
+    values = np.frombuffer(b"".join(rows)).reshape(len(rows), len(item_labels))
+    if not np.isfinite(values).all():
+        t, j = np.argwhere(~np.isfinite(values))[0]
+        raise ValueError(f"non-finite utility at row {type_of.index(t)}, column {j}")
+    return UtilityMatrix.from_types(values, type_of, tuple(user_labels), tuple(item_labels))
 
 
 def write_rows_csv(path, header: list[str], rows, provenance: list[str] | None = None) -> None:

@@ -256,8 +256,12 @@ class WarmLP:
                 LPStatus.FAILED, message=f"reported optimum violates constraints by {viol:.3e}"
             )
         # A basis that ended anywhere but at a checked optimum is no start.
-        self._highs.clearSolver()
+        self.clear_basis()
         return solution
+
+    def clear_basis(self) -> None:
+        """Drop the last basis, so that the next solve starts cold."""
+        self._highs.clearSolver()
 
     def optimal_face(self) -> Region:
         """The optimal face of the last solve, which must have been optimal.

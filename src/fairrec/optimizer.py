@@ -360,8 +360,8 @@ def compute_uf_star(
     those three arguments; without it one is built.  Passing one problem to
     several calls shares its type reduction, rows and IF* among them.
     ``_program`` is a UF* program of the problem, for an LP measure, that a
-    sweep or ``price_of_fairness_terms`` re-solves warm from its last basis;
-    without it a fresh program is solved cold."""
+    sweep or ``price_of_fairness_terms`` re-solves warm from its last basis
+    and ``price_of_misestimation`` cold; without it, a cold solve on one program."""
     (gamma,) = check_gamma_grid([gamma])
     p = problem if problem is not None else Problem(w, item_model, measure)
     red, measure = p.reduction, p.measure
@@ -503,38 +503,43 @@ def price_of_misestimation(
     At each gamma the estimated-optimal and the true-optimal policy (same
     tie-break) are evaluated on the true matrix, over the misestimated users
     when scope says so.  The grid, scope, measure and tie-break, and a sum-k
-    ``k`` above the scope's size, are checked before any solve.  The
-    misestimated users, each side's ``Problem`` and the class partition are
-    built once per grid; a side's IF* is solved only if some gamma > 0.
-    Each UF* solve is cold, on a fresh program of its problem, on purpose:
-    the estimated optimal face is not a point (ROADMAP item 6), and a warm
-    start from the previous gamma lands on another of its vertices.
+    ``k`` above the scope's size, are checked before any solve.  Each side's
+    ``Problem`` and UF* program, and the class partition, are built once per
+    grid; a side's IF* is solved only if some gamma > 0.  Each UF* solve is
+    a cold solve on one program, its basis cleared, on purpose: the
+    estimated optimal face is not a point (ROADMAP item 6), and a warm start
+    from the previous gamma lands on another of its vertices.
 
-    A user's utility under both policies depends only on their type in
-    ``w`` and their type in ``w_hat``, so the scope's users are grouped by
-    that pair and each class is evaluated once, on one representative,
-    and weighted by its size.  The multiset of user utilities is the
-    per-user one, so the measure takes the same value.
+    A user's two rows, and utility under both policies, depend only on their
+    type in ``w`` and their type in ``w_hat``, so users are grouped by that
+    pair; each class is compared (misestimated or not) and evaluated once,
+    on one representative, and weighted by its size.  The multiset of user
+    utilities is the per-user one, so the measure takes the same value.
     """
     require_price_measure(measure, "price of misestimation")
     scope = Scope(scope)
     gammas = check_gamma_grid(gammas)
-    users = misestimated_users(w, w_hat)
-    if scope is Scope.ALL_USERS:
-        users = np.arange(w.m)
-    elif users.size == 0:
-        raise ValueError("no users are misestimated; the group scope is undefined")
+    if w.values.shape != w_hat.values.shape:
+        raise ValueError("true and estimated matrices must have identical shape")
     tie_break = _tie_break(tie_break, measure)
     ref_p, est_p = Problem(w, item_model, measure), Problem(w_hat, item_model, measure)
-    if measure.kind is MeasureKind.SUM_K_MIN and measure.k > users.size:
-        raise ValueError(f"k = {measure.k} exceeds the {users.size} users of the {scope.value} scope")
-    t_ref, t_est = ref_p.reduction.user_to_type[users], est_p.reduction.user_to_type[users]
+    t_ref, t_est = ref_p.reduction.user_to_type, est_p.reduction.user_to_type
     _, first, counts = np.unique(t_ref * est_p.reduction.k + t_est, return_index=True, return_counts=True)
-    t_ref, t_est, w_rep = t_ref[first], t_est[first], UtilityMatrix(w.values[users[first]])
+    missed = misestimated_users(UtilityMatrix(w.values[first]), UtilityMatrix(w_hat.values[first]))
+    if scope is Scope.MISESTIMATED_GROUP:
+        if missed.size == 0:
+            raise ValueError("no users are misestimated; the group scope is undefined")
+        first, counts = first[missed], counts[missed]
+    t_ref, t_est, w_rep = t_ref[first], t_est[first], UtilityMatrix(w.values[first])
+    if measure.kind is MeasureKind.SUM_K_MIN and measure.k > counts.sum():
+        raise ValueError(f"k = {measure.k} exceeds the {counts.sum()} users of the {scope.value} scope")
+    programs = ref_p.uf_program(), est_p.uf_program()
     poms = []
     for g in gammas:
-        ref = compute_uf_star(w, g, problem=ref_p, tie_break=tie_break)
-        est = compute_uf_star(w_hat, g, problem=est_p, tie_break=tie_break)
+        for program in programs:
+            program.clear_basis()
+        ref = compute_uf_star(w, g, problem=ref_p, tie_break=tie_break, _program=programs[0])
+        est = compute_uf_star(w_hat, g, problem=est_p, tie_break=tie_break, _program=programs[1])
         u_ref = user_utility_vector(RecommendationPolicy(ref.rows_by_type[t_ref]), w_rep)
         u_est = user_utility_vector(RecommendationPolicy(est.rows_by_type[t_est]), w_rep)
         ref_val = measure_value(u_ref, measure, weights=counts)

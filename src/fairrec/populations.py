@@ -2,7 +2,8 @@
 
 All generators are deterministic given their arguments.  The misestimation
 generator's seed only permutes row order; the multiset of rows never
-depends on it.
+depends on it.  Each population is ``UtilityMatrix.from_types`` of its
+few type rows and one type id per user.
 """
 from __future__ import annotations
 
@@ -26,8 +27,7 @@ def gen_homogeneous(v, m: int) -> UtilityMatrix:
         raise ValueError("v must be a 1-D strictly positive value vector")
     if m < 1:
         raise ValueError(f"population size must be at least 1, got {m}")
-    values = np.tile(v, (m, 1))
-    return UtilityMatrix(values, type_of=np.zeros(m, dtype=int))
+    return UtilityMatrix.from_types(v[None, :], np.zeros(m, dtype=int))
 
 
 def gen_two_type(v, alpha: float, m: int) -> UtilityMatrix:
@@ -43,7 +43,7 @@ def gen_two_type(v, alpha: float, m: int) -> UtilityMatrix:
             f"alpha = {alpha} with m = {m} rounds to an empty type ({n1} vs {m - n1} users)"
         )
     type_of = (np.arange(m) >= n1).astype(int)
-    return UtilityMatrix(np.stack([v, v[::-1]])[type_of], type_of=type_of)
+    return UtilityMatrix.from_types(np.stack([v, v[::-1]]), type_of)
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,8 @@ def gen_misestimation(v, beta: float, m: int, seed: int = 0) -> MisestimationDat
     types.  The remaining users' estimated rows are the palindromic average
     (v_j + v_{n-j+1}) / 2; their true rows alternate deterministically
     between the two types, starting with v.  The seed permutes row order
-    and nothing else.
+    and nothing else.  Both matrices are typed by the rows v, v reversed and
+    their average: ``w`` by true type, ``w_hat`` by estimated type.
     """
     v = _check_values(v)
     if not 0.0 < beta < 0.5:
@@ -80,8 +81,8 @@ def gen_misestimation(v, beta: float, m: int, seed: int = 0) -> MisestimationDat
     perm = np.random.default_rng(seed).permutation(m)
     true_type, est_type = true_type[perm], est_type[perm]
     return MisestimationData(
-        w=UtilityMatrix(rows[true_type], type_of=true_type),
-        w_hat=UtilityMatrix(rows[est_type], type_of=est_type),
+        w=UtilityMatrix.from_types(rows, true_type),
+        w_hat=UtilityMatrix.from_types(rows, est_type),
         misestimated=np.flatnonzero(est_type == 2),
     )
 

@@ -161,6 +161,35 @@ def test_matrix_rejects_inconsistent_type_rows():
             UtilityMatrix(values, type_of=type_of)
 
 
+def test_from_types_equals_the_checked_constructor():
+    rng = np.random.default_rng(1)
+    for k, m in ((1, 1), (3, 50), (6, 20)):
+        rows, type_of = rng.uniform(0.5, 2.0, (k, 4)), rng.integers(0, k, m)
+        w, ref = UtilityMatrix.from_types(rows, type_of), UtilityMatrix(rows[type_of], type_of=type_of)
+        for a, b in ((w.values, ref.values), (w.type_of, ref.type_of)):
+            assert (a.dtype, a.shape, a.tobytes(), a.flags.writeable) == (b.dtype, b.shape, b.tobytes(), False)
+    labelled = UtilityMatrix.from_types(rows, type_of, tuple("abcdefghijklmnopqrst"), tuple("wxyz"))
+    assert (labelled.user_labels, labelled.item_labels) == (tuple("abcdefghijklmnopqrst"), tuple("wxyz"))
+    with pytest.raises(ValueError, match="user_labels"):
+        UtilityMatrix.from_types(rows, type_of, ("a",))
+    with pytest.raises(ValueError, match="item_labels"):
+        UtilityMatrix.from_types(rows, type_of, item_labels=("a",))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -1.0])
+def test_from_types_rejects_bad_type_rows(bad):
+    rows = np.array([[1.0, 2.0], [2.0, 1.0]])
+    rows[1, 0] = bad
+    with pytest.raises(ValueError, match="row 1, column 0"):
+        UtilityMatrix.from_types(rows, [0, 0, 0])
+
+
+@pytest.mark.parametrize("type_of", [[0, 2, 1], [0, -1], [], [[0, 1]]])
+def test_from_types_rejects_ids_outside_the_type_rows(type_of):
+    with pytest.raises(ValueError, match="type_of"):
+        UtilityMatrix.from_types(np.array([[1.0, 2.0], [2.0, 1.0]]), type_of)
+
+
 def test_policy_rejects_bad_rows():
     with pytest.raises(ValueError):
         RecommendationPolicy(np.array([[0.7, 0.7]]))

@@ -1,5 +1,6 @@
 """CSV round trips, CLI exit codes, reproducible outputs."""
 import csv
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
@@ -8,6 +9,7 @@ import pytest
 
 from conftest import duplicated_item_matrix
 
+import fairrec.io
 from fairrec import cli, lp
 from fairrec.core import UtilityMatrix
 from fairrec.io import (
@@ -18,6 +20,7 @@ from fairrec.io import (
     write_rows_csv,
 )
 from fairrec.lp import LPSolverError, LPStatus
+from fairrec.optimizer import reduce_by_types
 from fairrec.populations import gen_misestimation
 
 
@@ -46,6 +49,14 @@ def test_loader_reports_cell_coordinates(tmp_path):
     with pytest.raises(MatrixFormatError) as err:
         load_utility_csv(path)
     assert "abc" in str(err.value)
+
+
+def test_loader_names_the_first_user_row_of_an_infinite_cell(tmp_path):
+    # Rows are checked once per type; the message still counts users.
+    path = tmp_path / "inf.csv"
+    path.write_text("user_id,a,b\nu0,1,2\nu1,2,1\nu2,1,inf\nu3,1,inf\n")
+    with pytest.raises(ValueError, match=r"^non-finite utility at row 2, column 1$"):
+        load_utility_csv(path)
 
 
 def test_loader_rejects_malformed_shapes(tmp_path):
@@ -98,18 +109,48 @@ def _per_row_csv(w, provenance) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-@pytest.mark.parametrize("labelled", [False, True])
-def test_writer_matches_per_row_reference(tmp_path, labelled):
-    rng = np.random.default_rng(11)
+def _writer_cases(rng):
+    """(values, type_of) pairs the writer must format as a per-row pass
+    would: repeated and distinct rows without types, typed rows whose ids are
+    not in first-occurrence order, two ids sharing one row, and random rows."""
     types = rng.uniform(0.001, 123.0, size=(3, 4))
     values = np.vstack([types[rng.integers(0, 3, size=40)], rng.uniform(0.5, 2.0, size=(6, 4))])
-    values = values[rng.permutation(values.shape[0])]
-    labels = {"user_labels": tuple(f"user-{i}" for i in range(46)), "item_labels": tuple("wxyz")}
-    w = UtilityMatrix(values, **(labels if labelled else {}))
+    yield values[rng.permutation(values.shape[0])], None
+    type_of = np.concatenate([[2, 0, 1], rng.integers(0, 3, size=43)])
+    yield types[type_of], type_of
+    yield types[[0, 1, 0]][type_of], type_of
+    yield rng.uniform(0.001, 123.0, size=(46, 4)), None
+
+
+@pytest.mark.parametrize("labelled", [False, True])
+def test_writer_matches_per_row_reference(tmp_path, monkeypatch, labelled):
+    # A small block puts most rows past the first block and ends on a partial one.
+    monkeypatch.setattr(fairrec.io, "WRITE_BLOCK", 7)
+    labels = {"user_labels": tuple(f"usér-{i}" for i in range(46)), "item_labels": ("w", "x", "y", "ž")}
     prov = provenance_lines("test", {"users": 46})
     path = tmp_path / "m.csv"
-    save_utility_csv(path, w, prov)
-    assert path.read_bytes() == _per_row_csv(w, prov).encode()
+    for values, type_of in _writer_cases(np.random.default_rng(11)):
+        w = UtilityMatrix(values, type_of=type_of, **(labels if labelled else {}))
+        save_utility_csv(path, w, prov)
+        assert path.read_bytes() == _per_row_csv(w, prov).encode()
+
+
+def test_loaded_types_reduce_as_the_rows_do(tmp_path):
+    # Types 1 and 3 share a row, and ids are drawn in no particular order.
+    rows = np.random.default_rng(3).uniform(0.5, 2.0, size=(4, 3))
+    rows[3] = rows[1]
+    w = UtilityMatrix.from_types(rows, np.random.default_rng(4).integers(0, 4, size=200))
+    path = tmp_path / "m.csv"
+    save_utility_csv(path, w)
+    # Two tails that parse to one row share its type.
+    (tmp_path / "tails.csv").write_text("user_id,a,b\nu0,1.5,2\nu1,1.50,2\nu2,2,1\nu3,1.5,2.0\n")
+    for name in ("m.csv", "tails.csv"):
+        typed = load_utility_csv(tmp_path / name)
+        red, by_rows = reduce_by_types(typed), reduce_by_types(UtilityMatrix(typed.values))
+        assert np.array_equal(red.matrix.values, by_rows.matrix.values)
+        assert np.array_equal(red.counts, by_rows.counts)
+        assert np.array_equal(red.user_to_type, by_rows.user_to_type)
+    assert load_utility_csv(tmp_path / "tails.csv").type_of.tolist() == [0, 0, 1, 0]
 
 
 def test_save_load_save_is_byte_idempotent(tmp_path):
@@ -471,6 +512,39 @@ def test_misest_demo_writes_the_canonical_prices(tmp_path, capsys):
     assert len(written) == 1 + 11
     assert written == data_lines(tmp_path / "direct.csv")
     assert (tmp_path / "demo" / "misest_price.svg").exists()
+
+
+GOLDEN_VALUES = "9.5,8,6.25,5,3.75,3,2.5,2,1.5,1.25"
+# SHA-256 of every output of the population pipeline below, as written
+# before its steps moved to type space.  The tradeoff CSV is hashed without
+# its timing column and its "# config:" line, which holds the matrix path.
+GOLDEN_DIGESTS = {
+    "pom.csv": "87953fa30d935994ebe4c6d4258e4d12293e8805a255e9a7dea0718a7c4c6b89",
+    "pom.svg": "d07b7f2c6237de99cf8462047a6686a847cd2fb4e288cfe1a06df3d17374f4e6",
+    "pop.hat.csv": "bc9381dce8ada645b46a86c7e9e31e3a28917c0401e698a93abf619786e4d211",
+    "pop.true.csv": "62d28015b23047e151c58f4771d7a529191752742b8c22393f50db7ba075239c",
+    "tradeoff.csv": "c927f132225bf9cc1eabefbd42277bf3a946b0a7f8660f19a503e0c6e0f357ac",
+    "tradeoff.svg": "5da6b9f59a23ca2b6245b211c474f609e6a5e84c19fef92beb7ccd6f55d9ca4e",
+}
+
+
+def _golden_digest(path) -> str:
+    data = path.read_bytes()
+    if path.name == "tradeoff.csv":
+        lines = [ln for ln in data.decode().splitlines() if not ln.startswith("# config:")]
+        data = "\n".join(ln if ln.startswith("#") else ln.rsplit(",", 1)[0] for ln in lines).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_population_pipeline_outputs_match_recorded_digests(tmp_path):
+    common = ["--values", GOLDEN_VALUES, "--beta", "0.3", "--users", "2000", "--seed", "7"]
+    d = f"{tmp_path}/"
+    assert run(["generate", "misest", *common, "--out", d + "pop.csv"]) == 0
+    assert run(["misest", *common, "--scope", "misest-group", "--gammas", "11",
+                "--out", d + "pom.csv", "--svg", d + "pom.svg"]) == 0
+    assert run(["tradeoff", "--matrix", d + "pop.hat.csv", "--gammas", "11",
+                "--out", d + "tradeoff.csv", "--svg", d + "tradeoff.svg"]) == 0
+    assert {p.name: _golden_digest(p) for p in tmp_path.iterdir()} == GOLDEN_DIGESTS
 
 
 def test_cli_rejects_unknown_subcommand():

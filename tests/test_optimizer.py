@@ -490,6 +490,8 @@ def test_price_of_misestimation_worked_values():
 
 
 V4321 = np.array([4.0, 3.0, 2.0, 1.0])
+V4 = np.array([5.0, 2.0, 1.5, 1.0])
+SUMK2 = FairnessMeasure(MeasureKind.SUM_K_MIN, 2)
 GRID11 = [float(g) for g in np.linspace(0.0, 1.0, 11)]
 
 
@@ -524,18 +526,43 @@ def test_price_of_misestimation_does_per_matrix_work_once_per_grid(monkeypatch):
         misest_calls.append(1)
         return real_misest(*args)
 
+    program_calls = []
+    real_program = opt.Problem.uf_program
+
+    def uf_program(problem):
+        program_calls.append(id(problem.w))
+        return real_program(problem)
+
     monkeypatch.setattr(opt.Problem, "if_star", property(if_star))
+    monkeypatch.setattr(opt.Problem, "uf_program", uf_program)
     monkeypatch.setattr(opt, "misestimated_users", misest)
     data = gen_misestimation(V4321, 0.3, 100, seed=1)
     for scope in Scope:
-        if_star_calls.clear()
-        misest_calls.clear()
-        assert len(opt.price_of_misestimation(data.w, data.w_hat, GRID11, scope)) == len(GRID11)
-        assert sorted(if_star_calls) == sorted([id(data.w), id(data.w_hat)])
-        assert len(misest_calls) == 1
+        for measure in (FairnessMeasure(), SUMK3):
+            if_star_calls.clear()
+            misest_calls.clear()
+            program_calls.clear()
+            pom = opt.price_of_misestimation(data.w, data.w_hat, GRID11, scope, measure=measure)
+            assert len(pom) == len(GRID11)
+            assert sorted(if_star_calls) == sorted([id(data.w), id(data.w_hat)])
+            assert len(misest_calls) == 1
+            assert sorted(program_calls) == sorted([id(data.w), id(data.w_hat)])
     if_star_calls.clear()
     opt.price_of_misestimation(data.w, data.w_hat, [0.0], Scope.ALL_USERS)
     assert if_star_calls == []
+
+
+@pytest.mark.parametrize(
+    "tie_break, measure",
+    [(TieBreak.SOLVER, FairnessMeasure()), (TieBreak.CANONICAL, FairnessMeasure()), (TieBreak.SOLVER, SUMK2)],
+    ids=["solver", "canonical", "sumk2"],
+)
+@pytest.mark.parametrize("scope", list(Scope))
+@pytest.mark.parametrize("v", [V321, V4, V4321], ids=["3,2,1", "5,2,1.5,1", "4,3,2,1"])
+def test_price_of_misestimation_on_one_program_per_side_equals_fresh_programs(v, scope, tie_break, measure):
+    data = gen_misestimation(v, 0.3, 60, seed=2)
+    pom = price_of_misestimation(data.w, data.w_hat, GRID11, scope, measure=measure, tie_break=tie_break)
+    assert pom == [_per_user_pom(data.w, data.w_hat, g, scope, measure, tie_break) for g in GRID11]
 
 
 def _refuse_solves(monkeypatch):
@@ -814,10 +841,11 @@ def test_prices_are_undefined_for_nash_and_solve_nothing(worked_instance, monkey
             opt.price_of_misestimation(data.w, data.w_hat, [0.5], scope, measure=NASH)
 
 
-def _per_user_pom(w, w_hat, gamma, scope, measure):
-    """Price of misestimation evaluated user by user on expanded policies."""
-    ref = compute_uf_star(w, gamma, measure=measure)
-    est = compute_uf_star(w_hat, gamma, measure=measure)
+def _per_user_pom(w, w_hat, gamma, scope, measure, tie_break=TieBreak.SOLVER):
+    """Price of misestimation evaluated user by user on expanded policies,
+    each side solved on a fresh problem and UF* program."""
+    ref = compute_uf_star(w, gamma, measure=measure, tie_break=tie_break)
+    est = compute_uf_star(w_hat, gamma, measure=measure, tie_break=tie_break)
     u_ref = user_utility_vector(RecommendationPolicy(expand_policy(ref.rows_by_type, ref.reduction)), w)
     u_est = user_utility_vector(RecommendationPolicy(expand_policy(est.rows_by_type, est.reduction)), w)
     if scope is Scope.MISESTIMATED_GROUP:
