@@ -1,4 +1,4 @@
-"""Sparse linear programs with a deterministic, vertex-producing solver.
+"""Sparse linear programs with deterministic, vertex-producing solvers.
 
 A feasible set is one ``Region``: sparse equality and ``<=`` rows plus
 per-variable bounds, [0, inf) by default.  Programs maximize a linear
@@ -6,16 +6,16 @@ objective over a region.  The max-min and sum-of-k-smallest objectives are
 lifted to linear programs by appending an epigraph block (new variables and
 ``<=`` rows) to the region; the sum-k lift weights each row by how often its
 value occurs, so one row stands for any number of identical ones.  The
-backend is HiGHS dual simplex, which is deterministic for a fixed instance
-and returns basic feasible solutions, so optimal points are vertices of the
-feasible polyhedron.
+backend is HiGHS, deterministic for a fixed instance; both LP paths return
+basic feasible solutions, so optimal points are vertices of the feasible
+polyhedron, and both read their optimal face from the duals.
 
 There are two paths.  ``solve_lp`` is the cold one: each call hands one
-program to scipy's ``linprog``; the item-fairness optimum uses it.
+program to scipy's ``linprog``, which runs HiGHS's interior point method
+(IPX) with crossover to a basis; the item-fairness optimum uses it.
 ``WarmLP`` keeps one HiGHS model alive and re-solves it after its ``<=``
 right-hand sides change, starting dual simplex from the previous optimal
-basis; the user-fairness programs of both LP measures use it.  On request it
-writes its last optimal face as a region, read from the duals.
+basis; the user-fairness programs of both LP measures use it.
 ``solve_qp`` solves the small identity-Hessian QPs of the canonical
 tie-break.  These two are the only users of scipy's private HiGHS binding.
 Both LP paths re-check optimal points against the region before reporting
@@ -124,6 +124,7 @@ class LPSolution:
     value: float | None = None
     is_vertex: bool = False
     message: str = ""
+    face: Region | None = None
 
 
 class LPSolverError(RuntimeError):
@@ -153,9 +154,27 @@ def _check_objective(objective: Any, region: Region) -> np.ndarray:
     return objective
 
 
+def optimal_face(region: Region, row_dual: Any, col_dual: Any) -> Region:
+    """The optimal face of a maximization over ``region``, from one optimal
+    dual signed for the minimized negation: ``row_dual`` starting with the
+    ``<=`` rows', ``col_dual`` the reduced costs.  By complementary slackness
+    it is the feasible set with each ``<=`` row of nonzero dual made an
+    equality and each variable of nonzero reduced cost fixed at its bound.
+    A zero dual read as nonzero would cut the face, so FACE_TOL stays small."""
+    tight = np.abs(np.asarray(row_dual)[: region.b_ub.size]) > FACE_TOL
+    cost = np.asarray(col_dual)
+    bound = np.where(cost > 0, region.lb, region.ub)
+    fixed = (np.abs(cost) > FACE_TOL) & np.isfinite(bound)
+    a_ub = region.a_ub.tocsr()
+    return Region(
+        region.num_vars, vstack((region.a_eq, a_ub[tight])), np.concatenate([region.b_eq, region.b_ub[tight]]),
+        a_ub[~tight], region.b_ub[~tight], np.where(fixed, bound, region.lb), np.where(fixed, bound, region.ub),
+    )
+
+
 def solve_lp(objective: np.ndarray, region: Region) -> LPSolution:
-    """Maximize ``objective @ x`` over the region.  Deterministic: identical
-    programs produce bitwise-identical optimal points."""
+    """Maximize ``objective @ x`` over the region; the solution holds its
+    optimal face.  Deterministic: identical programs give identical points."""
     objective = _check_objective(objective, region)
     res = linprog(
         -objective,
@@ -164,7 +183,7 @@ def solve_lp(objective: np.ndarray, region: Region) -> LPSolution:
         A_eq=region.a_eq,
         b_eq=region.b_eq,
         bounds=np.column_stack([region.lb, region.ub]),
-        method="highs-ds",
+        method="highs-ipm",
     )
     if res.status == 2:
         return LPSolution(LPStatus.INFEASIBLE, message=res.message)
@@ -177,8 +196,9 @@ def solve_lp(objective: np.ndarray, region: Region) -> LPSolution:
     if not viol <= FEAS_TOL:
         return LPSolution(LPStatus.FAILED, message=f"reported optimum violates constraints by {viol:.3e}")
     value = float(objective @ x)
-    # Dual simplex returns a basic feasible solution of the stated program.
-    return LPSolution(LPStatus.OPTIMAL, point=x, value=value, is_vertex=True, message=res.message)
+    # IPX's crossover (on by default) returns a basic feasible solution.
+    face = optimal_face(region, res.ineqlin.marginals, res.lower.marginals + res.upper.marginals)
+    return LPSolution(LPStatus.OPTIMAL, x, value, is_vertex=True, message=res.message, face=face)
 
 
 # The model statuses linprog reports as infeasible (2) or unbounded (3);
@@ -219,17 +239,20 @@ class WarmLP:
 
     The model is the one ``solve_lp`` hands to ``linprog``: rows are
     ``[a_ub; a_eq]``, the ``<=`` rows ranged ``(-inf, b_ub]`` and the
-    equality rows ``[b_eq, b_eq]``.  A one-shot solve gives the same point
-    at the default ``feas_tol``, HiGHS's primal feasibility tolerance.
+    equality rows ``[b_eq, b_eq]``, with each column the region fixes
+    (lb == ub) substituted out.  ``feas_tol`` is HiGHS's primal feasibility
+    tolerance.
     """
 
     def __init__(self, objective: np.ndarray, region: Region, feas_tol: float = FEAS_TOL):
         self.objective = objective = _check_objective(objective, region)
-        self.region = region
+        keep = self._keep = region.lb < region.ub
+        self.region, self._base = region, np.where(keep, 0.0, region.lb)
         a = csc_array(vstack((region.a_ub, region.a_eq)))
-        lower = np.concatenate([np.full(region.b_ub.size, -np.inf), region.b_eq])
-        upper = np.concatenate([region.b_ub, region.b_eq])
-        model = _highs_lp(-objective, a, region.lb, region.ub, lower, upper)
+        self._shift = a @ self._base
+        lower = np.concatenate([np.full(region.b_ub.size, -np.inf), region.b_eq]) - self._shift
+        upper = np.concatenate([region.b_ub, region.b_eq]) - self._shift
+        model = _highs_lp(-objective[keep], a[:, keep], region.lb[keep], region.ub[keep], lower, upper)
         self._highs = _silent_highs(
             model, solver="simplex", simplex_strategy=1, primal_feasibility_tolerance=feas_tol
         )
@@ -238,7 +261,7 @@ class WarmLP:
         """Maximize over the region with its ``<=`` right-hand sides set to b_ub."""
         region = replace(self.region, b_ub=np.array(b_ub, dtype=float))
         for row in np.flatnonzero(region.b_ub != self.region.b_ub):
-            self._highs.changeRowBounds(int(row), -np.inf, float(region.b_ub[row]))
+            self._highs.changeRowBounds(int(row), -np.inf, float(region.b_ub[row] - self._shift[row]))
         self.region = region
         self._highs.run()
         status = self._highs.getModelStatus()
@@ -246,7 +269,8 @@ class WarmLP:
         if status != highs.HighsModelStatus.kOptimal:
             solution = LPSolution(_HIGHS_STATUS.get(status, LPStatus.FAILED), message=message)
         else:
-            x = np.array(self._highs.getSolution().col_value, dtype=float)
+            x = self._base.copy()
+            x[self._keep] = self._highs.getSolution().col_value
             viol = _violation(self.region, x)
             if viol <= FEAS_TOL:
                 return LPSolution(
@@ -264,22 +288,11 @@ class WarmLP:
         self._highs.clearSolver()
 
     def optimal_face(self) -> Region:
-        """The optimal face of the last solve, which must have been optimal.
-        By complementary slackness it is the feasible set with each ``<=`` row
-        of nonzero dual made an equality and each variable of nonzero reduced
-        cost fixed at its bound, for any one optimal dual.  A zero dual read as
-        nonzero would cut the face, so FACE_TOL stays small."""
+        """The optimal face of the last solve, which must have been optimal."""
         duals = self._highs.getSolution()
-        r = self.region
-        tight = np.abs(np.asarray(duals.row_dual)[: r.b_ub.size]) > FACE_TOL
-        cost = np.asarray(duals.col_dual)
-        bound = np.where(cost > 0, r.lb, r.ub)
-        fixed = (np.abs(cost) > FACE_TOL) & np.isfinite(bound)
-        a_ub = r.a_ub.tocsr()
-        return Region(
-            r.num_vars, vstack((r.a_eq, a_ub[tight])), np.concatenate([r.b_eq, r.b_ub[tight]]),
-            a_ub[~tight], r.b_ub[~tight], np.where(fixed, bound, r.lb), np.where(fixed, bound, r.ub),
-        )
+        cost = np.zeros(self.region.num_vars)
+        cost[self._keep] = duals.col_dual
+        return optimal_face(self.region, duals.row_dual, cost)
 
 
 def solve_qp(c: np.ndarray, g: np.ndarray, h: np.ndarray) -> tuple[LPSolution, float]:

@@ -12,13 +12,14 @@ per-type user rows and item rows, and its IF*, solved on first use.  Every
 solve and price reads them from it.  For the max-min and sum-of-k-smallest
 measures both sides are sparse linear programs over the flattened K x n
 policy.  The item-fairness optimum IF* is the measure's epigraph lift of the
-n item rows, solved cold.  The UF* program is the item floor (the n item
-rows for max-min, one sum-k certificate row for sum-k) plus the user-side
-lift, one epigraph row per type; sum-k weights each type's row by its user
-count, so the program's size depends on the types alone.  The floor has
-bound +inf at gamma = 0, so only its right-hand sides depend on gamma: a
-sweep, and the two ends of the price of fairness, build the program once as
-an ``lp.WarmLP`` and re-solve each gamma from the previous optimal basis.
+n item rows, solved cold, with its optimal face.  UF*(1) is the user-side
+lift over that face, with no back-off.  Below 1 the UF* program is the item
+floor (the n item rows for max-min, one sum-k certificate row for sum-k)
+plus the user-side lift, one epigraph row per type; sum-k weights each
+type's row by its user count, so the program's size depends on the types
+alone.  The floor has bound +inf at gamma = 0, so only its right-hand sides
+depend on gamma: a sweep builds the program once as an ``lp.WarmLP`` and
+re-solves each gamma from the previous optimal basis.
 For max-min the canonical tie-break projects the uniform policy onto that
 solve's exact optimal face, read from its duals.
 Nash welfare (sum of logs) takes one log-barrier Newton solve per value
@@ -194,8 +195,8 @@ class Problem:
     so that U_k = sum_j b[k, j] x[k, j] and I_j = sum_k a[k, j] x[k, j];
     ``user_rows`` (K, K*n) and ``item_rows`` (n, K*n) are the same as sparse
     rows over the flattened policy, and ``simplex`` is the row-stochastic
-    region.  ``if_star`` is solved on first access; ``uf_program`` builds a
-    fresh UF* program.
+    region.  ``if_star`` and ``face_program`` are built on first access;
+    ``uf_program`` builds a fresh UF* program for gamma < 1.
     """
 
     w: UtilityMatrix
@@ -250,12 +251,24 @@ class Problem:
         row, with right-hand side SLACK - target; the lift has one epigraph row
         per type, weighted by the type's user count.
         """
-        (k, n), measure, rows = self.b.shape, self.measure, self.user_rows
+        n, measure = self.b.shape[1], self.measure
         if measure.kind is MeasureKind.MAX_MIN:
-            return lp.WarmLP(*lp.maxmin_lift(rows, self.simplex.extend(-self.item_rows, np.full(n, np.inf))))
-        region = lp.sum_k_smallest_floor(self.item_rows, measure.k, -np.inf, self.simplex)
-        # The user rows read x only; the certificate variables get coefficient 0.
+            return self._user_lift(self.simplex.extend(-self.item_rows, np.full(n, np.inf)))
+        return self._user_lift(lp.sum_k_smallest_floor(self.item_rows, measure.k, -np.inf, self.simplex))
+
+    @cached_property
+    def face_program(self) -> lp.WarmLP:
+        """UF*(1)'s program of an LP measure: the user lift over IF*'s optimal
+        face, read from the IF* solve's duals, with no floor to back off.  The
+        face fixes all but about K + n columns, so the model is that small."""
+        return self._user_lift(self.if_star.lp_solution.face)
+
+    def _user_lift(self, region: lp.Region) -> lp.WarmLP:
+        k, measure, rows = self.b.shape[0], self.measure, self.user_rows
+        # The user rows read x, the region's first K*n variables, only.
         rows = coo_array((rows.data, (rows.row, rows.col)), shape=(k, region.num_vars))
+        if measure.kind is MeasureKind.MAX_MIN:
+            return lp.WarmLP(*lp.maxmin_lift(rows, region))
         lifted = lp.sum_k_lift(rows, measure.k, region, weights=self.reduction.counts)
         return lp.WarmLP(*lifted, feas_tol=SUM_K_FEAS_TOL)
 
@@ -360,8 +373,10 @@ def compute_uf_star(
     those three arguments; without it one is built.  Passing one problem to
     several calls shares its type reduction, rows and IF* among them.
     ``_program`` is a UF* program of the problem, for an LP measure, that a
-    sweep or ``price_of_fairness_terms`` re-solves warm from its last basis
-    and ``price_of_misestimation`` cold; without it, a cold solve on one program."""
+    sweep re-solves warm from its last basis and ``price_of_misestimation``
+    cold; without it, a cold solve on one program.  Gamma = 1 ignores it and
+    solves ``face_program`` cold, and its point must keep the item measure
+    within lp.FACE_TOL (1 + IF*) of IF* (else LPSolverError, FAILED)."""
     (gamma,) = check_gamma_grid([gamma])
     p = problem if problem is not None else Problem(w, item_model, measure)
     red, measure = p.reduction, p.measure
@@ -375,11 +390,15 @@ def compute_uf_star(
         rows, gap = _nash_uf_rows(p, gamma, if_target)
     else:
         if_target = gamma * if_value if gamma > 0 else 0.0
-        program = _program if _program is not None else p.uf_program()
-        # Only the item floor moves with gamma: the n item rows, or sum-k's certificate row.
-        floor = slice(0, n) if measure.kind is MeasureKind.MAX_MIN else n
-        b_ub = program.region.b_ub.copy()
-        b_ub[floor] = SLACK - if_target if gamma > 0 else np.inf
+        if gamma == 1.0:
+            program, b_ub = p.face_program, p.face_program.region.b_ub
+            program.clear_basis()
+        else:
+            program = _program if _program is not None else p.uf_program()
+            # Only the item floor moves with gamma: the n item rows, or sum-k's certificate row.
+            floor = slice(0, n) if measure.kind is MeasureKind.MAX_MIN else n
+            b_ub = program.region.b_ub.copy()
+            b_ub[floor] = SLACK - if_target if gamma > 0 else np.inf
         sol = program.solve(b_ub)
         if sol.status is not lp.LPStatus.OPTIMAL:
             raise lp.LPSolverError(sol.status, sol.message)
@@ -393,6 +412,10 @@ def compute_uf_star(
             # such symmetry, and tied supports end up uniformly mixed.
             rows = min_norm_face_point(np.full(k * n, 1.0 / n), program.optimal_face(), sol.point, gamma)
             rows = rows.reshape(k, n)
+        if gamma == 1.0:
+            shortfall = if_value - measure_value((p.a * rows).sum(axis=0), measure)
+            if shortfall > lp.FACE_TOL * (1.0 + abs(if_value)):
+                raise lp.LPSolverError(lp.LPStatus.FAILED, f"UF*(1), {k}x{n}: its point misses IF* by {shortfall:.3e}")
 
     policy_rows = RecommendationPolicy.from_solver(rows).rows
     value = measure_value((p.b * policy_rows).sum(axis=1), measure, weights=red.counts)
@@ -461,15 +484,14 @@ def require_price_measure(measure: FairnessMeasure, price: str) -> None:
 def price_of_fairness_terms(problem: Problem) -> tuple[float, float, float]:
     """UF*(0), UF*(1) and the price of fairness ``(UF*(0) - UF*(1)) / UF*(0)``.
 
-    Both ends are solved on one UF* program, UF*(1) warm from UF*(0)'s
-    basis as a sweep solves it, and only once UF*(0) is known to be nonzero
-    (ValueError otherwise)."""
+    UF*(1) is solved on IF*'s optimal face as a sweep solves it, so it
+    equals a sweep's gamma = 1 row, and only once UF*(0) is known to be
+    nonzero (ValueError otherwise)."""
     require_price_measure(problem.measure, "price of fairness")
-    program = problem.uf_program()
-    uf0 = compute_uf_star(problem.w, 0.0, problem=problem, _program=program).value
+    uf0 = compute_uf_star(problem.w, 0.0, problem=problem).value
     if abs(uf0) < 1e-12:
         raise ValueError("price of fairness is undefined when the unconstrained optimum is 0")
-    uf1 = compute_uf_star(problem.w, 1.0, problem=problem, _program=program).value
+    uf1 = compute_uf_star(problem.w, 1.0, problem=problem).value
     return uf0, uf1, (uf0 - uf1) / uf0
 
 
@@ -504,11 +526,11 @@ def price_of_misestimation(
     tie-break) are evaluated on the true matrix, over the misestimated users
     when scope says so.  The grid, scope, measure and tie-break, and a sum-k
     ``k`` above the scope's size, are checked before any solve.  Each side's
-    ``Problem`` and UF* program, and the class partition, are built once per
+    ``Problem`` and UF* programs, and the class partition, are built once per
     grid; a side's IF* is solved only if some gamma > 0.  Each UF* solve is
-    a cold solve on one program, its basis cleared, on purpose: the
-    estimated optimal face is not a point (ROADMAP item 6), and a warm start
-    from the previous gamma lands on another of its vertices.
+    cold, on purpose, on one program (at gamma = 1 the one on IF*'s face):
+    the estimated optimal face is not a point (ROADMAP item 6), and a warm
+    start from the previous gamma lands on another of its vertices.
 
     A user's two rows, and utility under both policies, depend only on their
     type in ``w`` and their type in ``w_hat``, so users are grouped by that

@@ -37,11 +37,13 @@ def test_maxmin_of_coordinates_on_simplex_is_half():
 
 
 def test_sum_two_smallest_with_pinned_third_coordinate():
-    # Third variable is fixed at 0.8; best split of the first two is even.
+    # Third variable is fixed at 0.8; every split of the first two with
+    # x0 in [0.2, 0.8] keeps the two smallest summing to 1, so any is optimal.
     region = Region(3, a_eq=[[1.0, 1.0, 0.0]], b_eq=[1.0], lb=[0.0, 0.0, 0.8], ub=[np.inf, np.inf, 0.8])
     value, point, _ = sum_k_smallest_epigraph(np.eye(3), 2, region)
     assert abs(value - 1.0) < 1e-9
-    assert np.allclose(point[:2], [0.5, 0.5], atol=1e-9)
+    assert _violation(region, point) <= 1e-9
+    assert abs(np.sort(point)[:2].sum() - 1.0) < 1e-9
 
 
 def test_infeasible_program_raises_with_status():
@@ -189,6 +191,35 @@ def test_optimal_face_holds_every_optimum_and_nothing_else():
     for x in ([0.7, 0.3, 0.0], [0.7, 0.0, 0.3], [0.7, 0.15, 0.15]):
         assert _violation(face, np.array(x)) <= 1e-15
     assert _violation(face, np.array([0.6, 0.4, 0.0])) > 0.09
+
+
+def test_warm_program_substitutes_fixed_columns_out():
+    # x2 is fixed at 0.8 and enters the <= row x0 + x2 <= b, so x0 <= b - 0.8.
+    region = Region(3, a_eq=[[1.0, 1.0, 0.0]], b_eq=[1.0], a_ub=[[1.0, 0.0, 1.0]], b_ub=[1.5],
+                    lb=[0.0, 0.0, 0.8], ub=[np.inf, np.inf, 0.8])
+    warm = WarmLP(np.array([1.0, 0.0, 0.0]), region)
+    for b in (1.5, 1.2):
+        sol = warm.solve([b])
+        assert sol.status is LPStatus.OPTIMAL
+        assert np.allclose(sol.point, [b - 0.8, 1.8 - b, 0.8], atol=1e-12)
+        assert abs(sol.value - solve_lp(np.array([1.0, 0.0, 0.0]), replace(region, b_ub=[b])).value) < 1e-12
+    assert np.array_equal(warm.optimal_face().lb, [0.0, 0.0, 0.8])
+
+
+def test_solve_lp_face_holds_every_optimum_and_nothing_else():
+    # max x0 + x1 on the 3-simplex: every optimum has x2 = 0, by its reduced cost.
+    solution = solve_lp(np.array([1.0, 1.0, 0.0]), simplex(3))
+    assert solution.status is LPStatus.OPTIMAL
+    for x in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0]):
+        assert _violation(solution.face, np.array(x)) <= 1e-15
+    assert _violation(solution.face, np.array([0.5, 0.4, 0.1])) > 0.09
+    # max x0 on the 3-simplex with x0 <= 0.7: the bound row has a dual, so it is tight.
+    capped = Region(3, a_eq=np.ones((1, 3)), b_eq=[1.0], a_ub=[[1.0, 0.0, 0.0]], b_ub=[0.7])
+    solution = solve_lp(np.array([1.0, 0.0, 0.0]), capped)
+    assert solution.status is LPStatus.OPTIMAL
+    for x in ([0.7, 0.3, 0.0], [0.7, 0.0, 0.3], [0.7, 0.15, 0.15]):
+        assert _violation(solution.face, np.array(x)) <= 1e-15
+    assert _violation(solution.face, np.array([0.6, 0.4, 0.0])) > 0.09
 
 
 def test_only_lp_imports_the_private_highs_binding():

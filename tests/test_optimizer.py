@@ -652,7 +652,8 @@ def test_policies_evaluate_consistently(worked_instance):
 
 def cold_maxmin_uf(w: np.ndarray, gamma: float, if_star: float) -> float:
     """UF* of one gamma, built per user from scratch and solved by linprog at
-    tight tolerances: max t with t <= U_u(x), I_j(x) >= gamma IF* - 1e-9."""
+    tight tolerances: max t with t <= U_u(x), I_j(x) >= gamma IF* - 1e-9, and
+    at gamma = 1 I_j(x) >= IF* exactly, with no back-off."""
     from scipy.optimize import linprog
 
     m, n = w.shape
@@ -669,7 +670,8 @@ def cold_maxmin_uf(w: np.ndarray, gamma: float, if_star: float) -> float:
     users[:, -1] = 1.0
     a_ub, b_ub = users, np.zeros(m)
     if gamma > 0:
-        a_ub, b_ub = np.vstack([users, items]), np.concatenate([b_ub, np.full(n, 1e-9 - gamma * if_star)])
+        back_off = 1e-9 if gamma < 1 else 0.0
+        a_ub, b_ub = np.vstack([users, items]), np.concatenate([b_ub, np.full(n, back_off - gamma * if_star)])
     cost = np.zeros(nv)
     cost[-1] = -1.0
     res = linprog(
@@ -690,7 +692,8 @@ def cold_sumk_uf(w: np.ndarray, gamma: float, if_star: float, k: int) -> float:
     """Sum-k UF* of one gamma, built per user from scratch and solved by
     linprog at tight tolerances: max k t - sum_u s_u with s_u >= t - U_u(x),
     and for gamma > 0 the item certificate k t' - sum_j s'_j >= gamma IF* - 1e-9
-    with s'_j >= t' - I_j(x); t and t' are free, every s is nonnegative."""
+    (>= IF* exactly at gamma = 1, with no back-off) with s'_j >= t' - I_j(x);
+    t and t' are free, every s is nonnegative."""
     from scipy.optimize import linprog
 
     m, n = w.shape
@@ -716,7 +719,8 @@ def cold_sumk_uf(w: np.ndarray, gamma: float, if_star: float, k: int) -> float:
     a_ub, b_ub = users, np.zeros(m)
     if gamma > 0:
         a_ub = np.vstack([users, items, certificate])
-        b_ub = np.concatenate([b_ub, np.zeros(n), [1e-9 - gamma * if_star]])
+        back_off = 1e-9 if gamma < 1 else 0.0
+        b_ub = np.concatenate([b_ub, np.zeros(n), [back_off - gamma * if_star]])
     cost = np.zeros(nv)
     cost[t] = -float(k)
     cost[t + 1 : ti] = 1.0
@@ -795,8 +799,9 @@ def test_warm_sweep_recovers_after_a_failed_gamma(monkeypatch, measure):
 
 
 def test_sum_k_sweep_is_one_warm_program_sized_by_types(monkeypatch):
-    """IF* is the one cold solve; every gamma re-solves one WarmLP whose
-    size depends on the types, not on how many users each holds."""
+    """IF* is the one cold solve; every gamma < 1 re-solves one WarmLP, and
+    gamma = 1 solves one on IF*'s optimal face.  Both sizes depend on the
+    types, not on how many users each holds."""
     cold, programs = [], []
     real_solve, real_init = lp.solve_lp, lp.WarmLP.__init__
 
@@ -821,9 +826,76 @@ def test_sum_k_sweep_is_one_warm_program_sized_by_types(monkeypatch):
             UtilityMatrix(types[labels]), np.linspace(0.0, 1.0, 11), measure=FairnessMeasure(MeasureKind.SUM_K_MIN, 10)
         )
         assert all(r.status == "ok" for r in curve.rows)
-        assert len(cold) == 1 and len(programs) == 1
-        sizes.append(programs[0])
+        assert len(cold) == 1 and len(programs) == 2
+        sizes.append(list(programs))
     assert sizes[0] == sizes[1]
+
+
+def test_warm_vertex_instance_reads_exactly_one_at_full_fairness():
+    # A warm gamma = 1 vertex used to break its user rows within the 1e-7
+    # feasibility tolerance: the solver row read 0.9999999640 here.
+    rng = np.random.default_rng(6)
+    rng.integers(1, 4, size=(6, 5))
+    w = UtilityMatrix(rng.integers(1, 3, size=(8, 6)))
+    gammas = np.linspace(0.0, 1.0, 11)
+    solver = tradeoff_sweep(w, gammas).rows[-1].uf_achieved
+    canonical = tradeoff_sweep(w, gammas, tie_break=TieBreak.CANONICAL).rows[-1].uf_achieved
+    assert abs(solver - 1.0) <= 1e-12
+    assert abs(solver - canonical) <= 1e-12
+
+
+@LP_MEASURES
+def test_full_fairness_on_a_face_that_is_not_a_point_matches_cold_tight_reference(measure):
+    # The two copies of item 0 can trade mass, so IF*'s optimal face has
+    # positive dimension and UF*(1) is a program over it, not a point.
+    w = UtilityMatrix(duplicated_item_matrix(0))
+    p = Problem(w, measure=measure)
+    reference = cold_uf(w.values, 1.0, p.if_star.value, measure)
+    tie_breaks = list(TieBreak) if measure.kind is MeasureKind.MAX_MIN else [TieBreak.SOLVER]
+    for tie_break in tie_breaks:
+        assert abs(compute_uf_star(w, 1.0, problem=p, tie_break=tie_break).value - reference) <= 1e-9
+
+
+def test_full_fairness_on_the_worked_instance_is_six_sevenths(worked_instance):
+    uf1 = opt.price_of_fairness_terms(Problem(worked_instance))[1]
+    row = tradeoff_sweep(worked_instance, np.linspace(0.0, 1.0, 11)).rows[-1].uf_achieved
+    assert abs(uf1 - 6 / 7) <= 1e-11
+    assert abs(row - 6 / 7) <= 1e-11
+    assert uf1 == row
+
+
+@pytest.mark.parametrize("measure", [FairnessMeasure(), SUMK2], ids=["maxmin", "sumk2"])
+def test_full_fairness_point_that_misses_if_star_fails_typed(worked_instance, monkeypatch, measure):
+    # A face read too wide, here the whole feasible set, lets UF*(1) drop items below IF*.
+    monkeypatch.setattr(lp, "optimal_face", lambda region, row_dual, col_dual: region)
+    with pytest.raises(lp.LPSolverError, match=r"UF\*\(1\), 2x3: its point misses IF\*") as err:
+        compute_uf_star(worked_instance, 1.0, measure=measure)
+    assert err.value.status is lp.LPStatus.FAILED
+
+
+def test_max_min_sweep_solves_one_cold_program_and_a_small_face_program(monkeypatch):
+    """IF* is the sweep's one linprog call, and UF*(1)'s HiGHS model holds
+    only the free columns of IF*'s optimal face, not all K*n policy entries."""
+    linprog_calls, model_columns = [], []
+    real_linprog, real_model = lp.linprog, lp._highs_lp
+
+    def counted_linprog(*args, **kwargs):
+        linprog_calls.append(1)
+        return real_linprog(*args, **kwargs)
+
+    def counted_model(cost, a, *args):
+        model_columns.append(a.shape[1])
+        return real_model(cost, a, *args)
+
+    monkeypatch.setattr(lp, "linprog", counted_linprog)
+    monkeypatch.setattr(lp, "_highs_lp", counted_model)
+    k = n = 40
+    curve = tradeoff_sweep(UtilityMatrix(random_positive_matrix(np.random.default_rng(40), k, n)), np.linspace(0.0, 1.0, 11))
+    assert all(r.status == "ok" for r in curve.rows)
+    assert len(linprog_calls) == 1
+    # The warm UF* program over (x, t), then the program on IF*'s face.
+    assert len(model_columns) == 2 and model_columns[0] == k * n + 1
+    assert model_columns[1] <= k + n + 2
 
 
 def test_prices_are_undefined_for_nash_and_solve_nothing(worked_instance, monkeypatch):
