@@ -38,7 +38,6 @@ from .optimizer import (
     TradeoffCurve,
     TradeoffRow,
     UfStarResult,
-    compute_if_star,
     compute_uf_star,
     expand_policy,
     misestimated_users,
@@ -77,7 +76,6 @@ __all__ = [
     "TwoTypeSpec",
     "UfStarResult",
     "UtilityMatrix",
-    "compute_if_star",
     "compute_uf_star",
     "expand_policy",
     "gen_homogeneous",

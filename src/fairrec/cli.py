@@ -116,40 +116,46 @@ def _config_echo(args, keys) -> dict:
     return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
 
-def _strip_csv(path: str) -> str:
-    return path[:-4] if path.endswith(".csv") else path
+def _write_csv(args, command: str, header, rows, keys, seed=None) -> None:
+    """Write the command's CSV, headed by its provenance, when --out is given."""
+    if args.out:
+        write_rows_csv(args.out, header, rows, provenance_lines(command, _config_echo(args, keys), seed))
+        print(f"wrote {args.out}")
+
+
+def _write_chart(args, xs, series: dict, **labels) -> None:
+    """Write the command's line chart when --svg is given."""
+    if args.svg:
+        save_line_chart(args.svg, xs, series, **labels)
+        print(f"chart -> {args.svg}")
 
 
 def cmd_generate(args) -> int:
     v = _values(args)
+    if args.kind == "misest":
+        # two coupled matrices, true and estimated
+        if args.beta is None:
+            raise ValueError("generate misest needs --beta")
+        data = gen_misestimation(v, args.beta, args.users, seed=args.seed)
+        base = args.out.removesuffix(".csv")
+        cfg = _config_echo(args, ["values", "beta", "users"])
+        misest_note = "# misestimated_users: " + ",".join(map(str, data.misestimated.tolist()))
+        save_utility_csv(base + ".true.csv", data.w, provenance_lines("generate misest", cfg, args.seed))
+        save_utility_csv(
+            base + ".hat.csv",
+            data.w_hat,
+            provenance_lines("generate misest", cfg, args.seed) + [misest_note],
+        )
+        print(f"wrote {base}.true.csv and {base}.hat.csv ({data.misestimated.size} misestimated users)")
+        return EXIT_OK
     if args.kind == "two-type":
         if args.alpha is None:
             raise ValueError("generate two-type needs --alpha")
-        w = gen_two_type(v, float(args.alpha), args.users)
-        prov = provenance_lines("generate two-type", _config_echo(args, ["values", "alpha", "users"]))
-        save_utility_csv(args.out, w, prov)
-        print(f"wrote {args.out} ({w.m} users x {w.n} items, two types)")
-        return EXIT_OK
-    if args.kind == "homogeneous":
-        w = gen_homogeneous(v, args.users)
-        prov = provenance_lines("generate homogeneous", _config_echo(args, ["values", "users"]))
-        save_utility_csv(args.out, w, prov)
-        print(f"wrote {args.out} ({w.m} users x {w.n} items, homogeneous)")
-        return EXIT_OK
-    # misest: two coupled matrices, true and estimated
-    if args.beta is None:
-        raise ValueError("generate misest needs --beta")
-    data = gen_misestimation(v, args.beta, args.users, seed=args.seed)
-    base = _strip_csv(args.out)
-    cfg = _config_echo(args, ["values", "beta", "users"])
-    misest_note = "# misestimated_users: " + ",".join(map(str, data.misestimated.tolist()))
-    save_utility_csv(base + ".true.csv", data.w, provenance_lines("generate misest", cfg, args.seed))
-    save_utility_csv(
-        base + ".hat.csv",
-        data.w_hat,
-        provenance_lines("generate misest", cfg, args.seed) + [misest_note],
-    )
-    print(f"wrote {base}.true.csv and {base}.hat.csv ({data.misestimated.size} misestimated users)")
+        w, keys, shape = gen_two_type(v, float(args.alpha), args.users), ["values", "alpha", "users"], "two types"
+    else:
+        w, keys, shape = gen_homogeneous(v, args.users), ["values", "users"], "homogeneous"
+    save_utility_csv(args.out, w, provenance_lines(f"generate {args.kind}", _config_echo(args, keys)))
+    print(f"wrote {args.out} ({w.m} users x {w.n} items, {shape})")
     return EXIT_OK
 
 
@@ -167,15 +173,12 @@ def cmd_tradeoff(args) -> int:
     bad = [r for r in curve.rows if r.status != "ok"]
     print(f"IF* = {curve.if_star:.9g}; {len(curve.rows)} gamma points -> {args.out}"
           + (f" ({len(bad)} failed)" if bad else ""))
-    if args.svg:
-        xs = [r.gamma for r in curve.rows]
-        series = {
-            "user fairness": [r.uf_achieved for r in curve.rows],
-            "item fairness": [r.if_achieved for r in curve.rows],
-        }
-        save_line_chart(args.svg, xs, series, title="Fairness tradeoff",
-                        x_label="gamma", y_label="normalized fairness")
-        print(f"chart -> {args.svg}")
+    series = {
+        "user fairness": [r.uf_achieved for r in curve.rows],
+        "item fairness": [r.if_achieved for r in curve.rows],
+    }
+    _write_chart(args, [r.gamma for r in curve.rows], series, title="Fairness tradeoff",
+                 x_label="gamma", y_label="normalized fairness")
     if bad:
         raise LPSolverError(
             LPStatus.FAILED, "tradeoff failed at gamma = " + ", ".join(f"{r.gamma:g}" for r in bad)
@@ -191,15 +194,9 @@ def cmd_pof(args) -> int:
     print(f"uf_unconstrained = {uf0:.9g}")
     print(f"uf_full_fairness = {uf1:.9g}")
     print(f"pof = {pof:.9g}")
-    if args.out:
-        cfg = _config_echo(args, ["matrix", "values", "alpha", "beta", "users", "measure", "k", "delta"])
-        write_rows_csv(
-            args.out,
-            ["measure", "delta", "uf_unconstrained", "uf_full_fairness", "pof"],
-            [[measure.kind.value, args.delta, uf0, uf1, pof]],
-            provenance_lines("pof", cfg),
-        )
-        print(f"wrote {args.out}")
+    _write_csv(args, "pof", ["measure", "delta", "uf_unconstrained", "uf_full_fairness", "pof"],
+               [[measure.kind.value, args.delta, uf0, uf1, pof]],
+               ["matrix", "values", "alpha", "beta", "users", "measure", "k", "delta"])
     return EXIT_OK
 
 
@@ -214,22 +211,10 @@ def cmd_misest(args) -> int:
     rows = [[g, pom] for g, pom in zip(gammas, poms)]
     for g, pom in rows:
         print(f"pom(gamma={g:g}) = {pom:.9g}")
-    if args.out:
-        cfg = _config_echo(
-            args, ["values", "beta", "users", "gammas", "scope", "measure", "k", "delta", "tie_break"]
-        )
-        write_rows_csv(args.out, ["gamma", "pom"], rows, provenance_lines("misest", cfg, args.seed))
-        print(f"wrote {args.out}")
-    if args.svg:
-        save_line_chart(
-            args.svg,
-            [r[0] for r in rows],
-            {"price of misestimation": [r[1] for r in rows]},
-            title=f"Price of misestimation ({scope.value})",
-            x_label="gamma",
-            y_label="relative loss",
-        )
-        print(f"chart -> {args.svg}")
+    keys = ["values", "beta", "users", "gammas", "scope", "measure", "k", "delta", "tie_break"]
+    _write_csv(args, "misest", ["gamma", "pom"], rows, keys, args.seed)
+    _write_chart(args, [r[0] for r in rows], {"price of misestimation": [r[1] for r in rows]},
+                 title=f"Price of misestimation ({scope.value})", x_label="gamma", y_label="relative loss")
     return EXIT_OK
 
 
@@ -252,16 +237,9 @@ def cmd_validate(args) -> int:
         max_if_err = max(max_if_err, if_err)
         max_uf_err = max(max_uf_err, uf_err)
         rows.append([a, realized, sol.t, sol.if_star, if_lp, if_err, sol.uf1, uf_lp, uf_err])
-    if args.out:
-        cfg = _config_echo(args, ["values", "alpha", "users"])
-        write_rows_csv(
-            args.out,
-            ["alpha", "alpha_realized", "pivot", "if_analytic", "if_lp", "if_abs_err",
-             "uf1_analytic", "uf1_lp", "uf1_abs_err"],
-            rows,
-            provenance_lines("validate-closed-form", cfg),
-        )
-        print(f"wrote {args.out}")
+    header = ["alpha", "alpha_realized", "pivot", "if_analytic", "if_lp", "if_abs_err",
+              "uf1_analytic", "uf1_lp", "uf1_abs_err"]
+    _write_csv(args, "validate-closed-form", header, rows, ["values", "alpha", "users"])
     print(f"max |IF*_lp - IF*_analytic| = {max_if_err:.3g} over {len(alphas)} alphas")
     print(f"max |UF*(1)_lp - UF*(1)_analytic| = {max_uf_err:.3g}")
     if max_if_err >= VALIDATE_TOL or max_uf_err >= VALIDATE_TOL:
@@ -278,26 +256,10 @@ def cmd_sweep_alpha(args) -> int:
     v = _values(args)
     alphas = parse_alpha_grid(args.alpha)
     curve = two_type_pof_curve(v, alphas)
-    if args.out:
-        cfg = _config_echo(args, ["values", "alpha"])
-        write_rows_csv(
-            args.out,
-            ["alpha", "pivot", "if_star", "uf1", "pof"],
-            curve.tolist(),
-            provenance_lines("sweep-alpha", cfg),
-        )
-        print(f"wrote {args.out}")
+    _write_csv(args, "sweep-alpha", ["alpha", "pivot", "if_star", "uf1", "pof"], curve.tolist(), ["values", "alpha"])
     print(f"{len(alphas)} alphas; pof range [{curve[:, 4].min():.6g}, {curve[:, 4].max():.6g}]")
-    if args.svg:
-        save_line_chart(
-            args.svg,
-            list(curve[:, 0]),
-            {"price of fairness": list(curve[:, 4]), "item fairness optimum": list(curve[:, 2])},
-            title="Two-type population sweep",
-            x_label="alpha",
-            y_label="value",
-        )
-        print(f"chart -> {args.svg}")
+    series = {"price of fairness": list(curve[:, 4]), "item fairness optimum": list(curve[:, 2])}
+    _write_chart(args, list(curve[:, 0]), series, title="Two-type population sweep", x_label="alpha", y_label="value")
     return EXIT_OK
 
 
@@ -314,6 +276,9 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--measure", choices=[m.value for m in MeasureKind], default="maxmin")
     p.add_argument("--k", type=int, default=1, help="tail size for the sumkmin measure")
     p.add_argument("--delta", type=float, default=0.0, help="item-side popularity weight")
+
+
+def _add_tie_break_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--tie-break",
         choices=[t.value for t in TieBreak],
@@ -342,6 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tradeoff", help="sweep the constrained optimum over gamma")
     _add_instance_flags(p)
     _add_solver_flags(p)
+    _add_tie_break_flag(p)
     p.add_argument("--gammas", default="11", help="count (linspace on [0,1]) or comma list")
     p.add_argument("--out", required=True)
     p.add_argument("--svg", help="also write a line chart here")
@@ -359,6 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--users", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     _add_solver_flags(p)
+    _add_tie_break_flag(p)
     p.add_argument("--gammas", default="0,1")
     p.add_argument(
         "--scope",

@@ -1,13 +1,13 @@
 """Numerical routines used by the optimizer.
 
-One region type, ``SimplexProduct`` (a product of probability simplices,
-with its Euclidean projection), carries ``nash_concave_solve``: a
-log-barrier Newton maximizer for weighted sums of logarithms of linear
-functionals, optionally under a floor on a second such sum.  It returns a
-weak-duality certificate computed from its point, an upper bound on the
-distance to the optimum value.  Dykstra's alternating projections onto
-halfspace-cut simplex products remain here only because the benchmark under
-``perfbench/`` wraps ``dykstra_project``; no solve path calls them.
+One region type, ``SimplexProduct`` (a product of probability simplices),
+carries ``nash_concave_solve``: a log-barrier Newton maximizer for weighted
+sums of logarithms of linear functionals, optionally under a floor on a
+second such sum.  It returns a weak-duality certificate computed from its
+point, an upper bound on the distance to the optimum value.
+``dykstra_project`` (Dykstra's alternating projections onto an intersection
+of convex sets, each given by its own ``project``) remains here only because
+the benchmark under ``perfbench/`` wraps it; nothing in this package calls it.
 """
 from __future__ import annotations
 
@@ -38,33 +38,6 @@ class NonConvergenceError(RuntimeError):
     pass
 
 
-def project_rows_to_simplex(rows: np.ndarray) -> np.ndarray:
-    """Euclidean projection of every row onto the probability simplex."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    n = rows.shape[1]
-    srt = np.sort(rows, axis=1)[:, ::-1]
-    csum = np.cumsum(srt, axis=1) - 1.0
-    arange = np.arange(1, n + 1)
-    cond = srt - csum / arange > 0
-    rho = n - np.argmax(cond[:, ::-1], axis=1) - 1  # last index where cond holds
-    theta = csum[np.arange(rows.shape[0]), rho] / (rho + 1.0)
-    return np.maximum(rows - theta[:, None], 0.0)
-
-
-@dataclass(frozen=True)
-class HalfspaceSet:
-    """{x : a . x >= b}"""
-
-    a: np.ndarray
-    b: float
-
-    def project(self, x):
-        gap = self.b - float(self.a @ x)
-        if gap <= 0:
-            return x
-        return x + (gap / float(self.a @ self.a)) * self.a
-
-
 @dataclass(frozen=True)
 class SimplexProduct:
     """``num_rows`` independent distributions over ``row_len`` entries, flattened row by row."""
@@ -78,9 +51,6 @@ class SimplexProduct:
 
     def uniform(self) -> np.ndarray:
         return np.full(self.num_vars, 1.0 / self.row_len)
-
-    def project(self, x):
-        return project_rows_to_simplex(x.reshape(self.num_rows, self.row_len)).ravel()
 
 
 def dykstra_project(target: np.ndarray, sets) -> np.ndarray:

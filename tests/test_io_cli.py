@@ -264,7 +264,9 @@ def test_cli_misest_prices_match_known_values(tmp_path, capsys):
     assert abs(float(rows[1][1]) - 2.0 / 9.0) < 1e-6
 
 
-def test_cli_pof_reports_worked_value(tmp_path, capsys):
+def test_cli_pof_reports_worked_value(tmp_path, capsys, monkeypatch):
+    # Without --out a failure would write error.json to the working directory.
+    monkeypatch.chdir(tmp_path)
     assert run(["pof", "--values", "3,2,1", "--alpha", "0.5", "--users", "10"]) == 0
     printed = capsys.readouterr().out
     assert "pof = 0.142857143" in printed
@@ -530,11 +532,14 @@ GOLDEN_DIGESTS = {
 }
 
 
+def _without_timing(lines) -> bytes:
+    return "\n".join(ln if ln.startswith("#") else ln.rsplit(",", 1)[0] for ln in lines).encode()
+
+
 def _golden_digest(path) -> str:
     data = path.read_bytes()
     if path.name == "tradeoff.csv":
-        lines = [ln for ln in data.decode().splitlines() if not ln.startswith("# config:")]
-        data = "\n".join(ln if ln.startswith("#") else ln.rsplit(",", 1)[0] for ln in lines).encode()
+        data = _without_timing(ln for ln in data.decode().splitlines() if not ln.startswith("# config:"))
     return hashlib.sha256(data).hexdigest()
 
 
@@ -549,9 +554,98 @@ def test_population_pipeline_outputs_match_recorded_digests(tmp_path):
     assert {p.name: _golden_digest(p) for p in tmp_path.iterdir()} == GOLDEN_DIGESTS
 
 
+WORKED = ["--values", "3,2,1", "--alpha", "0.5", "--users", "10"]
+# One run of every CLI command and output option.  "{d}" is the run's
+# directory; each file name is relative to it.
+CLI_RUNS = {
+    "generate-two-type": ["generate", "two-type", *WORKED, "--out", "{d}m.csv"],
+    "generate-homogeneous": ["generate", "homogeneous", "--values", "3,2,1", "--alpha", "0.5",
+                             "--users", "10", "--out", "{d}m.csv"],
+    "tradeoff-svg": ["tradeoff", *WORKED, "--out", "{d}t.csv", "--svg", "{d}t.svg"],
+    "tradeoff-canonical": ["tradeoff", *WORKED, "--tie-break", "canonical", "--gammas", "21",
+                           "--out", "{d}t.csv"],
+    "pof-maxmin": ["pof", *WORKED, "--out", "{d}pof.csv"],
+    "pof-sumkmin": ["pof", *WORKED, "--measure", "sumkmin", "--k", "3", "--out", "{d}pof.csv"],
+    "misest": ["misest", "--values", "3,2,1", "--beta", "0.4", "--users", "10",
+               "--scope", "misest-group", "--out", "{d}pom.csv", "--svg", "{d}pom.svg"],
+    "validate-closed-form": ["validate-closed-form", "--out", "{d}v.csv"],
+    "sweep-alpha": ["sweep-alpha", "--values", "3,2,1", "--out", "{d}a.csv", "--svg", "{d}a.svg"],
+}
+# SHA-256 of each run's stdout, with its directory written as "{d}", and of
+# every file it writes; t.csv (a tradeoff CSV) is hashed without its timing
+# column.  Recorded before the commands shared their CSV and chart helpers.
+CLI_GOLDEN = {
+    "generate-homogeneous": {
+        "stdout": "b1d4bc494c7c49c183c18a23b77ab8bc398ac54dc42e43a8145bb4eac8d314d7",
+        "m.csv": "044e239492c0065d8b7e118d8ef0980418a47a3c89c28bb5312a84b321aa8db1",
+    },
+    "generate-two-type": {
+        "stdout": "9b0637de905cb6669b92b91280db943ecf4dc4442ca67bcb02204f9b5bb4bc14",
+        "m.csv": "cbfede14f4b7f50b5dde228d568ba49fd135da8b4aa1da83b6d05c5e4c0d855d",
+    },
+    "misest": {
+        "stdout": "e851232933aec901142bac7c1542d6c08e221cd4c8c6e2d2f284d1584c361f81",
+        "pom.csv": "f431d3ecbf20669bb07e65c89d5a9c4d4a0a47b9152f3230c6a7274ed6c0bdd5",
+        "pom.svg": "238eedbbd67bf2e00f1145b1859a448ca25b0b5c20e10b8ed0b3a2d3c846b318",
+    },
+    "pof-maxmin": {
+        "stdout": "4777c1237543e68a3e94a4407b6fb29aa299808c521e64dd30239c57ec152cb9",
+        "pof.csv": "377600e915137823980dc78f412ef109e18ee5bc529b873981b7d19c2883c40a",
+    },
+    "pof-sumkmin": {
+        "stdout": "fe3b75a8712258ea2607f7baf4389ac9d2376f70a147ff9880912cd11b05cd43",
+        "pof.csv": "d60bc00b99c78d78f29098f3b2ddc75ba2db1f6a6f5e5cd436b3a2cb32a83284",
+    },
+    "sweep-alpha": {
+        "stdout": "79429abf0a3e3dd74e912e78100e30da3ba21c65bd584a46f584ee61b110af02",
+        "a.csv": "facd8d2566d635a7a75909ef851d6c6cf2197fc59a2b48836928c8852b14a74b",
+        "a.svg": "958c49d82cf8dd4163a74e7c66c8322f5055c6e565a5a7c61ffa07781ca6fa08",
+    },
+    "tradeoff-canonical": {
+        "stdout": "e2eda98ff04abadd3d1aef758a2b513ccbd0d5c9185a839cda833f384583cc9d",
+        "t.csv": "4ebceeaa5e4cb712d8c98a7a25e871bd1b06e5715ce895d7ef57070576733beb",
+    },
+    "tradeoff-svg": {
+        "stdout": "db5bad1fc1aca73f487cde54ec0890240ec650c4b97d5716a4f01a60fd8e9ee0",
+        "t.csv": "cbb3401953482c9eb4dc52dfc655ff3911eaf7d0700d59c7713dd6a321acbcbd",
+        "t.svg": "9dd807f30fde6cbc3c49d55c39a55b1c4d3b6aefc9a84ee81c4eb9dd2b7c8e64",
+    },
+    "validate-closed-form": {
+        "stdout": "b0b6a47ad6d1b50dfbc13e118a4ce2057e814646a9aa87cae73f6ed692ca3c56",
+        "v.csv": "4eaddca9bbfd27bdabc1a87fbcedf81a79e02300a1fa2982b52df1da722aab3d",
+    },
+}
+
+
+def _cli_outputs(tmp_path, capsys, argv) -> dict:
+    d = f"{tmp_path}/"
+    assert run([a.replace("{d}", d) for a in argv]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    digests = {"stdout": hashlib.sha256(out.replace(d, "{d}").encode()).hexdigest()}
+    for p in sorted(tmp_path.iterdir()):
+        data = p.read_bytes()
+        if p.name == "t.csv":
+            data = _without_timing(data.decode().splitlines())
+        digests[p.name] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("name", sorted(CLI_RUNS))
+def test_cli_outputs_match_recorded_digests(tmp_path, capsys, name):
+    assert _cli_outputs(tmp_path, capsys, CLI_RUNS[name]) == CLI_GOLDEN[name]
+
+
 def test_cli_rejects_unknown_subcommand():
     with pytest.raises(SystemExit) as err:
         run(["frobnicate"])
+    assert err.value.code == 2
+
+
+def test_cli_pof_has_no_tie_break_flag():
+    # The price does not depend on which optimum is returned.
+    with pytest.raises(SystemExit) as err:
+        run(["pof", "--values", "3,2,1", "--alpha", "0.5", "--users", "10", "--tie-break", "canonical"])
     assert err.value.code == 2
 
 

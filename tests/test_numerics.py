@@ -1,59 +1,38 @@
-"""Projections and concave maximization over simplex products, and the
-nearest point of an LP face."""
+"""Concave maximization over simplex products, Dykstra's projection onto an
+intersection of halfspaces, and the nearest point of an LP face."""
 import functools
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 import fairrec.optimizer as opt
 from fairrec.core import FairnessMeasure, MeasureKind
 from fairrec.lp import Region
 from fairrec.numerics import (
-    HalfspaceSet,
     LogObjective,
     NonConvergenceError,
     SimplexProduct,
     dykstra_project,
     nash_concave_solve,
-    project_rows_to_simplex,
 )
 from fairrec.optimizer import Problem, compute_uf_star, min_norm_face_point
 
 
-def test_simplex_projection_known_points():
-    out = project_rows_to_simplex(np.array([[0.4, 0.4, 0.4]]))
-    assert np.allclose(out, 1.0 / 3.0, atol=1e-12)
-    out = project_rows_to_simplex(np.array([[2.0, -1.0]]))
-    assert np.allclose(out, [1.0, 0.0], atol=1e-12)
+class _Halfspace:
+    """{x : a . x >= b}"""
+
+    def __init__(self, a, b):
+        self.a, self.b = np.asarray(a, dtype=float), b
+
+    def project(self, x):
+        gap = self.b - float(self.a @ x)
+        return x if gap <= 0 else x + (gap / float(self.a @ self.a)) * self.a
 
 
-def test_simplex_projection_fixes_feasible_points():
-    rows = np.array([[0.2, 0.5, 0.3], [1.0, 0.0, 0.0]])
-    assert np.allclose(project_rows_to_simplex(rows), rows, atol=1e-12)
-
-
-@given(
-    hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(2, 5)), elements=st.floats(-5, 5)),
-    st.integers(0, 2**32 - 1),
-)
-def test_simplex_projection_is_closest_feasible_point(rows, seed):
-    out = project_rows_to_simplex(rows)
-    assert np.all(out >= -1e-12)
-    assert np.allclose(out.sum(axis=1), 1.0, atol=1e-9)
-    rng = np.random.default_rng(seed)
-    for _ in range(5):
-        cand = rng.uniform(0.0, 1.0, size=rows.shape) + 1e-9
-        cand /= cand.sum(axis=1, keepdims=True)
-        assert np.linalg.norm(out - rows) <= np.linalg.norm(cand - rows) + 1e-9
-
-
-def test_dykstra_simplex_with_halfspace():
-    sets = [SimplexProduct(1, 2), HalfspaceSet(np.array([1.0, 0.0]), 0.8)]
-    out = dykstra_project(np.array([0.5, 0.5]), sets)
+def test_dykstra_two_halfspaces():
+    # The origin's nearest point in {x1 >= 0.8} ∩ {x1 + x2 >= 1}: both cuts are active.
+    out = dykstra_project(np.zeros(2), [_Halfspace([1.0, 0.0], 0.8), _Halfspace([1.0, 1.0], 1.0)])
     assert np.allclose(out, [0.8, 0.2], atol=1e-8)
 
 
