@@ -28,8 +28,6 @@ import numpy as np
 
 # Validity slack for the nonnegativity checks in the pivot scans.
 PIVOT_TOL = 1e-12
-# Equal-utility residual guaranteed by construction.
-BALANCE_TOL = 1e-9
 
 
 def _check_values(v) -> np.ndarray:

@@ -6,12 +6,13 @@ and the alpha sweep of the mirrored two-type curve.
 
 Exit codes: 0 success, 2 configuration error, 3 solver or validation
 failure, 4 input/output error.  Failures also drop an ``error.json``
-record next to the requested output so batch runs can be triaged without
-scraping stderr.
+record next to the requested output, or in the working directory, so
+batch runs can be triaged without scraping stderr.
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -35,6 +36,7 @@ from .optimizer import (
     Scope,
     TieBreak,
     check_gamma_grid,
+    compute_uf_star,
     price_of_fairness_terms,
     price_of_misestimation,
     require_price_measure,
@@ -167,7 +169,7 @@ def cmd_tradeoff(args) -> int:
     cfg = _config_echo(
         args, ["matrix", "values", "alpha", "beta", "users", "gammas", "measure", "k", "delta", "tie_break"]
     )
-    cfg["matrix_sha256"] = curve.provenance["matrix_sha256"]
+    cfg["matrix_sha256"] = hashlib.sha256(w.values.data).hexdigest()[:16]
     header, rows = tradeoff_csv_rows(curve)
     write_rows_csv(args.out, header, rows, provenance_lines("tradeoff", cfg, getattr(args, "seed", None)))
     bad = [r for r in curve.rows if r.status != "ok"]
@@ -231,7 +233,7 @@ def cmd_validate(args) -> int:
         realized = float(np.sum(problem.w.type_of == 0)) / m
         sol = two_type_solution(TwoTypeSpec(v, realized))
         if_lp = problem.if_star.value
-        uf_lp = price_of_fairness_terms(problem)[1]
+        uf_lp = compute_uf_star(problem.w, 1.0, problem=problem).value
         if_err = abs(if_lp - sol.if_star)
         uf_err = abs(uf_lp - sol.uf1)
         max_if_err = max(max_if_err, if_err)
@@ -355,8 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _error_record(args, exc: Exception, code: int) -> None:
-    out = getattr(args, "out", None)
-    directory = os.path.dirname(out) if out and os.path.dirname(out) else "."
+    """Write ``error.json`` beside ``--out``, or in the working directory if that is missing."""
+    directory = os.path.dirname(getattr(args, "out", None) or "")
+    if not os.path.isdir(directory):
+        directory = "."
     record = {
         "command": getattr(args, "command", None),
         "error": type(exc).__name__,

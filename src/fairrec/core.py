@@ -167,14 +167,6 @@ class RecommendationPolicy:
             raise ValueError("solver returned an all-zero policy row")
         return cls(rows / sums)
 
-    @property
-    def m(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[1]
-
 
 def _check_pair(policy: RecommendationPolicy, w: UtilityMatrix) -> None:
     if policy.rows.shape != w.values.shape:

@@ -18,8 +18,8 @@ floor (the n item rows for max-min, one sum-k certificate row for sum-k)
 plus the user-side lift, one epigraph row per type; sum-k weights each
 type's row by its user count, so the program's size depends on the types
 alone.  The floor has bound +inf at gamma = 0, so only its right-hand sides
-depend on gamma: a sweep builds the program once as an ``lp.WarmLP`` and
-re-solves each gamma from the previous optimal basis.
+depend on gamma: the ``Problem`` builds the program once as an ``lp.WarmLP``,
+and each gamma < 1 solve on it starts from the previous optimal basis.
 For max-min the canonical tie-break projects the uniform policy onto that
 solve's exact optimal face, read from its duals.
 Nash welfare (sum of logs) takes one log-barrier Newton solve per value
@@ -50,7 +50,7 @@ from .core import (
     measure_value,
     user_utility_vector,
 )
-from .numerics import GAP_TOL, MAX_ITER, LogObjective, NonConvergenceError, SimplexProduct, nash_concave_solve
+from .numerics import MAX_ITER, LogObjective, NonConvergenceError, SimplexProduct, nash_concave_solve
 
 # Backoff applied when an optimal value is reused as a constraint threshold,
 # so that floating-point optima stay feasible.
@@ -166,8 +166,6 @@ class TypeSpacePolicy:
 class IfStarResult(TypeSpacePolicy):
     """Item-fairness optimum IF* together with an attaining policy."""
 
-    measure: FairnessMeasure
-    delta: float
     lp_solution: lp.LPSolution | None = None
     gap: float | None = None
 
@@ -177,11 +175,8 @@ class UfStarResult(TypeSpacePolicy):
     """Constrained user-fairness optimum for one gamma.  For the Nash measure
     ``gap`` bounds UF* minus ``value``, computed from the returned policy."""
 
-    gamma: float
     if_star: float | None
     if_target: float
-    measure: FairnessMeasure
-    delta: float
     gap: float | None = None
 
 
@@ -195,8 +190,9 @@ class Problem:
     so that U_k = sum_j b[k, j] x[k, j] and I_j = sum_k a[k, j] x[k, j];
     ``user_rows`` (K, K*n) and ``item_rows`` (n, K*n) are the same as sparse
     rows over the flattened policy, and ``simplex`` is the row-stochastic
-    region.  ``if_star`` and ``face_program`` are built on first access;
-    ``uf_program`` builds a fresh UF* program for gamma < 1.
+    region.  ``if_star`` and the LP measures' two UF* programs,
+    ``uf_program`` for gamma < 1 and ``face_program`` for gamma = 1, are
+    built on first access and shared by every solve on the problem.
     """
 
     w: UtilityMatrix
@@ -238,12 +234,13 @@ class Problem:
             point, gap = res.point, res.gap
         rows = RecommendationPolicy.from_solver(point.reshape(k, n)).rows
         value = measure_value((self.a * rows).sum(axis=0), measure)
-        return IfStarResult(value, rows, self.reduction, measure, self.model.delta, lp_solution, gap)
+        return IfStarResult(value, rows, self.reduction, lp_solution, gap)
 
+    @cached_property
     def uf_program(self) -> lp.WarmLP:
-        """A fresh UF* program of an LP measure over the K simplex rows: the
-        item floor's ``<=`` rows, then the user lift's.  The floor starts
-        inactive, right-hand side +inf; ``compute_uf_star`` sets it per gamma.
+        """The gamma < 1 UF* program of an LP measure over the K simplex
+        rows: the item floor's ``<=`` rows, then the user lift's.  The floor
+        starts at right-hand side +inf; ``compute_uf_star`` sets it per gamma.
 
         Max-min: the floor is the n item rows -I_j(x) <= SLACK - target, the
         lift max t with t - U_k(x) <= 0 per type.  Sum-k: the floor is
@@ -363,19 +360,16 @@ def compute_uf_star(
     measure: FairnessMeasure = MAX_MIN,
     problem: Problem | None = None,
     tie_break: TieBreak = TieBreak.SOLVER,
-    *,
-    _program: lp.WarmLP | None = None,
 ) -> UfStarResult:
     """Best attainable user fairness when the item side must keep a gamma
     fraction of its optimum.  gamma = 0 drops the item constraint entirely.
 
     ``problem`` is ``Problem(w, item_model, measure)`` and stands in for
     those three arguments; without it one is built.  Passing one problem to
-    several calls shares its type reduction, rows and IF* among them.
-    ``_program`` is a UF* program of the problem, for an LP measure, that a
-    sweep re-solves warm from its last basis and ``price_of_misestimation``
-    cold; without it, a cold solve on one program.  Gamma = 1 ignores it and
-    solves ``face_program`` cold, and its point must keep the item measure
+    several calls shares its type reduction, rows, IF* and LP programs: a
+    gamma < 1 solve starts ``uf_program`` from the last basis left in it,
+    cold on a new problem or after ``clear_basis``.  Gamma = 1 solves
+    ``face_program`` cold, and its point must keep the item measure
     within lp.FACE_TOL (1 + IF*) of IF* (else LPSolverError, FAILED)."""
     (gamma,) = check_gamma_grid([gamma])
     p = problem if problem is not None else Problem(w, item_model, measure)
@@ -394,7 +388,7 @@ def compute_uf_star(
             program, b_ub = p.face_program, p.face_program.region.b_ub
             program.clear_basis()
         else:
-            program = _program if _program is not None else p.uf_program()
+            program = p.uf_program
             # Only the item floor moves with gamma: the n item rows, or sum-k's certificate row.
             floor = slice(0, n) if measure.kind is MeasureKind.MAX_MIN else n
             b_ub = program.region.b_ub.copy()
@@ -419,7 +413,7 @@ def compute_uf_star(
 
     policy_rows = RecommendationPolicy.from_solver(rows).rows
     value = measure_value((p.b * policy_rows).sum(axis=1), measure, weights=red.counts)
-    return UfStarResult(value, policy_rows, red, gamma, if_value, if_target, measure, p.model.delta, gap)
+    return UfStarResult(value, policy_rows, red, if_value, if_target, gap)
 
 
 def _nash_uf_rows(p: Problem, gamma: float, target: float) -> tuple[np.ndarray, float]:
@@ -555,13 +549,12 @@ def price_of_misestimation(
     t_ref, t_est, w_rep = t_ref[first], t_est[first], UtilityMatrix(w.values[first])
     if measure.kind is MeasureKind.SUM_K_MIN and measure.k > counts.sum():
         raise ValueError(f"k = {measure.k} exceeds the {counts.sum()} users of the {scope.value} scope")
-    programs = ref_p.uf_program(), est_p.uf_program()
     poms = []
     for g in gammas:
-        for program in programs:
-            program.clear_basis()
-        ref = compute_uf_star(w, g, problem=ref_p, tie_break=tie_break, _program=programs[0])
-        est = compute_uf_star(w_hat, g, problem=est_p, tie_break=tie_break, _program=programs[1])
+        for p in (ref_p, est_p):
+            p.uf_program.clear_basis()
+        ref = compute_uf_star(w, g, problem=ref_p, tie_break=tie_break)
+        est = compute_uf_star(w_hat, g, problem=est_p, tie_break=tie_break)
         u_ref = user_utility_vector(RecommendationPolicy(ref.rows_by_type[t_ref]), w_rep)
         u_est = user_utility_vector(RecommendationPolicy(est.rows_by_type[t_est]), w_rep)
         ref_val = measure_value(u_ref, measure, weights=counts)
@@ -588,9 +581,6 @@ class TradeoffCurve:
 
     rows: tuple[TradeoffRow, ...]
     if_star: float
-    measure: FairnessMeasure
-    delta: float
-    provenance: dict
 
 
 def tradeoff_sweep(
@@ -614,13 +604,12 @@ def tradeoff_sweep(
     gammas = check_gamma_grid(gammas)
     p = Problem(w, item_model, measure)
     if_star = p.if_star.value
-    program = p.uf_program() if measure.kind is not MeasureKind.NASH_WELFARE else None
     rows = []
     prev_ok = np.inf
     for g in gammas:
         start = time.perf_counter()
         try:
-            r = compute_uf_star(w, g, problem=p, tie_break=tie_break, _program=program)
+            r = compute_uf_star(w, g, problem=p, tie_break=tie_break)
         except (lp.LPSolverError, NonConvergenceError) as exc:
             elapsed = (time.perf_counter() - start) * 1000.0
             rows.append(TradeoffRow(g, np.nan, np.nan, np.nan, f"error: {exc}", elapsed))
@@ -639,15 +628,4 @@ def tradeoff_sweep(
             )
         prev_ok = r.value
         rows.append(TradeoffRow(g, r.if_target, r.value, if_achieved, "ok", elapsed))
-    provenance = {
-        "tool": "fairrec",
-        "measure": measure.kind.value,
-        "k": measure.k,
-        "delta": p.model.delta,
-        "tie_break": TieBreak(tie_break).value,
-        "matrix_sha256": hashlib.sha256(w.values.data).hexdigest()[:16],
-        "feasibility_tol": lp.FEAS_TOL,
-        "optimality_tol": lp.OPT_TOL,
-        "nash_gap_tol": GAP_TOL,
-    }
-    return TradeoffCurve(tuple(rows), if_star, measure, p.model.delta, provenance)
+    return TradeoffCurve(tuple(rows), if_star)

@@ -20,7 +20,6 @@ from fairrec.optimizer import (
     Problem,
     Scope,
     TieBreak,
-    compute_if_star,
     compute_uf_star,
     price_of_fairness,
     price_of_misestimation,
@@ -78,7 +77,7 @@ def test_criterion_02_item_optimum_equalizes_item_utilities():
         instances.append(UtilityMatrix(random_positive_matrix(rng, m, n)))
     worst = 0.0
     for w in instances:
-        res = compute_if_star(w)
+        res = Problem(w).if_star
         i_vals = item_utility_vector(res.policy, w)
         worst = max(worst, float(i_vals.max() - i_vals.min()))
     report(
@@ -100,7 +99,7 @@ def test_criterion_03_closed_form_matches_lp_across_populations():
         for alpha in alphas:
             sol = two_type_solution(TwoTypeSpec(v, float(alpha)))
             w = gen_two_type(v, float(alpha), 20)
-            worst_if = max(worst_if, abs(compute_if_star(w).value - sol.if_star))
+            worst_if = max(worst_if, abs(Problem(w).if_star.value - sol.if_star))
             worst_uf = max(worst_uf, abs(compute_uf_star(w, 1.0).value - sol.uf1))
             cases += 1
     elapsed = time.perf_counter() - t0
@@ -125,7 +124,7 @@ def test_criterion_04_worked_instance_exact_values():
     w = gen_two_type(v, 0.5, 10)
     res1 = compute_uf_star(w, 1.0, tie_break=TieBreak.CANONICAL)
     lp_ok = (
-        abs(compute_if_star(w).value - 3 / 7) < 1e-6
+        abs(Problem(w).if_star.value - 3 / 7) < 1e-6
         and abs(res1.value - 6 / 7) < 1e-6
         and np.allclose(res1.rows_by_type[0], [4 / 7, 3 / 7, 0], atol=1e-6)
         and np.allclose(res1.rows_by_type[1], [0, 3 / 7, 4 / 7], atol=1e-6)
@@ -134,7 +133,7 @@ def test_criterion_04_worked_instance_exact_values():
     report(
         "criterion 4: worked three-item instance reproduces exactly",
         analytic_ok and lp_ok,
-        f"IF* = {compute_if_star(w).value:.9f}, UF*(1) = {res1.value:.9f}",
+        f"IF* = {Problem(w).if_star.value:.9f}, UF*(1) = {res1.value:.9f}",
     )
 
 
@@ -255,7 +254,7 @@ def test_criterion_09_item_optimum_vertices_are_sparse():
         counts = rng.integers(1, 6, size=k)
         wt = random_positive_matrix(rng, k, n)
         w = UtilityMatrix(np.repeat(wt, counts, axis=0))
-        res = compute_if_star(w)
+        res = Problem(w).if_star
         if res.lp_solution is None or not res.lp_solution.is_vertex:
             ok = False
             worst = "no vertex solution"

@@ -402,6 +402,27 @@ def test_cli_io_error_exit_and_record(tmp_path):
     assert run(["tradeoff", "--matrix", str(bad), "--out", str(out)]) == 4
 
 
+def test_cli_io_error_in_a_missing_out_directory_records_in_the_working_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["pof", "--values", "3,2,1", "--alpha", "0.5", "--users", "10",
+                "--out", "nodir/pof.csv"]) == 4
+    assert json.loads((tmp_path / "error.json").read_text())["exit_code"] == 4
+
+
+def test_cli_validate_closed_form_builds_one_program_per_alpha(tmp_path, monkeypatch):
+    # Only UF*(1) is reported, so only its face program is built, not UF*(0)'s.
+    programs = []
+    real_init = lp.WarmLP.__init__
+
+    def counted_init(self, *args, **kwargs):
+        programs.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(lp.WarmLP, "__init__", counted_init)
+    assert run(["validate-closed-form", "--alpha", "3", "--users", "10"]) == 0
+    assert len(programs) == 3
+
+
 def test_cli_solver_error_exit_and_record(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise LPSolverError(LPStatus.FAILED, "injected")

@@ -101,7 +101,7 @@ def test_policy_expansion_repeats_type_rows(worked_instance):
 
 
 def test_worked_instance_item_optimum(worked_instance):
-    res = compute_if_star(worked_instance)
+    res = Problem(worked_instance).if_star
     assert abs(res.value - 3.0 / 7.0) < 1e-9
     i_vals = item_utility_vector(res.policy, worked_instance)
     assert np.allclose(i_vals, 3.0 / 7.0, atol=1e-7)
@@ -202,7 +202,6 @@ def test_canonical_points_are_certified_on_heavily_tied_instances():
     for seed in range(10):
         for shape, top in (((6, 5), 4), ((8, 6), 3)):
             w = UtilityMatrix(np.random.default_rng(seed).integers(1, top, size=shape).astype(float))
-            clear_caches()
             solver = tradeoff_sweep(w, [0.5, 1.0])
             canonical = tradeoff_sweep(w, [0.5, 1.0], tie_break=TieBreak.CANONICAL)
             for r_sol, r_can in zip(solver.rows, canonical.rows):
@@ -256,21 +255,21 @@ def test_canonical_tie_break_limited_to_maxmin(worked_instance):
 
 def test_measure_size_validation(worked_instance):
     with pytest.raises(ValueError):
-        compute_if_star(worked_instance, measure=FairnessMeasure(MeasureKind.SUM_K_MIN, 5))
+        Problem(worked_instance, measure=FairnessMeasure(MeasureKind.SUM_K_MIN, 5)).if_star
     with pytest.raises(ValueError):
         compute_uf_star(worked_instance, 0.5, measure=FairnessMeasure(MeasureKind.SUM_K_MIN, 11))
 
 
 def test_single_item_instance_is_trivially_fair():
     w = UtilityMatrix(np.array([[1.0], [2.0]]))
-    assert abs(compute_if_star(w).value - 1.0) < 1e-12
+    assert abs(Problem(w).if_star.value - 1.0) < 1e-12
     for gamma in (0.0, 0.7, 1.0):
         assert abs(compute_uf_star(w, gamma).value - 1.0) < 1e-12
 
 
 def test_indifferent_population_spreads_mass():
     w = UtilityMatrix(np.ones((4, 3)))
-    assert abs(compute_if_star(w).value - 1.0 / 3.0) < 1e-9
+    assert abs(Problem(w).if_star.value - 1.0 / 3.0) < 1e-9
     for gamma in (0.0, 1.0):
         assert abs(compute_uf_star(w, gamma).value - 1.0) < 1e-9
 
@@ -279,7 +278,7 @@ def test_item_equality_at_item_optimum():
     rng = np.random.default_rng(5)
     for _ in range(10):
         w = UtilityMatrix(random_positive_matrix(rng, 7, 4))
-        res = compute_if_star(w)
+        res = Problem(w).if_star
         i_vals = item_utility_vector(res.policy, w)
         assert i_vals.max() - i_vals.min() < 1e-6
 
@@ -287,7 +286,7 @@ def test_item_equality_at_item_optimum():
 def test_constraint_target_is_met_along_gamma():
     rng = np.random.default_rng(9)
     w = UtilityMatrix(random_positive_matrix(rng, 6, 4))
-    if_star = compute_if_star(w).value
+    if_star = Problem(w).if_star.value
     for gamma in (0.3, 0.8, 1.0):
         res = compute_uf_star(w, gamma)
         achieved = item_utility_vector(res.policy, w).min()
@@ -337,8 +336,8 @@ def test_item_permutation_permutes_the_optimum():
     a = compute_uf_star(UtilityMatrix(values), 1.0)
     b = compute_uf_star(UtilityMatrix(values[:, perm]), 1.0)
     assert abs(a.value - b.value) < 1e-9
-    assert abs(compute_if_star(UtilityMatrix(values)).value
-               - compute_if_star(UtilityMatrix(values[:, perm])).value) < 1e-9
+    assert abs(Problem(UtilityMatrix(values)).if_star.value
+               - Problem(UtilityMatrix(values[:, perm])).if_star.value) < 1e-9
 
 
 @pytest.mark.xfail(
@@ -349,11 +348,11 @@ def test_item_permutation_permutes_the_optimum():
 def test_row_scaling_leaves_constrained_optimum_invariant():
     w1 = UtilityMatrix(np.array([[2.0, 1.0], [1.0, 1.0]]))
     w2 = UtilityMatrix(np.array([[4.0, 2.0], [1.0, 1.0]]))
-    assert abs(compute_if_star(w1).value - compute_if_star(w2).value) < 1e-9
+    assert abs(Problem(w1).if_star.value - Problem(w2).if_star.value) < 1e-9
 
 
 def test_sum_k_measures_on_worked_instance(worked_instance):
-    res = compute_if_star(worked_instance, measure=SUMK3)
+    res = Problem(worked_instance, measure=SUMK3).if_star
     # with three items the sum over all of them is maximized by pure
     # best-share placement: 0.75 + 0.75
     assert abs(res.value - 1.5) < 1e-9
@@ -367,7 +366,7 @@ def test_sum_1_min_pipeline_matches_maxmin(seed):
     rng = np.random.default_rng(40 + seed)
     w = UtilityMatrix(random_positive_matrix(rng, 5, 3))
     sum1 = FairnessMeasure(MeasureKind.SUM_K_MIN, 1)
-    assert abs(compute_if_star(w).value - compute_if_star(w, measure=sum1).value) < 1e-7
+    assert abs(Problem(w).if_star.value - Problem(w, measure=sum1).if_star.value) < 1e-7
     for gamma in (0.0, 0.8):
         a = compute_uf_star(w, gamma).value
         b = compute_uf_star(w, gamma, measure=sum1).value
@@ -375,7 +374,7 @@ def test_sum_1_min_pipeline_matches_maxmin(seed):
 
 
 def test_nash_item_optimum_on_worked_instance(worked_instance):
-    res = compute_if_star(worked_instance, measure=NASH)
+    res = Problem(worked_instance, measure=NASH).if_star
     assert abs(res.value - (-(2 * math.log(2) + math.log(3)))) < 1e-6
     assert np.allclose(res.rows_by_type, [[2 / 3, 1 / 3, 0.0], [0.0, 1 / 3, 2 / 3]], atol=1e-5)
 
@@ -396,7 +395,7 @@ def test_nash_constrained_curve_on_worked_instance(worked_instance):
 def test_nash_pipeline_matches_grid_search(worked_instance):
     red = reduce_by_types(worked_instance)
     if_grid, uf_grid = grid_nash_if_and_uf(red.matrix.values, red.counts, step=0.02)
-    if_solver = compute_if_star(worked_instance, measure=NASH).value
+    if_solver = Problem(worked_instance, measure=NASH).if_star.value
     uf_solver = compute_uf_star(worked_instance, 1.0, measure=NASH).value
     assert if_solver >= if_grid - 1e-9
     assert abs(if_solver - if_grid) < 0.05
@@ -527,14 +526,15 @@ def test_price_of_misestimation_does_per_matrix_work_once_per_grid(monkeypatch):
         return real_misest(*args)
 
     program_calls = []
-    real_program = opt.Problem.uf_program
+    real_program = vars(opt.Problem)["uf_program"]
 
     def uf_program(problem):
-        program_calls.append(id(problem.w))
-        return real_program(problem)
+        if "uf_program" not in vars(problem):  # not built yet
+            program_calls.append(id(problem.w))
+        return real_program.__get__(problem)
 
     monkeypatch.setattr(opt.Problem, "if_star", property(if_star))
-    monkeypatch.setattr(opt.Problem, "uf_program", uf_program)
+    monkeypatch.setattr(opt.Problem, "uf_program", property(uf_program))
     monkeypatch.setattr(opt, "misestimated_users", misest)
     data = gen_misestimation(V4321, 0.3, 100, seed=1)
     for scope in Scope:
@@ -608,8 +608,6 @@ def test_sweep_rows_and_provenance(worked_instance):
     assert [r.gamma for r in curve.rows] == [0.0, 0.5, 1.0]
     assert all(r.status == "ok" for r in curve.rows)
     assert all(r.solve_ms >= 0.0 for r in curve.rows)
-    for key in ("measure", "delta", "matrix_sha256", "feasibility_tol", "tie_break"):
-        assert key in curve.provenance
     uf = [r.uf_achieved for r in curve.rows]
     assert uf[0] >= uf[1] >= uf[2]
 
@@ -798,6 +796,23 @@ def test_warm_sweep_recovers_after_a_failed_gamma(monkeypatch, measure):
         assert abs(r.uf_achieved - cold_uf(w.values, r.gamma, curve.if_star, measure)) <= 1e-9
 
 
+@LP_MEASURES
+def test_uf_star_calls_on_one_problem_share_its_program(worked_instance, monkeypatch, measure):
+    programs = []
+    real_init = lp.WarmLP.__init__
+
+    def counted_init(self, *args, **kwargs):
+        programs.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(lp.WarmLP, "__init__", counted_init)
+    p = Problem(worked_instance, measure=measure)
+    first = compute_uf_star(worked_instance, 0.5, problem=p)
+    second = compute_uf_star(worked_instance, 0.5, problem=p)
+    assert len(programs) == 1
+    assert abs(first.value - second.value) <= 1e-12
+
+
 def test_sum_k_sweep_is_one_warm_program_sized_by_types(monkeypatch):
     """IF* is the one cold solve; every gamma < 1 re-solves one WarmLP, and
     gamma = 1 solves one on IF*'s optimal face.  Both sizes depend on the
@@ -953,7 +968,7 @@ def test_solves_and_prices_stay_in_type_space(monkeypatch):
 
     monkeypatch.setattr(opt, "expand_policy", counted)
     data = gen_misestimation(V5, 0.3, 25, seed=3)
-    ifres = compute_if_star(data.w)
+    ifres = Problem(data.w).if_star
     results = [compute_uf_star(data.w, g, measure=mu) for g in (0.0, 0.5) for mu in (FairnessMeasure(), SUMK3)]
     for scope in Scope:
         price_of_misestimation(data.w, data.w_hat, [0.5], scope)
@@ -965,9 +980,10 @@ def test_solves_and_prices_stay_in_type_space(monkeypatch):
     assert len(calls) == 1 + len(results)
 
 
-def test_only_the_sweep_provenance_hashes_the_matrix(worked_instance, monkeypatch, tmp_path):
+def test_only_the_tradeoff_command_hashes_the_matrix(worked_instance, monkeypatch, tmp_path):
     """IF* is read from each solve path's Problem, not found by hashing the
-    matrix; the one sha256 left is the sweep's ``matrix_sha256`` line."""
+    matrix; the one sha256 left is ``fairrec tradeoff``'s ``matrix_sha256``
+    provenance line, and the library sweep hashes nothing."""
     import hashlib
 
     import fairrec.optimizer as opt
@@ -987,10 +1003,17 @@ def test_only_the_sweep_provenance_hashes_the_matrix(worked_instance, monkeypatc
 
     monkeypatch.setattr(opt.hashlib, "sha256", counted)
     data = gen_misestimation(V321, 0.3, 10, seed=0)
-    validate = ["validate-closed-form", "--alpha", "3", "--users", "10", "--out", str(tmp_path / "v.csv")]
-    assert hashes(lambda: opt.tradeoff_sweep(worked_instance, GRID11)) == 1
+    recipe = ["--values", "3,2,1", "--users", "10"]
+    commands = {
+        "tradeoff": ["tradeoff", *recipe, "--alpha", "0.5", "--out", str(tmp_path / "t.csv")],
+        "misest": ["misest", *recipe, "--beta", "0.3", "--scope", "all", "--out", str(tmp_path / "m.csv")],
+        "pof": ["pof", *recipe, "--alpha", "0.5", "--out", str(tmp_path / "p.csv")],
+        "validate-closed-form": ["validate-closed-form", "--alpha", "3", "--users", "10", "--out", str(tmp_path / "v.csv")],
+    }
+    assert hashes(lambda: opt.tradeoff_sweep(worked_instance, GRID11)) == 0
     assert hashes(lambda: opt.price_of_misestimation(data.w, data.w_hat, GRID11, Scope.ALL_USERS)) == 0
     assert hashes(lambda: opt.price_of_fairness(worked_instance)) == 0
     codes = []
-    assert hashes(lambda: codes.append(cli.main(validate))) == 0
-    assert codes == [0]
+    for name, argv in commands.items():
+        assert hashes(lambda: codes.append(cli.main(argv))) == (1 if name == "tradeoff" else 0), name
+    assert codes == [0] * len(commands)
