@@ -133,23 +133,26 @@ def _two_type_candidate(q: np.ndarray, t: int) -> tuple[float, np.ndarray, np.nd
     return if_star, x, y
 
 
+def _pivot_scan(candidates) -> tuple[int, tuple]:
+    """The 1-based pivot of the candidate with the largest value, the first of
+    values within PIVOT_TOL, and that candidate; None marks an infeasible one."""
+    best_t, best = None, (-np.inf,)
+    for t, cand in enumerate(candidates, start=1):
+        if cand is not None and cand[0] > best[0] + PIVOT_TOL:
+            best_t, best = t, cand
+    if best_t is None:
+        raise RuntimeError("no pivot candidate is feasible; the instance is too degenerate for a closed form")
+    return best_t, best
+
+
 def two_type_pivot(spec: TwoTypeSpec) -> int:
     """Pivot item of the item-fairness optimum, 1-based, in [1, n]."""
-    q = q_weights(spec)
-    best_t, best_val = None, -np.inf
-    for t in range(1, spec.n + 1):
-        cand = _two_type_candidate(q, t)
-        if cand is not None and cand[0] > best_val + PIVOT_TOL:
-            best_t, best_val = t, cand[0]
-    if best_t is None:
-        raise RuntimeError("no pivot candidate is feasible; value vector is degenerate")
-    return best_t
+    return two_type_solution(spec).t
 
 
 def two_type_solution(spec: TwoTypeSpec) -> TwoTypeSolution:
     q = q_weights(spec)
-    t = two_type_pivot(spec)
-    if_star, x, y = _two_type_candidate(q, t)
+    t, (if_star, x, y) = _pivot_scan(_two_type_candidate(q, t) for t in range(1, spec.n + 1))
     v = spec.v
     # Worst-off side of the population; at alpha = 1/2 both types tie.
     u_type1 = float(x @ v) / v[0]
@@ -233,22 +236,10 @@ def _misest_candidate(q: np.ndarray, beta: float, t: int) -> tuple[float, np.nda
 
 def misest_pivot(spec: MisestSpec) -> int:
     """Pivot of the averaged-population optimum, 1-based, at most floor((n+1)/2)."""
-    q = spec.v / (spec.v + spec.v[::-1])
-    h = (spec.n + 1) // 2
-    best_t, best_val = None, -np.inf
-    for t in range(1, h + 1):
-        cand = _misest_candidate(q, spec.beta, t)
-        if cand is not None and cand[0] > best_val + PIVOT_TOL:
-            best_t, best_val = t, cand[0]
-    if best_t is None:
-        raise RuntimeError(
-            "no pivot candidate is feasible; beta is too extreme for a closed-form solution"
-        )
-    return best_t
+    return misest_solution(spec).t
 
 
 def misest_solution(spec: MisestSpec) -> MisestSolution:
     q = spec.v / (spec.v + spec.v[::-1])
-    t = misest_pivot(spec)
-    lam, x, z = _misest_candidate(q, spec.beta, t)
+    t, (lam, x, z) = _pivot_scan(_misest_candidate(q, spec.beta, t) for t in range(1, (spec.n + 1) // 2 + 1))
     return MisestSolution(t=t, q=q, lam=lam, x=x, z=z)

@@ -179,8 +179,9 @@ def cmd_tradeoff(args) -> int:
         "user fairness": [r.uf_achieved for r in curve.rows],
         "item fairness": [r.if_achieved for r in curve.rows],
     }
-    _write_chart(args, [r.gamma for r in curve.rows], series, title="Fairness tradeoff",
-                 x_label="gamma", y_label="normalized fairness")
+    if len(bad) < len(curve.rows):  # a run whose every gamma failed has nothing to draw
+        _write_chart(args, [r.gamma for r in curve.rows], series, title="Fairness tradeoff",
+                     x_label="gamma", y_label="normalized fairness")
     if bad:
         raise LPSolverError(
             LPStatus.FAILED, "tradeoff failed at gamma = " + ", ".join(f"{r.gamma:g}" for r in bad)

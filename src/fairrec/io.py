@@ -8,7 +8,8 @@ significant digits, enough to verify 1e-6 tolerances without false diffs.
 Populations repeat a few type rows many times, so each distinct row is
 formatted once on save, its users written as label + row bytes, and each
 distinct value string is parsed and checked once on load, into one type per
-distinct row; the files and error messages are those of a per-row pass.
+distinct row; the files and error messages are those of a per-row pass:
+every bad cell, infinite ones too, names the file, its first user and item.
 """
 from __future__ import annotations
 
@@ -81,11 +82,9 @@ def _parse_row(path, lineno: int, line: str, item_labels: list[str]) -> np.ndarr
             raise MatrixFormatError(
                 f"{path}: cell (user {uid!r}, item {item_labels[j]!r}) is not a number: {cell!r}"
             ) from None
-        if not row[j] > 0:
-            raise MatrixFormatError(
-                f"{path}: cell (user {uid!r}, item {item_labels[j]!r}) must be strictly "
-                f"positive, got {cell}"
-            )
+        if not 0 < row[j] < np.inf:
+            rule = "strictly positive" if not row[j] > 0 else "finite"
+            raise MatrixFormatError(f"{path}: cell (user {uid!r}, item {item_labels[j]!r}) must be {rule}, got {cell}")
     return row
 
 
@@ -118,9 +117,6 @@ def load_utility_csv(path) -> UtilityMatrix:
     if not type_of:
         raise MatrixFormatError(f"{path}: no user rows")
     values = np.frombuffer(b"".join(rows)).reshape(len(rows), len(item_labels))
-    if not np.isfinite(values).all():
-        t, j = np.argwhere(~np.isfinite(values))[0]
-        raise ValueError(f"non-finite utility at row {type_of.index(t)}, column {j}")
     return UtilityMatrix.from_types(values, type_of, tuple(user_labels), tuple(item_labels))
 
 

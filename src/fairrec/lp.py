@@ -240,11 +240,11 @@ class WarmLP:
     The model is the one ``solve_lp`` hands to ``linprog``: rows are
     ``[a_ub; a_eq]``, the ``<=`` rows ranged ``(-inf, b_ub]`` and the
     equality rows ``[b_eq, b_eq]``, with each column the region fixes
-    (lb == ub) substituted out.  ``feas_tol`` is HiGHS's primal feasibility
-    tolerance.
+    (lb == ub) substituted out.  HiGHS's primal feasibility tolerance is
+    FEAS_TOL, the bound its optimal points are then checked against.
     """
 
-    def __init__(self, objective: np.ndarray, region: Region, feas_tol: float = FEAS_TOL):
+    def __init__(self, objective: np.ndarray, region: Region):
         self.objective = objective = _check_objective(objective, region)
         keep = self._keep = region.lb < region.ub
         self.region, self._base = region, np.where(keep, 0.0, region.lb)
@@ -254,7 +254,7 @@ class WarmLP:
         upper = np.concatenate([region.b_ub, region.b_eq]) - self._shift
         model = _highs_lp(-objective[keep], a[:, keep], region.lb[keep], region.ub[keep], lower, upper)
         self._highs = _silent_highs(
-            model, solver="simplex", simplex_strategy=1, primal_feasibility_tolerance=feas_tol
+            model, solver="simplex", simplex_strategy=1, primal_feasibility_tolerance=FEAS_TOL
         )
 
     def solve(self, b_ub: Any) -> LPSolution:

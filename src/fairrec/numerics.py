@@ -197,7 +197,6 @@ def nash_concave_solve(
     region,
     start: np.ndarray | None = None,
     tol: float = GAP_TOL,
-    max_iter: int = MAX_ITER,
     constraint: tuple[LogObjective, float] | None = None,
 ) -> ConcaveResult:
     """Maximize F, a weighted sum of logs of linear functionals, over the
@@ -221,8 +220,9 @@ def nash_concave_solve(
     ``gap`` is that bound at lambda = rho / (t (G(x) - tau)), the multiplier
     of the central path; without a floor it is the Frank-Wolfe gap of F.
     ``converged`` means gap <= tol * (1 + |value|).  It is False when
-    ``max_iter`` Newton steps are spent first, or when a step that promises a
-    decrease finds none.  ``iterations`` counts Newton steps.
+    the module's MAX_ITER Newton steps, read at the call, are spent first,
+    or when a step that promises a decrease finds none.  ``iterations``
+    counts Newton steps.
     """
     if not isinstance(region, SimplexProduct):
         raise TypeError(f"unsupported region type {type(region).__name__}")
@@ -243,7 +243,7 @@ def nash_concave_solve(
     x, delta, value = x0, np.zeros(size), float(c @ np.log(bx))
     t = (size + rho) / max(_fw_gap(b.T @ (c / bx), x, region), 1e-12)
     decrement, gap, polished = np.inf, np.inf, 0
-    for it in range(max_iter + 1):
+    for it in range(MAX_ITER + 1):
         grad = b.T @ (c / bx)
         if constraint is None:
             gap = _fw_gap(grad, x, region)
@@ -251,7 +251,7 @@ def nash_concave_solve(
             grad_g = a.T @ (wa / ax)
             gap = rho / t + _fw_gap(grad + rho / (t * slack) * grad_g, x, region)
         target = tol * (1.0 + abs(value))
-        if gap <= target or it == max_iter:
+        if gap <= target or it == MAX_ITER:
             break
         # t grows by BARRIER_GROWTH once a step finds the point centered, up
         # to t_final, where the central point's gap, about (K n + rho) / t,

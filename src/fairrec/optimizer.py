@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 from scipy.sparse import coo_array
 
-from . import lp
+from . import lp, numerics
 from .core import (
     MAX_MIN,
     FairnessMeasure,
@@ -50,7 +50,7 @@ from .core import (
     measure_value,
     user_utility_vector,
 )
-from .numerics import MAX_ITER, LogObjective, NonConvergenceError, SimplexProduct, nash_concave_solve
+from .numerics import LogObjective, NonConvergenceError, SimplexProduct, nash_concave_solve
 
 # Backoff applied when an optimal value is reused as a constraint threshold,
 # so that floating-point optima stay feasible.
@@ -60,11 +60,6 @@ SLACK = 1e-9
 NASH_IF_TOL = 1e-10
 # Tolerance for sweep monotonicity and constraint satisfaction checks.
 SWEEP_TOL = 1e-6
-# HiGHS's primal feasibility tolerance on the sum-k UF* program.  A user
-# epigraph row violated by eps lets the lift overstate the sum of the k
-# smallest by up to k * eps; at the default 1e-7 the worked instance's
-# gamma = 1 optimum came out 1e-9 short of exact.
-SUM_K_FEAS_TOL = 1e-10
 
 
 class TieBreak(str, Enum):
@@ -266,8 +261,7 @@ class Problem:
         rows = coo_array((rows.data, (rows.row, rows.col)), shape=(k, region.num_vars))
         if measure.kind is MeasureKind.MAX_MIN:
             return lp.WarmLP(*lp.maxmin_lift(rows, region))
-        lifted = lp.sum_k_lift(rows, measure.k, region, weights=self.reduction.counts)
-        return lp.WarmLP(*lifted, feas_tol=SUM_K_FEAS_TOL)
+        return lp.WarmLP(*lp.sum_k_lift(rows, measure.k, region, weights=self.reduction.counts))
 
 
 _IF_STAR_CACHE: dict[bytes, IfStarResult] = {}
@@ -457,7 +451,7 @@ def _require_certified(res, phase: str, k: int, n: int) -> None:
     if not res.converged:
         raise NonConvergenceError(
             f"Nash {phase}, {k}x{n}: not certified after {res.iterations} Newton steps "
-            f"(cap {MAX_ITER}), last gap {res.gap:.3e}, t = {res.t:.3e}"
+            f"(cap {numerics.MAX_ITER}), last gap {res.gap:.3e}, t = {res.t:.3e}"
         )
 
 
@@ -478,13 +472,13 @@ def require_price_measure(measure: FairnessMeasure, price: str) -> None:
 def price_of_fairness_terms(problem: Problem) -> tuple[float, float, float]:
     """UF*(0), UF*(1) and the price of fairness ``(UF*(0) - UF*(1)) / UF*(0)``.
 
-    UF*(1) is solved on IF*'s optimal face as a sweep solves it, so it
-    equals a sweep's gamma = 1 row, and only once UF*(0) is known to be
-    nonzero (ValueError otherwise)."""
+    UF*(0) is the closed form that puts every type on a favorite item: the
+    measure of all-ones user utilities, 1 for max-min and k for sum-k, so no
+    program is built for it.  UF*(1) is solved on IF*'s optimal face as a
+    sweep solves it, so it equals a sweep's gamma = 1 row."""
     require_price_measure(problem.measure, "price of fairness")
-    uf0 = compute_uf_star(problem.w, 0.0, problem=problem).value
-    if abs(uf0) < 1e-12:
-        raise ValueError("price of fairness is undefined when the unconstrained optimum is 0")
+    red = problem.reduction
+    uf0 = measure_value(np.ones(red.k), problem.measure, weights=red.counts)
     uf1 = compute_uf_star(problem.w, 1.0, problem=problem).value
     return uf0, uf1, (uf0 - uf1) / uf0
 

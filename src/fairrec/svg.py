@@ -5,6 +5,7 @@ per series, a small legend.  Output is deterministic for identical input.
 """
 from __future__ import annotations
 
+from math import isfinite
 from xml.sax.saxutils import escape
 
 W, H = 640, 420
@@ -30,12 +31,12 @@ def line_chart(
 ) -> str:
     """Render series {name: ys} over shared xs into an SVG document string.
 
-    NaN entries break the polyline rather than drawing a misleading segment.
+    Non-finite entries break the polyline and stay out of the y-range.
     """
     x = [float(v) for v in x]
     if not x or not series:
         raise ValueError("line_chart needs at least one point and one series")
-    ys_all = [float(v) for ys in series.values() for v in ys if v == v]
+    ys_all = [float(v) for ys in series.values() for v in ys if isfinite(v)]
     if not ys_all:
         raise ValueError("line_chart has no finite y values")
     x0, x1 = _span(x)
@@ -89,7 +90,7 @@ def line_chart(
         run = []
         chunks = []
         for xv, yv in zip(x, ys):
-            if yv == yv:
+            if isfinite(yv):
                 run.append(f"{px(xv):.2f},{py(float(yv)):.2f}")
             elif run:
                 chunks.append(run)

@@ -52,11 +52,12 @@ def test_loader_reports_cell_coordinates(tmp_path):
 
 
 def test_loader_names_the_first_user_row_of_an_infinite_cell(tmp_path):
-    # Rows are checked once per type; the message still counts users.
+    # Rows are checked once per type; the message still names the first user.
     path = tmp_path / "inf.csv"
     path.write_text("user_id,a,b\nu0,1,2\nu1,2,1\nu2,1,inf\nu3,1,inf\n")
-    with pytest.raises(ValueError, match=r"^non-finite utility at row 2, column 1$"):
+    with pytest.raises(MatrixFormatError) as err:
         load_utility_csv(path)
+    assert str(err.value) == f"{path}: cell (user 'u2', item 'b') must be finite, got inf"
 
 
 def test_loader_rejects_malformed_shapes(tmp_path):
@@ -84,10 +85,11 @@ REPEATS = 200
     [
         ("late,1.5,-2,3", "cell (user 'late', item 'b') must be strictly positive, got -2"),
         ("late,1.5,abc,3", "cell (user 'late', item 'b') is not a number: 'abc'"),
+        ("late,1.5,inf,3", "cell (user 'late', item 'b') must be finite, got inf"),
         ("late,1.5,2.25", f"line {REPEATS + 2} has 2 values, expected 3"),
         ("late", f"line {REPEATS + 2} has 0 values, expected 3"),
     ],
-    ids=["bad-cell", "non-numeric", "short", "no-comma"],
+    ids=["bad-cell", "non-numeric", "infinite", "short", "no-comma"],
 )
 def test_loader_names_first_bad_line_after_repeated_rows(tmp_path, bad_line, message):
     # The loader checks each distinct line tail once; a bad one must still
@@ -362,23 +364,27 @@ def test_cli_sum_k_above_the_group_exits_before_any_solve(tmp_path, monkeypatch)
     assert "misest-group" in record["message"] and "2 users" in record["message"]
 
 
-def test_cli_pof_checks_unconstrained_optimum_before_full_fairness(tmp_path, monkeypatch):
-    import dataclasses
-
+def test_cli_pof_solves_only_full_fairness_on_one_program(tmp_path, monkeypatch):
+    # UF*(0) is the measure of all-ones user utilities, so no program is built for it.
     import fairrec.optimizer as opt
 
-    real = opt.compute_uf_star
-    gammas = []
+    real, gammas, programs = opt.compute_uf_star, [], []
+    real_init = lp.WarmLP.__init__
 
-    def zero_at_gamma_0(w, gamma, *args, **kwargs):
+    def recorded(w, gamma, *args, **kwargs):
         gammas.append(gamma)
-        return dataclasses.replace(real(w, gamma, *args, **kwargs), value=0.0)
+        return real(w, gamma, *args, **kwargs)
 
-    monkeypatch.setattr(opt, "compute_uf_star", zero_at_gamma_0)
-    code = run(["pof", "--values", "3,2,1", "--alpha", "0.5", "--users", "10",
-                "--out", str(tmp_path / "pof.csv")])
-    assert code == 2
-    assert gammas == [0.0]
+    def counted_init(self, *args, **kwargs):
+        programs.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(opt, "compute_uf_star", recorded)
+    monkeypatch.setattr(lp.WarmLP, "__init__", counted_init)
+    assert run(["pof", "--values", "3,2,1", "--alpha", "0.5", "--users", "10",
+                "--out", str(tmp_path / "pof.csv")]) == 0
+    assert gammas == [1.0]
+    assert len(programs) == 1
 
 
 def test_cli_config_error_exit_and_record(tmp_path):
@@ -400,6 +406,16 @@ def test_cli_io_error_exit_and_record(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("user_id,i0\nu0,0\n")
     assert run(["tradeoff", "--matrix", str(bad), "--out", str(out)]) == 4
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+def test_cli_non_finite_cell_exits_with_io_error(tmp_path, cell):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"user_id,i0,i1\nu0,1,{cell}\n")
+    assert run(["tradeoff", "--matrix", str(bad), "--out", str(tmp_path / "c.csv")]) == 4
+    record = json.loads((tmp_path / "error.json").read_text())
+    assert record["error"] == "MatrixFormatError"
+    assert "cell (user 'u0', item 'i1')" in record["message"]
 
 
 def test_cli_io_error_in_a_missing_out_directory_records_in_the_working_directory(tmp_path, monkeypatch):
@@ -489,6 +505,35 @@ def test_cli_failed_sweep_rows_exit_and_record(tmp_path, monkeypatch):
     assert record["exit_code"] == 3
     assert record["error"] == "LPSolverError"
     assert "gamma = 0.5" in record["message"]
+
+
+def test_cli_failed_sweep_with_a_chart_exits_as_without_one(tmp_path, monkeypatch):
+    import fairrec.optimizer as opt
+
+    def failed(*args, **kwargs):
+        raise LPSolverError(LPStatus.FAILED, "injected failure")
+
+    monkeypatch.setattr(opt, "compute_uf_star", failed)
+    svg = tmp_path / "c.svg"
+    code = run(["tradeoff", "--values", "3,2,1", "--alpha", "0.5", "--users", "10",
+                "--gammas", "0,0.5,1", "--out", str(tmp_path / "c.csv"), "--svg", str(svg)])
+    assert code == 3
+    assert not svg.exists()
+    record = json.loads((tmp_path / "error.json").read_text())
+    assert record["error"] == "LPSolverError"
+    assert "gamma = 0, 0.5, 1" in record["message"]
+
+
+def test_cli_nash_tradeoff_chart_skips_non_finite_points(tmp_path):
+    # The gamma = 0 row starves the middle item, so its Nash item fairness is -inf.
+    out, svg = tmp_path / "t.csv", tmp_path / "t.svg"
+    assert run(["tradeoff", "--values", "3,2,1", "--alpha", "0.5", "--users", "10", "--measure", "nash",
+                "--gammas", "0,0.5,1", "--out", str(out), "--svg", str(svg)]) == 0
+    lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert next(csv.DictReader(lines))["if_achieved"] == "-inf"
+    text = svg.read_text()
+    assert ET.fromstring(text).tag.endswith("svg")
+    assert "nan" not in text and "inf" not in text
 
 
 def test_cli_uncertified_canonical_point_exit_and_record(tmp_path, monkeypatch):

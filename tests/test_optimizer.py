@@ -753,6 +753,8 @@ def parity_instances():
     # Types of 1 to 5 users each, so the sum-k type weights matter.
     rng = np.random.default_rng(503)
     yield UtilityMatrix(np.repeat(random_positive_matrix(rng, 10, 8), rng.integers(1, 6, 10), axis=0))
+    # Values rounded to one decimal tie within and across rows, so the vertices are degenerate.
+    yield UtilityMatrix(np.round(np.random.default_rng(504).uniform(0.1, 1.0, (20, 12)), 1))
 
 
 @LP_MEASURES
@@ -773,6 +775,13 @@ def test_warm_sweep_matches_single_gamma_solves(measure):
         curve = tradeoff_sweep(w, gammas, measure=measure)
         for r, g in zip(curve.rows, gammas):
             assert abs(r.uf_achieved - compute_uf_star(w, g, measure=measure).value) <= 1e-9
+
+
+@LP_MEASURES
+def test_pof_unconstrained_optimum_is_the_sweep_gamma_0_row(measure):
+    for w in parity_instances():
+        uf0 = opt.price_of_fairness_terms(Problem(w, measure=measure))[0]
+        assert uf0 == tradeoff_sweep(w, [0.0], measure=measure).rows[0].uf_achieved
 
 
 @LP_MEASURES
