@@ -22,6 +22,7 @@ import numpy as np
 from .analytic import TwoTypeSpec, two_type_pof_curve, two_type_solution
 from .core import FairnessMeasure, ItemUtilityModel, MeasureKind
 from .io import (
+    WRITE_BLOCK,
     MatrixFormatError,
     load_utility_csv,
     provenance_lines,
@@ -169,7 +170,11 @@ def cmd_tradeoff(args) -> int:
     cfg = _config_echo(
         args, ["matrix", "values", "alpha", "beta", "users", "gammas", "measure", "k", "delta", "tie_break"]
     )
-    cfg["matrix_sha256"] = hashlib.sha256(w.values.data).hexdigest()[:16]
+    # The digest of the m x n float64 bytes, fed a block of users at a time.
+    digest = hashlib.sha256()
+    for s in range(0, w.m, WRITE_BLOCK):
+        digest.update(w.rows_of(slice(s, s + WRITE_BLOCK)))
+    cfg["matrix_sha256"] = digest.hexdigest()[:16]
     header, rows = tradeoff_csv_rows(curve)
     write_rows_csv(args.out, header, rows, provenance_lines("tradeoff", cfg, getattr(args, "seed", None)))
     bad = [r for r in curve.rows if r.status != "ok"]

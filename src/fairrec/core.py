@@ -66,18 +66,40 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def first_occurrence(ids) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct integer ``ids`` in order of first occurrence:
+    returns the position where each class first occurs and the class of
+    every position.  O(len(ids)) when the ids lie in [0, len(ids)), as type
+    ids do; other ids are first mapped there by ``np.unique``."""
+    ids = np.asarray(ids)
+    size = ids.size
+    if ids.min() < 0 or ids.max() >= size:
+        ids = np.unique(ids, return_inverse=True)[1]
+    first = np.full(size, size)
+    np.minimum.at(first, ids, np.arange(size))
+    first = np.sort(first[first < size])
+    rank = np.empty(size, dtype=int)
+    rank[ids[first]] = np.arange(first.size)
+    return first, rank[ids]
+
+
 @dataclass(frozen=True)
 class UtilityMatrix:
     """Strictly positive m x n utilities, optionally annotated with user types.
 
     When ``type_of`` is given, users sharing a type id must have identical
     rows; optimizers use it to collapse the instance to one row per type.
+    A matrix made by ``from_types`` holds only its K type rows and its m
+    type ids: ``values`` is gathered from them when first read, and
+    ``rows_of`` gives the rows of some users without that gather.
     """
 
     values: np.ndarray
     type_of: np.ndarray | None = None
     user_labels: tuple[str, ...] | None = None
     item_labels: tuple[str, ...] | None = None
+    # The K type rows that ``type_of`` indexes, in a matrix from from_types.
+    _type_rows = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -99,8 +121,8 @@ class UtilityMatrix:
                 raise ValueError(f"type_of must have one entry per user, got shape {type_of.shape}")
             # Compare every row with its type's first row, a block of rows at
             # a time so that no second copy of the matrix is made.
-            _, first, inverse = np.unique(type_of, return_index=True, return_inverse=True)
-            rep = first[inverse]
+            first, cls = first_occurrence(type_of)
+            rep = first[cls]
             step = max(1, TYPE_CHECK_BLOCK // values.shape[1])
             blocks = range(0, values.shape[0], step)
             if not all((values[s : s + step] == values[rep[s : s + step]]).all() for s in blocks):
@@ -115,24 +137,41 @@ class UtilityMatrix:
     @classmethod
     def from_types(cls, rows, type_of, user_labels=None, item_labels=None) -> UtilityMatrix:
         """User i has type ``type_of[i]`` and row ``rows[type_of[i]]``.  Only the
-        K type rows are checked: the one gather, the only m x n array made,
-        gives the users of a type identical rows."""
+        K type rows are checked, and the matrix keeps them and the ids: no
+        m x n array is made unless ``values`` is read."""
         w, type_of = cls(rows, item_labels=item_labels), np.asarray(type_of, dtype=int)
         if type_of.ndim != 1 or type_of.size == 0 or not 0 <= type_of.min() <= type_of.max() < w.m:
             raise ValueError(f"type_of must be a nonempty vector of ids into the {w.m} type rows")
         if user_labels is not None and len(user_labels) != type_of.size:
             raise ValueError("user_labels length does not match the number of rows")
         # w is new and still private, so its fields can be set in place.
-        vars(w).update(values=_freeze(w.values[type_of]), type_of=_freeze(type_of.copy()), user_labels=user_labels)
+        fields = vars(w)
+        fields.update(_type_rows=fields.pop("values"), type_of=_freeze(type_of.copy()), user_labels=user_labels)
         return w
+
+    def __getattr__(self, name):
+        # Called for missing attributes only: ``values`` is missing from a
+        # matrix made by from_types until its first read gathers it.
+        if name != "values" or self._type_rows is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        values = _freeze(self._type_rows[self.type_of])
+        object.__setattr__(self, "values", values)
+        return values
+
+    def rows_of(self, users) -> np.ndarray:
+        """The utility rows of ``users`` (an index array or a slice), taken
+        from the type rows when the matrix holds them."""
+        if self._type_rows is None:
+            return self.values[users]
+        return self._type_rows[self.type_of[users]]
 
     @property
     def m(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[0] if self._type_rows is None else self.type_of.size
 
     @property
     def n(self) -> int:
-        return self.values.shape[1]
+        return (self.values if self._type_rows is None else self._type_rows).shape[1]
 
 
 @dataclass(frozen=True)

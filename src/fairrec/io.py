@@ -6,10 +6,12 @@ provenance comments and are skipped on load.  Numbers are written with 12
 significant digits, enough to verify 1e-6 tolerances without false diffs.
 
 Populations repeat a few type rows many times, so each distinct row is
-formatted once on save, its users written as label + row bytes, and each
-distinct value string is parsed and checked once on load, into one type per
-distinct row; the files and error messages are those of a per-row pass:
-every bad cell, infinite ones too, names the file, its first user and item.
+formatted once on save, and users are written, labels made, a block at a
+time.  The loader reads a line at a time and parses and checks each
+distinct value string once, into one type per distinct row of a typed
+matrix.  Neither makes an m x n array.  Files and error messages are those
+of a per-row pass: every bad cell, infinite ones too, names the file, its
+first user and item.
 """
 from __future__ import annotations
 
@@ -54,15 +56,25 @@ def provenance_lines(command: str, config: dict, seed: int | None = None) -> lis
 
 
 def save_utility_csv(path, w: UtilityMatrix, provenance: list[str] | None = None) -> None:
-    users = w.user_labels if w.user_labels is not None else [f"u{i}" for i in range(w.m)]
+    """Write ``w`` in the matrix format; labels that would not load back
+    raise MatrixFormatError before the file is opened."""
+    for kind, labels in (("user", w.user_labels or ()), ("item", w.item_labels or ())):
+        for label in labels:
+            if "," in label or "\n" in label or "\r" in label or kind == "user" and label.startswith("#"):
+                raise MatrixFormatError(f"{path}: {kind} label {label!r} would not load back; labels may not "
+                                        f"hold ',', '\\n' or '\\r', and user labels may not start with '#'")
     items = w.item_labels if w.item_labels is not None else [f"i{j}" for j in range(w.n)]
     red = reduce_by_types(w)
-    tails = np.array([f",{','.join(map(_fmt, row))}\n".encode() for row in red.matrix.values], dtype=object)
+    tails = [f",{','.join(map(_fmt, row))}\n".encode() for row in red.matrix.values]
     with open(path, "wb") as fh:
         fh.write("".join(line + "\n" for line in [*(provenance or []), "user_id," + ",".join(items)]).encode())
         for s in range(0, w.m, WRITE_BLOCK):
-            labels = map(str.encode, users[s : s + WRITE_BLOCK])
-            fh.write(b"".join(map(bytes.__add__, labels, tails[red.user_to_type[s : s + WRITE_BLOCK]])))
+            stop = min(s + WRITE_BLOCK, w.m)
+            users = w.user_labels[s:stop] if w.user_labels is not None else [f"u{i}" for i in range(s, stop)]
+            parts = [b""] * (2 * (stop - s))
+            parts[::2] = map(str.encode, users)
+            parts[1::2] = map(tails.__getitem__, red.user_to_type[s:stop].tolist())
+            fh.write(b"".join(parts))
 
 
 def _parse_row(path, lineno: int, line: str, item_labels: list[str]) -> np.ndarray:
@@ -89,31 +101,33 @@ def _parse_row(path, lineno: int, line: str, item_labels: list[str]) -> np.ndarr
 
 
 def load_utility_csv(path) -> UtilityMatrix:
-    """Parse and validate a utility matrix; errors name the offending cell."""
+    """Parse and validate a utility matrix; errors name the offending cell.
+    The file is read a line at a time; line numbers count content lines."""
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip() and not ln.startswith("#")]
-    if not lines:
-        raise MatrixFormatError(f"{path}: no content rows")
-    header = lines[0].split(",")
-    if header[0] != "user_id":
-        raise MatrixFormatError(f"{path}: header must start with 'user_id', got {header[0]!r}")
-    if len(header) < 2:
-        raise MatrixFormatError(f"{path}: header names no items")
-    item_labels = header[1:]
-    user_labels, type_of = [], []
-    # Each distinct value string is parsed and checked once, and tails that
-    # parse to the same row share its type; a repeat of a tail that passed
-    # needs no check, so the first bad line still raises.
-    tails: dict[str, int] = {}
-    rows: dict[bytes, int] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        uid, comma, tail = line.partition(",")
-        t = tails.get(tail) if comma else None
-        if t is None:
-            row = _parse_row(path, lineno, line, item_labels)
-            t = tails[tail] = rows.setdefault(row.tobytes(), len(rows))
-        user_labels.append(uid)
-        type_of.append(t)
+        lines = (ln for ln in fh if not ln.isspace() and not ln.startswith("#"))
+        header = next(lines, None)
+        if header is None:
+            raise MatrixFormatError(f"{path}: no content rows")
+        header = header.rstrip("\n").split(",")
+        if header[0] != "user_id":
+            raise MatrixFormatError(f"{path}: header must start with 'user_id', got {header[0]!r}")
+        if len(header) < 2:
+            raise MatrixFormatError(f"{path}: header names no items")
+        item_labels = header[1:]
+        user_labels, type_of = [], []
+        # Each distinct value string is parsed and checked once, and tails that
+        # parse to the same row share its type; a repeat of a tail that passed
+        # needs no check, so the first bad line still raises.
+        tails: dict[str, int] = {}
+        rows: dict[bytes, int] = {}
+        for lineno, line in enumerate(lines, start=2):
+            uid, comma, tail = line.partition(",")
+            t = tails.get(tail) if comma else None
+            if t is None:
+                row = _parse_row(path, lineno, line.rstrip("\n"), item_labels)
+                t = tails[tail] = rows.setdefault(row.tobytes(), len(rows))
+            user_labels.append(uid)
+            type_of.append(t)
     if not type_of:
         raise MatrixFormatError(f"{path}: no user rows")
     values = np.frombuffer(b"".join(rows)).reshape(len(rows), len(item_labels))

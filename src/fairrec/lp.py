@@ -12,7 +12,8 @@ polyhedron, and both read their optimal face from the duals.
 
 There are two paths.  ``solve_lp`` is the cold one: each call hands one
 program to scipy's ``linprog``, which runs HiGHS's interior point method
-(IPX) with crossover to a basis; the item-fairness optimum uses it.
+(IPX), without presolve, with crossover to a basis; the item-fairness
+optimum uses it.
 ``WarmLP`` keeps one HiGHS model alive and re-solves it after its ``<=``
 right-hand sides change, starting dual simplex from the previous optimal
 basis; the user-fairness programs of both LP measures use it.
@@ -184,6 +185,8 @@ def solve_lp(objective: np.ndarray, region: Region) -> LPSolution:
         b_eq=region.b_eq,
         bounds=np.column_stack([region.lb, region.ub]),
         method="highs-ipm",
+        # Presolve removes nothing from these programs; it only costs time.
+        options={"presolve": False},
     )
     if res.status == 2:
         return LPSolution(LPStatus.INFEASIBLE, message=res.message)

@@ -47,6 +47,7 @@ from .core import (
     MeasureKind,
     RecommendationPolicy,
     UtilityMatrix,
+    first_occurrence,
     measure_value,
     user_utility_vector,
 )
@@ -86,19 +87,16 @@ class TypeReduction:
 
 
 def reduce_by_types(w: UtilityMatrix) -> TypeReduction:
-    """Group users into types by the type annotation or by exact row equality."""
+    """Group users into types by the type annotation or by exact row
+    equality, numbered in order of first occurrence so the reduction is
+    deterministic.  A typed matrix gives its rows from its type rows."""
     if w.type_of is not None:
-        keys = w.type_of
+        ids = w.type_of
     else:
         values = np.ascontiguousarray(w.values)
-        keys = values.view(np.dtype((np.void, values.itemsize * w.n))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    # Renumber in first-occurrence order so the reduction is deterministic.
-    rank = np.empty(first.size, dtype=int)
-    rank[np.argsort(first)] = np.arange(first.size)
-    user_to_type = rank[inverse.ravel()]
-    rows = w.values[np.sort(first)]
-    return TypeReduction(UtilityMatrix(rows), np.bincount(user_to_type), user_to_type)
+        ids = np.unique(values.view(np.dtype((np.void, values.itemsize * w.n))).ravel(), return_inverse=True)[1]
+    first, user_to_type = first_occurrence(ids)
+    return TypeReduction(UtilityMatrix(w.rows_of(first)), np.bincount(user_to_type), user_to_type)
 
 
 def expand_policy(rows_by_type: np.ndarray, reduction: TypeReduction) -> np.ndarray:
@@ -529,18 +527,19 @@ def price_of_misestimation(
     require_price_measure(measure, "price of misestimation")
     scope = Scope(scope)
     gammas = check_gamma_grid(gammas)
-    if w.values.shape != w_hat.values.shape:
+    if (w.m, w.n) != (w_hat.m, w_hat.n):
         raise ValueError("true and estimated matrices must have identical shape")
     tie_break = _tie_break(tie_break, measure)
     ref_p, est_p = Problem(w, item_model, measure), Problem(w_hat, item_model, measure)
     t_ref, t_est = ref_p.reduction.user_to_type, est_p.reduction.user_to_type
-    _, first, counts = np.unique(t_ref * est_p.reduction.k + t_est, return_index=True, return_counts=True)
-    missed = misestimated_users(UtilityMatrix(w.values[first]), UtilityMatrix(w_hat.values[first]))
+    first, user_to_class = first_occurrence(t_ref * est_p.reduction.k + t_est)
+    counts = np.bincount(user_to_class)
+    missed = misestimated_users(UtilityMatrix(w.rows_of(first)), UtilityMatrix(w_hat.rows_of(first)))
     if scope is Scope.MISESTIMATED_GROUP:
         if missed.size == 0:
             raise ValueError("no users are misestimated; the group scope is undefined")
         first, counts = first[missed], counts[missed]
-    t_ref, t_est, w_rep = t_ref[first], t_est[first], UtilityMatrix(w.values[first])
+    t_ref, t_est, w_rep = t_ref[first], t_est[first], UtilityMatrix(w.rows_of(first))
     if measure.kind is MeasureKind.SUM_K_MIN and measure.k > counts.sum():
         raise ValueError(f"k = {measure.k} exceeds the {counts.sum()} users of the {scope.value} scope")
     poms = []

@@ -3,7 +3,7 @@
 All generators are deterministic given their arguments.  The misestimation
 generator's seed only permutes row order; the multiset of rows never
 depends on it.  Each population is ``UtilityMatrix.from_types`` of its
-few type rows and one type id per user.
+few type rows and one type id per user, so none holds an m x n array.
 """
 from __future__ import annotations
 

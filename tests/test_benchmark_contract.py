@@ -4,6 +4,9 @@ perfbench replaces fairrec attributes by timing wrappers; a name it cannot
 find makes a per-layer metric go absent.  Its result is the last line of
 standard output, so a solve must write nothing to fd 1 (or fd 2).
 """
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +21,7 @@ from fairrec.optimizer import Scope, TieBreak, price_of_misestimation, tradeoff_
 from fairrec.populations import gen_misestimation
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = PERFBENCH.parent / "src"
 
 
 def test_perfbench_finds_every_wrapped_name(monkeypatch):
@@ -47,3 +51,18 @@ def test_solves_write_nothing_to_stdout_or_stderr(worked_instance, capfd):
     for scope in Scope:
         price_of_misestimation(data.w, data.w_hat, [0.5], scope)
     assert capfd.readouterr() == ("", "")
+
+
+def test_cli_import_adds_no_third_party_module_beyond_numpy_and_scipy():
+    # perfbench's setup_s is mostly a fresh interpreter importing
+    # scipy.optimize and then fairrec.cli; the second must stay cheap.
+    code = (
+        "import sys, scipy.optimize\n"
+        "before = set(sys.modules)\n"
+        "import fairrec.cli\n"
+        "print(*sorted({name.partition('.')[0] for name in set(sys.modules) - before}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    added = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert "fairrec" in added.stdout.split()
+    assert set(added.stdout.split()) <= {"fairrec", "numpy", "scipy", *sys.stdlib_module_names}

@@ -28,8 +28,9 @@ def test_matrix_round_trip_preserves_values_and_labels(tmp_path):
     rng = np.random.default_rng(0)
     w = UtilityMatrix(
         rng.uniform(0.001, 123.0, size=(5, 4)),
-        user_labels=("a", "b", "c", "d", "e"),
-        item_labels=("w", "x", "y", "z"),
+        # Only a user label may not start with '#'.
+        user_labels=("a", "b#", "c", "d", "e"),
+        item_labels=("#w", "x", "y", "z"),
     )
     path = tmp_path / "m.csv"
     save_utility_csv(path, w, provenance_lines("test", {"users": 5}))
@@ -153,6 +154,33 @@ def test_loaded_types_reduce_as_the_rows_do(tmp_path):
         assert np.array_equal(red.counts, by_rows.counts)
         assert np.array_equal(red.user_to_type, by_rows.user_to_type)
     assert load_utility_csv(tmp_path / "tails.csv").type_of.tolist() == [0, 0, 1, 0]
+
+
+@pytest.mark.parametrize(
+    "kind, label", [("user", "#x"), ("user", "a,b"), ("user", "a\nb"), ("user", "a\rb"), ("item", "x,y"), ("item", "y\nz")]
+)
+def test_saver_refuses_labels_that_would_not_load_back(tmp_path, kind, label):
+    path = tmp_path / "m.csv"
+    path.write_text("kept\n")
+    labels = {"user_labels": ("u0", label, "u2")} if kind == "user" else {"item_labels": ("x", label)}
+    w = UtilityMatrix(np.array([[1.0, 2.0], [2.0, 1.0], [1.5, 1.5]]), **labels)
+    with pytest.raises(MatrixFormatError) as err:
+        save_utility_csv(path, w)
+    assert f"{kind} label {label!r} would not load back" in str(err.value)
+    assert path.read_text() == "kept\n"
+
+
+def test_cli_tradeoff_matrix_sha256_is_the_digest_of_the_untyped_matrix(tmp_path, monkeypatch):
+    # Three blocks of users, the last one partial.
+    monkeypatch.setattr(cli, "WRITE_BLOCK", 7)
+    rng = np.random.default_rng(8)
+    rows, type_of = np.round(rng.uniform(0.5, 2.0, size=(3, 4)), 3), rng.integers(0, 3, size=17)
+    matrix, out = tmp_path / "m.csv", tmp_path / "t.csv"
+    save_utility_csv(matrix, UtilityMatrix.from_types(rows, type_of))
+    assert run(["tradeoff", "--matrix", str(matrix), "--gammas", "3", "--out", str(out)]) == 0
+    config = next(ln for ln in out.read_text().splitlines() if ln.startswith("# config:"))
+    untyped = UtilityMatrix(rows[type_of])
+    assert f"matrix_sha256={hashlib.sha256(untyped.values.data).hexdigest()[:16]} " in config
 
 
 def test_save_load_save_is_byte_idempotent(tmp_path):

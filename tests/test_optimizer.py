@@ -92,6 +92,19 @@ def test_type_reduction_matches_loop_reference(seed):
         assert np.array_equal(red.matrix.values, rows)
 
 
+def test_type_reduction_of_typed_rows_matches_row_equality():
+    # Ids out of first-occurrence order, a type row no user has, and ids
+    # outside [0, m) given to the checked constructor.
+    rows = np.array([[1.0, 2.0], [2.0, 1.0], [3.0, 1.0], [9.0, 9.0]])
+    by_rows = reduce_by_types(UtilityMatrix(rows[[2, 0, 2, 1]]))
+    for w in (UtilityMatrix.from_types(rows, [2, 0, 2, 1]), UtilityMatrix(rows[[2, 0, 2, 1]], type_of=[5, -1, 5, 9])):
+        red = reduce_by_types(w)
+        assert np.array_equal(red.matrix.values, by_rows.matrix.values)
+        assert np.array_equal(red.counts, by_rows.counts)
+        assert np.array_equal(red.user_to_type, by_rows.user_to_type)
+    assert by_rows.user_to_type.tolist() == [0, 1, 0, 2]
+
+
 def test_policy_expansion_repeats_type_rows(worked_instance):
     red = reduce_by_types(worked_instance)
     rows = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
