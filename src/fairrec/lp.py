@@ -16,12 +16,15 @@ program to scipy's ``linprog``, which runs HiGHS's interior point method
 optimum uses it.
 ``WarmLP`` keeps one HiGHS model alive and re-solves it after its ``<=``
 right-hand sides change, starting dual simplex from the previous optimal
-basis; the user-fairness programs of both LP measures use it.
+basis, or from a basis its caller names (``start_from``), such as a known
+optimum; the user-fairness programs of both LP measures use it.
 ``solve_qp`` solves the small identity-Hessian QPs of the canonical
-tie-break.  These two are the only users of scipy's private HiGHS binding.
+tie-break.  These two are the only users of scipy's private HiGHS binding,
+and hand it each model as arrays through ``passModel``'s array form (and
+the Hessian through ``passHessian``'s), not entry by entry.
 Both LP paths re-check optimal points against the region before reporting
 them; a check failure is surfaced as a distinct FAILED status rather than a
-silent wrong answer.
+silent wrong answer.  Each solution carries the iterations HiGHS took.
 """
 from __future__ import annotations
 
@@ -126,6 +129,8 @@ class LPSolution:
     is_vertex: bool = False
     message: str = ""
     face: Region | None = None
+    # Simplex or IPX iterations HiGHS took, where the path reports them.
+    iterations: int | None = None
 
 
 class LPSolverError(RuntimeError):
@@ -201,7 +206,7 @@ def solve_lp(objective: np.ndarray, region: Region) -> LPSolution:
     value = float(objective @ x)
     # IPX's crossover (on by default) returns a basic feasible solution.
     face = optimal_face(region, res.ineqlin.marginals, res.lower.marginals + res.upper.marginals)
-    return LPSolution(LPStatus.OPTIMAL, x, value, is_vertex=True, message=res.message, face=face)
+    return LPSolution(LPStatus.OPTIMAL, x, value, is_vertex=True, message=res.message, face=face, iterations=res.nit)
 
 
 # The model statuses linprog reports as infeasible (2) or unbounded (3);
@@ -212,25 +217,29 @@ _HIGHS_STATUS = {
     highs.HighsModelStatus.kUnbounded: LPStatus.UNBOUNDED,
 }
 
-
-def _highs_lp(cost, a: csc_array, lb, ub, row_lower, row_upper) -> highs.HighsLp:
-    """HiGHS model of ``min cost @ x``, ``row_lower <= a @ x <= row_upper``, ``lb <= x <= ub``."""
-    model = highs.HighsLp()
-    model.num_col_, model.num_row_ = a.shape[1], a.shape[0]
-    model.a_matrix_.num_col_, model.a_matrix_.num_row_ = a.shape[1], a.shape[0]
-    model.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_ = a.indptr, a.indices, a.data
-    model.col_cost_, model.col_lower_, model.col_upper_ = cost, lb, ub
-    model.row_lower_, model.row_upper_ = row_lower, row_upper
-    return model
+# A start basis's statuses by code: at the lower bound, basic, at the upper
+# bound, and free at zero.
+_BASIS_STATUS = (highs.HighsBasisStatus.kLower, highs.HighsBasisStatus.kBasic,
+                 highs.HighsBasisStatus.kUpper, highs.HighsBasisStatus.kZero)
 
 
-def _silent_highs(model, **options) -> Any:
+def _highs_lp(cost, a: csc_array, lb, ub, row_lower, row_upper) -> tuple:
+    """HiGHS model of ``min cost @ x``, ``row_lower <= a @ x <= row_upper``,
+    ``lb <= x <= ub``, as the arguments of ``passModel``'s array form: column-wise
+    (1), minimized (1), no offset, every column continuous.  Handing HiGHS
+    arrays spares the per-entry copy into a ``HighsLp``."""
+    num_row, num_col = a.shape
+    floats = [np.ascontiguousarray(v, dtype=np.float64) for v in (cost, lb, ub, row_lower, row_upper, a.data)]
+    starts, index = (np.ascontiguousarray(v, dtype=np.int32) for v in (a.indptr, a.indices))
+    return (num_col, num_row, a.nnz, 1, 1, 0.0, *floats[:5], starts, index, floats[5], np.zeros(num_col, dtype=np.int32))
+
+
+def _silent_highs(model: tuple, **options) -> Any:
     """A HiGHS instance holding ``model``, silenced first: HiGHS logs to fd 1."""
     solver = highs._Highs()
     for key, value in {"output_flag": False, "log_to_console": False, **options}.items():
         solver.setOptionValue(key, value)
-    if solver.passModel(model) == highs.HighsStatus.kError:
+    if solver.passModel(*model) == highs.HighsStatus.kError:
         raise ValueError("HiGHS rejected the model")
     return solver
 
@@ -269,6 +278,7 @@ class WarmLP:
         self._highs.run()
         status = self._highs.getModelStatus()
         message = self._highs.modelStatusToString(status)
+        iterations = self._highs.getInfo().simplex_iteration_count
         if status != highs.HighsModelStatus.kOptimal:
             solution = LPSolution(_HIGHS_STATUS.get(status, LPStatus.FAILED), message=message)
         else:
@@ -276,19 +286,35 @@ class WarmLP:
             x[self._keep] = self._highs.getSolution().col_value
             viol = _violation(self.region, x)
             if viol <= FEAS_TOL:
-                return LPSolution(
-                    LPStatus.OPTIMAL, point=x, value=float(self.objective @ x), is_vertex=True, message=message
-                )
+                return LPSolution(LPStatus.OPTIMAL, x, float(self.objective @ x), True, message, iterations=iterations)
             solution = LPSolution(
                 LPStatus.FAILED, message=f"reported optimum violates constraints by {viol:.3e}"
             )
         # A basis that ended anywhere but at a checked optimum is no start.
         self.clear_basis()
-        return solution
+        return replace(solution, iterations=iterations)
 
     def clear_basis(self) -> None:
         """Drop the last basis, so that the next solve starts cold."""
         self._highs.clearSolver()
+
+    def start_from(self, basic_cols: Any, basic_rows: Any) -> None:
+        """Start the next solve from the basis in which the listed region
+        variables and rows of ``[a_ub; a_eq]`` are basic.  Every other row
+        sits at its bound (a ``<=`` row at b_ub), every other variable at its
+        lower bound, or at zero if that is -inf.  Raises LPSolverError with
+        status FAILED if HiGHS rejects the basis."""
+        cols = np.where(np.isfinite(self.region.lb), 0, 3)
+        rows = np.repeat([2, 0], [self.region.b_ub.size, self.region.b_eq.size])
+        cols[basic_cols], rows[basic_rows] = 1, 1
+        cols = cols[self._keep]
+        basis = highs.HighsBasis()
+        basis.col_status, basis.row_status = ([_BASIS_STATUS[s] for s in v.tolist()] for v in (cols, rows))
+        basis.valid, basis.alien = True, False
+        if self._highs.setBasis(basis) == highs.HighsStatus.kError:
+            basic = np.sum(cols == 1) + np.sum(rows == 1)
+            raise LPSolverError(LPStatus.FAILED, f"HiGHS rejected a start basis of {basic} basic variables, "
+                                                 f"{rows.size} rows and {cols.size} columns")
 
     def optimal_face(self) -> Region:
         """The optimal face of the last solve, which must have been optimal."""
@@ -305,15 +331,13 @@ def solve_qp(c: np.ndarray, g: np.ndarray, h: np.ndarray) -> tuple[LPSolution, f
     returns the KKT residual of (z, y), the largest stationarity
     |z + c - g.T @ y|, sign max(y, 0) or complementarity |y (g @ z - h)| error."""
     d = c.size
-    model = highs.HighsModel()
     inf = np.full(d, np.inf)
-    model.lp_ = _highs_lp(c, csc_array(g), -inf, inf, np.full(h.size, -np.inf), h)
-    hessian = model.hessian_
-    hessian.dim_, hessian.format_ = d, highs.HessianFormat.kTriangular
-    hessian.start_, hessian.index_, hessian.value_ = np.arange(d + 1), np.arange(d), np.ones(d)
-    # The identity Hessian is positive definite, so HiGHS's default 1e-7
-    # regularization would only move the answer.
+    model = _highs_lp(c, csc_array(g), -inf, inf, np.full(h.size, -np.inf), h)
+    # The identity Hessian (lower-triangular, format 1) is positive definite,
+    # so HiGHS's default 1e-7 regularization would only move the answer.
     solver = _silent_highs(model, qp_regularization_value=0.0)
+    diagonal = np.arange(d + 1, dtype=np.int32)
+    solver.passHessian(d, d, 1, diagonal, diagonal[:d], np.ones(d))
     solver.run()
     status = solver.getModelStatus()
     message = solver.modelStatusToString(status)

@@ -19,7 +19,9 @@ plus the user-side lift, one epigraph row per type; sum-k weights each
 type's row by its user count, so the program's size depends on the types
 alone.  The floor has bound +inf at gamma = 0, so only its right-hand sides
 depend on gamma: the ``Problem`` builds the program once as an ``lp.WarmLP``,
-and each gamma < 1 solve on it starts from the previous optimal basis.
+and each gamma < 1 solve on it starts from the previous optimal basis.  The
+gamma = 0 optimum puts every type on its favourite item; when each type has
+exactly one, that solve starts at its optimal basis and takes no iteration.
 For max-min the canonical tie-break projects the uniform policy onto that
 solve's exact optimal face, read from its duals.
 Nash welfare (sum of logs) takes one log-barrier Newton solve per value
@@ -61,6 +63,8 @@ SLACK = 1e-9
 NASH_IF_TOL = 1e-10
 # Tolerance for sweep monotonicity and constraint satisfaction checks.
 SWEEP_TOL = 1e-6
+# An item within this fraction of a type's best utility ties as its favourite.
+FAVOURITE_TIE = 1e-12
 
 
 class TieBreak(str, Enum):
@@ -253,6 +257,23 @@ class Problem:
         face fixes all but about K + n columns, so the model is that small."""
         return self._user_lift(self.if_star.lp_solution.face)
 
+    def _start_at_favourites(self) -> None:
+        """Start ``uf_program``'s next solve from its gamma = 0 optimal basis,
+        every type on its one favourite item; with tied favourites that
+        optimum is no single point, so leave the start cold.  The carriers,
+        the first types whose counts reach the measure's k (1 for max-min),
+        hold the user lift's multipliers.  Basic: the favourites, t, the s of
+        each carrier but the last (sum-k), the floor rows' slacks and the
+        other types' simplex-row slacks; sum-k's item-side t and s sit at 0."""
+        (k, n), program = self.b.shape, self.uf_program
+        favourite = self.b >= 1.0 - FAVOURITE_TIE
+        if np.any(favourite.sum(axis=1) > 1):
+            return
+        carriers = int(np.searchsorted(np.cumsum(self.reduction.counts), self.measure.k)) + 1
+        t = k * n if self.measure.kind is MeasureKind.MAX_MIN else k * n + n + 1  # past x (and the item t, s)
+        ub = program.region.b_ub.size  # the floor rows, then one lift row per type
+        program.start_from(np.r_[np.flatnonzero(favourite), t : t + carriers], np.r_[: ub - k, ub + carriers : ub + k])
+
     def _user_lift(self, region: lp.Region) -> lp.WarmLP:
         k, measure, rows = self.b.shape[0], self.measure, self.user_rows
         # The user rows read x, the region's first K*n variables, only.
@@ -302,7 +323,7 @@ def compute_if_star(
 
 def _argmax_mixing_rows(wt: np.ndarray) -> np.ndarray:
     """Uniform mixture over each type's tied favorite items."""
-    ties = wt >= wt.max(axis=1, keepdims=True) * (1.0 - 1e-12)
+    ties = wt >= wt.max(axis=1, keepdims=True) * (1.0 - FAVOURITE_TIE)
     return ties / ties.sum(axis=1, keepdims=True)
 
 
@@ -360,7 +381,9 @@ def compute_uf_star(
     those three arguments; without it one is built.  Passing one problem to
     several calls shares its type reduction, rows, IF* and LP programs: a
     gamma < 1 solve starts ``uf_program`` from the last basis left in it,
-    cold on a new problem or after ``clear_basis``.  Gamma = 1 solves
+    cold on a new problem or after ``clear_basis``, except that gamma = 0
+    starts at its optimum when favourites are unique (every type on its one
+    favourite item; with ties the solve is cold).  Gamma = 1 solves
     ``face_program`` cold, and its point must keep the item measure
     within lp.FACE_TOL (1 + IF*) of IF* (else LPSolverError, FAILED)."""
     (gamma,) = check_gamma_grid([gamma])
@@ -385,6 +408,8 @@ def compute_uf_star(
             floor = slice(0, n) if measure.kind is MeasureKind.MAX_MIN else n
             b_ub = program.region.b_ub.copy()
             b_ub[floor] = SLACK - if_target if gamma > 0 else np.inf
+            if gamma == 0:
+                p._start_at_favourites()
         sol = program.solve(b_ub)
         if sol.status is not lp.LPStatus.OPTIMAL:
             raise lp.LPSolverError(sol.status, sol.message)

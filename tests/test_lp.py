@@ -206,6 +206,33 @@ def test_warm_program_substitutes_fixed_columns_out():
     assert np.array_equal(warm.optimal_face().lb, [0.0, 0.0, 0.8])
 
 
+def test_start_from_the_optimal_basis_takes_no_iterations():
+    # max min(x0 + x3, 2 x1, 4 x2) over the simplex, x3 fixed at 0.5: the
+    # optimum t = 6/7 at x = (5/14, 3/7, 3/14) has x0, x1, x2 and t basic and
+    # every row at its bound.
+    region = Region(4, a_eq=[[1.0, 1.0, 1.0, 0.0]], b_eq=[1.0], lb=[0.0, 0.0, 0.0, 0.5],
+                    ub=[np.inf, np.inf, np.inf, 0.5])
+    objective, lifted = maxmin_lift([[1.0, 0.0, 0.0, 1.0], [0.0, 2.0, 0.0, 0.0], [0.0, 0.0, 4.0, 0.0]], region)
+    cold = WarmLP(objective, lifted).solve(lifted.b_ub)
+    assert cold.status is LPStatus.OPTIMAL and cold.iterations > 0
+    warm = WarmLP(objective, lifted)
+    warm.start_from([0, 1, 2, 4], [])
+    seeded = warm.solve(lifted.b_ub)
+    assert seeded.status is LPStatus.OPTIMAL and seeded.iterations == 0
+    assert np.allclose(seeded.point, [5 / 14, 3 / 7, 3 / 14, 0.5, 6 / 7], rtol=0.0, atol=1e-15)
+    assert np.allclose(seeded.point, cold.point, rtol=0.0, atol=1e-15)
+    assert isinstance(solve_lp(objective, lifted).iterations, int)
+
+
+def test_start_from_a_basis_highs_rejects_is_a_failed_solve():
+    # One basic variable for two rows leaves the basis matrix singular.
+    warm = WarmLP(np.array([1.0, 0.0, 0.0]), simplex(3).extend([[1.0, 0.0, 0.0]], [0.7]))
+    with pytest.raises(LPSolverError, match="2 rows and 3 columns") as err:
+        warm.start_from([0], [])
+    assert err.value.status is LPStatus.FAILED
+    assert warm.solve([0.7]).status is LPStatus.OPTIMAL
+
+
 def test_solve_lp_face_holds_every_optimum_and_nothing_else():
     # max x0 + x1 on the 3-simplex: every optimum has x2 = 0, by its reduced cost.
     solution = solve_lp(np.array([1.0, 1.0, 0.0]), simplex(3))
@@ -223,11 +250,17 @@ def test_solve_lp_face_holds_every_optimum_and_nothing_else():
 
 
 def test_only_lp_imports_the_private_highs_binding():
-    src = Path(__file__).resolve().parent.parent / "src" / "fairrec"
-    importers = []
-    for path in sorted(src.glob("*.py")):
+    """Only ``fairrec/lp.py`` names scipy's private HiGHS binding; no other
+    module of the package or the tests imports it or reads a ``WarmLP``'s
+    HiGHS instance (``_highs``), so the solver's results reach them only
+    through ``LPSolution``."""
+    root = Path(__file__).resolve().parent.parent
+    importers, readers = [], []
+    for path in sorted((root / "src" / "fairrec").glob("*.py")) + sorted((root / "tests").glob("*.py")):
         text = path.read_text()
         for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Attribute) and node.attr == "_highs":
+                readers.append(path.name)
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
@@ -236,6 +269,7 @@ def test_only_lp_imports_the_private_highs_binding():
                 continue
             if any(name.startswith("scipy.optimize._highspy") for name in names):
                 importers.append(path.name)
-        if "_highspy" in text and path.name not in importers:
+        if path.parent.name == "fairrec" and "_highspy" in text and path.name not in importers:
             importers.append(path.name)
     assert sorted(set(importers)) == ["lp.py"]
+    assert sorted(set(readers)) == ["lp.py"]

@@ -935,6 +935,83 @@ def test_max_min_sweep_solves_one_cold_program_and_a_small_face_program(monkeypa
     assert model_columns[1] <= k + n + 2
 
 
+def _record_warm_solves(monkeypatch) -> tuple[list, list]:
+    """Every ``WarmLP`` solution and every ``start_from`` call, in order."""
+    solutions, starts = [], []
+    real_solve, real_start = lp.WarmLP.solve, lp.WarmLP.start_from
+
+    def solve(self, b_ub):
+        solutions.append(real_solve(self, b_ub))
+        return solutions[-1]
+
+    def start_from(self, basic_cols, basic_rows):
+        starts.append(1)
+        return real_start(self, basic_cols, basic_rows)
+
+    monkeypatch.setattr(lp.WarmLP, "solve", solve)
+    monkeypatch.setattr(lp.WarmLP, "start_from", start_from)
+    return solutions, starts
+
+
+@pytest.mark.parametrize("k", [None, 1, 3, 8], ids=["maxmin", "sumk1", "sumk3", "sumk8"])
+def test_gamma_0_starts_at_its_optimum_and_matches_a_cold_solve(k, monkeypatch):
+    """Unique favourites: the gamma = 0 solve starts at its optimal basis, so
+    HiGHS takes no iteration, and its policy is bit-identical to a solve on
+    a fresh program with no start.  The type counts are 2, 3, 1, 4, 2, 3:
+    sum-k with k = 1 has one carrier, k = 3 two (type 0's 2 users fall
+    short), and k = 8 four, past every single type's count."""
+    measure = FairnessMeasure() if k is None else FairnessMeasure(MeasureKind.SUM_K_MIN, k)
+    rng = np.random.default_rng(30)
+    w = UtilityMatrix.from_types(rng.uniform(0.1, 1.0, (6, 8)), np.repeat(np.arange(6), [2, 3, 1, 4, 2, 3]))
+    solutions, starts = _record_warm_solves(monkeypatch)
+    fresh = Problem(w, measure=measure).uf_program
+    cold = fresh.solve(fresh.region.b_ub)
+    assert cold.iterations > 0 and not starts
+    tie_breaks = list(TieBreak) if k is None else [TieBreak.SOLVER]
+    for tie_break in tie_breaks:
+        p = Problem(w, measure=measure)
+        result = compute_uf_star(w, 0.0, problem=p, tie_break=tie_break)
+        assert solutions[-1].iterations == 0
+        assert np.array_equal(solutions[-1].point[: 6 * 8], cold.point[: 6 * 8])
+        assert result.value == measure_value(np.ones(6), measure, weights=p.reduction.counts)
+    assert len(starts) == len(tie_breaks)
+
+
+@pytest.mark.parametrize("k", [None, 2], ids=["maxmin", "sumk2"])
+def test_gamma_0_with_tied_favourites_solves_cold(k, monkeypatch):
+    """Types 0 and 3 of this instance tie items 0 and 3 as favourites, so the
+    gamma = 0 optimum is no single point: the solve starts cold and lands on
+    the vertex a fresh program's cold solve does."""
+    measure = FairnessMeasure() if k is None else FairnessMeasure(MeasureKind.SUM_K_MIN, k)
+    w = UtilityMatrix(duplicated_item_matrix(0))
+    solutions, starts = _record_warm_solves(monkeypatch)
+    result = compute_uf_star(w, 0.0, measure=measure)
+    fresh = Problem(w, measure=measure).uf_program
+    cold = fresh.solve(fresh.region.b_ub)
+    assert not starts
+    assert solutions[0].iterations == cold.iterations
+    assert np.array_equal(solutions[0].point, cold.point)
+    assert np.array_equal(result.rows_by_type, RecommendationPolicy.from_solver(cold.point[:16].reshape(4, 4)).rows)
+
+
+def test_sweep_from_the_favourites_basis_agrees_with_a_cold_sweep(monkeypatch):
+    """Only the start of the gamma = 0 solve changes; later warm rows may end
+    on another vertex of the same optimal face, with the same values."""
+    w = UtilityMatrix(random_positive_matrix(np.random.default_rng(42), 40, 40))
+    gammas = np.linspace(0.0, 1.0, 11)
+    for measure in (FairnessMeasure(), SUMK3):
+        seeded = tradeoff_sweep(w, gammas, measure=measure)
+        with monkeypatch.context() as m:
+            m.setattr(Problem, "_start_at_favourites", lambda self: None)
+            cold = tradeoff_sweep(w, gammas, measure=measure)
+        assert seeded.if_star == cold.if_star
+        for a, b in zip(seeded.rows, cold.rows):
+            assert a.status == b.status == "ok"
+            assert abs(a.uf_achieved - b.uf_achieved) <= 1e-9
+            assert abs(a.if_achieved - b.if_achieved) <= 1e-9
+        assert (seeded.rows[0].uf_achieved, seeded.rows[0].if_achieved) == (cold.rows[0].uf_achieved, cold.rows[0].if_achieved)
+
+
 def test_prices_are_undefined_for_nash_and_solve_nothing(worked_instance, monkeypatch):
     import fairrec.optimizer as opt
 
