@@ -282,7 +282,8 @@ def _add_instance_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--measure", choices=[m.value for m in MeasureKind], default="maxmin")
-    p.add_argument("--k", type=int, default=1, help="tail size for the sumkmin measure")
+    p.add_argument("--k", type=int, default=1,
+                   help="tail size for the sumkmin measure; maxmin is sumkmin with k = 1, nash ignores it")
     p.add_argument("--delta", type=float, default=0.0, help="item-side popularity weight")
 
 

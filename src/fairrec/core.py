@@ -29,7 +29,9 @@ class MeasureKind(str, Enum):
 
 @dataclass(frozen=True)
 class FairnessMeasure:
-    """A fairness aggregation. ``k`` is only meaningful for SUM_K_MIN."""
+    """A fairness aggregation: the sum of the ``k`` smallest utilities for
+    SUM_K_MIN.  Every other kind sets ``k`` to 1, whatever is passed: max-min
+    is the sum of the one smallest, and the LP solvers build it as such."""
 
     kind: MeasureKind = MeasureKind.MAX_MIN
     k: int = 1
@@ -39,7 +41,7 @@ class FairnessMeasure:
             object.__setattr__(self, "kind", MeasureKind(self.kind))
         if int(self.k) != self.k or self.k < 1:
             raise ValueError(f"k must be a positive integer, got {self.k!r}")
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", int(self.k) if self.kind is MeasureKind.SUM_K_MIN else 1)
 
 
 MAX_MIN = FairnessMeasure(MeasureKind.MAX_MIN)

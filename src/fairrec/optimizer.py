@@ -9,17 +9,16 @@ reduction is lossless.
 
 A ``Problem`` is one instance assembled once: its type reduction, the
 per-type user rows and item rows, and its IF*, solved on first use.  Every
-solve and price reads them from it.  For the max-min and sum-of-k-smallest
-measures both sides are sparse linear programs over the flattened K x n
-policy.  The item-fairness optimum IF* is the measure's epigraph lift of the
-n item rows, solved cold, with its optimal face.  UF*(1) is the user-side
-lift over that face, with no back-off.  Below 1 the UF* program is the item
-floor (the n item rows for max-min, one sum-k certificate row for sum-k)
-plus the user-side lift, one epigraph row per type; sum-k weights each
-type's row by its user count, so the program's size depends on the types
-alone.  The floor has bound +inf at gamma = 0, so only its right-hand sides
-depend on gamma: the ``Problem`` builds the program once as an ``lp.WarmLP``,
-and each gamma < 1 solve on it starts from the previous optimal basis.  The
+solve and price reads them from it.  Max-min is the sum of the k smallest
+with k = 1, so the LP measures share one path: sparse programs over the
+flattened K x n policy from ``lp.sum_k_lift`` and ``lp.sum_k_smallest_floor``,
+which alone choose the layout from k.  IF* is the lift of the n item rows,
+solved cold, with its optimal face; UF*(1) is the user lift over that face.
+Below 1 the UF* program is the item floor plus the user lift, one row per
+type weighted by its user count, so its size depends on the types alone.
+The floor rows have right-hand side +inf at gamma = 0 and alone depend on
+gamma: the ``Problem`` builds the program once as an ``lp.WarmLP``, and each
+gamma < 1 solve on it starts from the previous optimal basis.  The
 gamma = 0 optimum puts every type on its favourite item; when each type has
 exactly one, that solve starts at its optimal basis and takes no iteration.
 For max-min the canonical tie-break projects the uniform policy onto that
@@ -119,11 +118,10 @@ def _coefficient_rows(coef: np.ndarray, by_item: bool = False) -> coo_array:
 
 
 def _validate_measure(measure: FairnessMeasure, m: int, n: int) -> None:
-    if measure.kind is MeasureKind.SUM_K_MIN:
-        if measure.k > m:
-            raise ValueError(f"k = {measure.k} exceeds the population of {m} users")
-        if measure.k > n:
-            raise ValueError(f"k = {measure.k} exceeds the catalog of {n} items")
+    if measure.k > m:
+        raise ValueError(f"k = {measure.k} exceeds the population of {m} users")
+    if measure.k > n:
+        raise ValueError(f"k = {measure.k} exceeds the catalog of {n} items")
 
 
 def _tie_break(tie_break, measure: FairnessMeasure) -> TieBreak:
@@ -186,8 +184,9 @@ class Problem:
     ``a`` each item's utility shares on the delta-transformed matrix, K x n,
     so that U_k = sum_j b[k, j] x[k, j] and I_j = sum_k a[k, j] x[k, j];
     ``user_rows`` (K, K*n) and ``item_rows`` (n, K*n) are the same as sparse
-    rows over the flattened policy, and ``simplex`` is the row-stochastic
-    region.  ``if_star`` and the LP measures' two UF* programs,
+    rows over the flattened policy, ``simplex`` is the row-stochastic
+    region, and ``favourite_rows`` each type's uniform mixture over its tied
+    favourite items.  ``if_star`` and the LP measures' two UF* programs,
     ``uf_program`` for gamma < 1 and ``face_program`` for gamma = 1, are
     built on first access and shared by every solve on the problem.
     """
@@ -201,6 +200,7 @@ class Problem:
     user_rows: coo_array = field(init=False)
     item_rows: coo_array = field(init=False)
     simplex: lp.Region = field(init=False)
+    favourite_rows: np.ndarray = field(init=False)
 
     def __post_init__(self):
         _validate_measure(self.measure, self.w.m, self.w.n)
@@ -210,7 +210,7 @@ class Problem:
         weighted = red.counts[:, None] * (model.delta + (1.0 - model.delta) * wt)
         b, a = wt / wt.max(axis=1, keepdims=True), weighted / weighted.sum(axis=0, keepdims=True)
         simplex = lp.Region(k * n, a_eq=_coefficient_rows(np.ones((k, n))), b_eq=np.ones(k))
-        derived = dict(model=model, reduction=red, b=b, a=a, simplex=simplex)
+        derived = dict(model=model, reduction=red, b=b, a=a, simplex=simplex, favourite_rows=_argmax_mixing_rows(wt))
         derived.update(user_rows=_coefficient_rows(b), item_rows=_coefficient_rows(a, by_item=True))
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -221,34 +221,28 @@ class Problem:
         rows over the simplex, solved cold, or the Nash item welfare."""
         (k, n), measure = self.b.shape, self.measure
         lp_solution = gap = None
-        if measure.kind is MeasureKind.MAX_MIN:
-            _, point, lp_solution = lp.solve_maxmin_linear(self.item_rows, self.simplex)
-        elif measure.kind is MeasureKind.SUM_K_MIN:
-            _, point, lp_solution = lp.sum_k_smallest_epigraph(self.item_rows, measure.k, self.simplex)
-        else:
+        if measure.kind is MeasureKind.NASH_WELFARE:
             res = nash_concave_solve(LogObjective(self.item_rows.toarray()), SimplexProduct(k, n), tol=NASH_IF_TOL)
             _require_certified(res, "item phase (IF*, shared by every gamma > 0)", k, n)
             point, gap = res.point, res.gap
+        else:
+            _, point, lp_solution = lp.sum_k_smallest_epigraph(self.item_rows, measure.k, self.simplex)
         rows = RecommendationPolicy.from_solver(point.reshape(k, n)).rows
         value = measure_value((self.a * rows).sum(axis=0), measure)
         return IfStarResult(value, rows, self.reduction, lp_solution, gap)
 
     @cached_property
-    def uf_program(self) -> lp.WarmLP:
-        """The gamma < 1 UF* program of an LP measure over the K simplex
-        rows: the item floor's ``<=`` rows, then the user lift's.  The floor
-        starts at right-hand side +inf; ``compute_uf_star`` sets it per gamma.
+    def uf_floor(self) -> lp.Region:
+        """The simplex and an LP measure's item floor at bound -inf: the floor
+        rows are its ``<=`` rows of right-hand side +inf."""
+        return lp.sum_k_smallest_floor(self.item_rows, self.measure.k, -np.inf, self.simplex)
 
-        Max-min: the floor is the n item rows -I_j(x) <= SLACK - target, the
-        lift max t with t - U_k(x) <= 0 per type.  Sum-k: the floor is
-        ``lp.sum_k_smallest_floor``'s n item epigraph rows and its certificate
-        row, with right-hand side SLACK - target; the lift has one epigraph row
-        per type, weighted by the type's user count.
-        """
-        n, measure = self.b.shape[1], self.measure
-        if measure.kind is MeasureKind.MAX_MIN:
-            return self._user_lift(self.simplex.extend(-self.item_rows, np.full(n, np.inf)))
-        return self._user_lift(lp.sum_k_smallest_floor(self.item_rows, measure.k, -np.inf, self.simplex))
+    @cached_property
+    def uf_program(self) -> lp.WarmLP:
+        """The gamma < 1 UF* program of an LP measure: ``uf_floor``, its floor
+        rows set per gamma to SLACK - target, then the user lift, its t the
+        column just past ``uf_floor``'s variables."""
+        return self._user_lift(self.uf_floor)
 
     @cached_property
     def face_program(self) -> lp.WarmLP:
@@ -261,26 +255,23 @@ class Problem:
         """Start ``uf_program``'s next solve from its gamma = 0 optimal basis,
         every type on its one favourite item; with tied favourites that
         optimum is no single point, so leave the start cold.  The carriers,
-        the first types whose counts reach the measure's k (1 for max-min),
-        hold the user lift's multipliers.  Basic: the favourites, t, the s of
-        each carrier but the last (sum-k), the floor rows' slacks and the
-        other types' simplex-row slacks; sum-k's item-side t and s sit at 0."""
-        (k, n), program = self.b.shape, self.uf_program
-        favourite = self.b >= 1.0 - FAVOURITE_TIE
-        if np.any(favourite.sum(axis=1) > 1):
+        the first types whose counts reach the measure's k, hold the user
+        lift's multipliers.  Basic: the favourites, t, the s of each carrier
+        but the last (none for k = 1), the floor rows' slacks and the other
+        types' simplex-row slacks; for k > 1 the item-side t and s sit at 0."""
+        k, program, floor = self.b.shape[0], self.uf_program, self.uf_floor
+        if np.any(np.count_nonzero(self.favourite_rows, axis=1) > 1):
             return
         carriers = int(np.searchsorted(np.cumsum(self.reduction.counts), self.measure.k)) + 1
-        t = k * n if self.measure.kind is MeasureKind.MAX_MIN else k * n + n + 1  # past x (and the item t, s)
-        ub = program.region.b_ub.size  # the floor rows, then one lift row per type
-        program.start_from(np.r_[np.flatnonzero(favourite), t : t + carriers], np.r_[: ub - k, ub + carriers : ub + k])
+        t, ub = floor.num_vars, program.region.b_ub.size  # ub: the floor rows, then one lift row per type
+        program.start_from(np.r_[np.flatnonzero(self.favourite_rows), t : t + carriers],
+                           np.r_[: floor.b_ub.size, ub + carriers : ub + k])
 
     def _user_lift(self, region: lp.Region) -> lp.WarmLP:
-        k, measure, rows = self.b.shape[0], self.measure, self.user_rows
+        rows = self.user_rows
         # The user rows read x, the region's first K*n variables, only.
-        rows = coo_array((rows.data, (rows.row, rows.col)), shape=(k, region.num_vars))
-        if measure.kind is MeasureKind.MAX_MIN:
-            return lp.WarmLP(*lp.maxmin_lift(rows, region))
-        return lp.WarmLP(*lp.sum_k_lift(rows, measure.k, region, weights=self.reduction.counts))
+        rows = coo_array((rows.data, (rows.row, rows.col)), shape=(rows.shape[0], region.num_vars))
+        return lp.WarmLP(*lp.sum_k_lift(rows, self.measure.k, region, weights=self.reduction.counts))
 
 
 _IF_STAR_CACHE: dict[bytes, IfStarResult] = {}
@@ -404,10 +395,9 @@ def compute_uf_star(
             program.clear_basis()
         else:
             program = p.uf_program
-            # Only the item floor moves with gamma: the n item rows, or sum-k's certificate row.
-            floor = slice(0, n) if measure.kind is MeasureKind.MAX_MIN else n
+            # Only the item floor moves with gamma: its rows of right-hand side +inf at build.
             b_ub = program.region.b_ub.copy()
-            b_ub[floor] = SLACK - if_target if gamma > 0 else np.inf
+            b_ub[np.flatnonzero(np.isposinf(p.uf_floor.b_ub))] = SLACK - if_target if gamma > 0 else np.inf
             if gamma == 0:
                 p._start_at_favourites()
         sol = program.solve(b_ub)
@@ -415,7 +405,7 @@ def compute_uf_star(
             raise lp.LPSolverError(sol.status, sol.message)
         rows = sol.point[: k * n].reshape(k, n)
         if tie_break is TieBreak.CANONICAL and gamma == 0:
-            rows = _argmax_mixing_rows(red.matrix.values)
+            rows = p.favourite_rows
         elif tie_break is TieBreak.CANONICAL:
             # The point of the exact optimal face nearest the uniform policy.
             # A symmetry of the instance permutes the face and fixes the
@@ -450,7 +440,7 @@ def _nash_uf_rows(p: Problem, gamma: float, target: float) -> tuple[np.ndarray, 
     entries.
     """
     if gamma == 0:
-        rows = _argmax_mixing_rows(p.reduction.matrix.values)
+        rows = p.favourite_rows
         u = (p.b * rows).sum(axis=1)
         return rows, float(p.reduction.counts @ ((1.0 - u) / u))
     k, n = p.b.shape
@@ -565,7 +555,7 @@ def price_of_misestimation(
             raise ValueError("no users are misestimated; the group scope is undefined")
         first, counts = first[missed], counts[missed]
     t_ref, t_est, w_rep = t_ref[first], t_est[first], UtilityMatrix(w.rows_of(first))
-    if measure.kind is MeasureKind.SUM_K_MIN and measure.k > counts.sum():
+    if measure.k > counts.sum():
         raise ValueError(f"k = {measure.k} exceeds the {counts.sum()} users of the {scope.value} scope")
     poms = []
     for g in gammas:

@@ -16,7 +16,7 @@ from conftest import duplicated_item_matrix
 import fairrec
 import fairrec.cli  # noqa: F401  (perfbench wraps names in every submodule)
 from fairrec.core import FairnessMeasure, MeasureKind, UtilityMatrix
-from fairrec.lp import Region, WarmLP, maxmin_lift
+from fairrec.lp import Region, WarmLP, sum_k_lift
 from fairrec.optimizer import Scope, TieBreak, price_of_misestimation, tradeoff_sweep
 from fairrec.populations import gen_misestimation
 
@@ -45,7 +45,7 @@ def test_solves_write_nothing_to_stdout_or_stderr(worked_instance, capfd):
     # Its gamma = 0.2 face has positive dimension, so the canonical point is a HiGHS QP.
     tradeoff_sweep(UtilityMatrix(duplicated_item_matrix(0)), [0.0, 0.2, 1.0], tie_break=TieBreak.CANONICAL)
     # A fresh HiGHS model logs to fd 1 unless it is silenced before it gets the model.
-    objective, region = maxmin_lift(np.eye(2), Region(2, a_eq=[[1.0, 1.0]], b_eq=[1.0]))
+    objective, region = sum_k_lift(np.eye(2), 1, Region(2, a_eq=[[1.0, 1.0]], b_eq=[1.0]))
     WarmLP(objective, region).solve(region.b_ub)
     data = gen_misestimation(np.array([3.0, 2.0, 1.0]), 0.3, 11, seed=1)
     for scope in Scope:

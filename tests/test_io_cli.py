@@ -247,6 +247,15 @@ def test_cli_generate_and_tradeoff_round_trip(tmp_path):
     assert any(child.tag.endswith("polyline") for child in root.iter())
 
 
+def test_cli_sum_k_1_on_a_single_item_is_trivially_fair(tmp_path):
+    # One item makes the IF* lift's item rows a single row.
+    matrix, out = tmp_path / "m.csv", tmp_path / "t.csv"
+    save_utility_csv(matrix, UtilityMatrix(np.array([[1.0], [2.0]])))
+    assert run(["tradeoff", "--matrix", str(matrix), "--measure", "sumkmin", "--k", "1", "--out", str(out)]) == 0
+    lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    assert {row["if_star"] for row in csv.DictReader(lines)} == {"1"}
+
+
 def test_cli_outputs_are_reproducible_except_timing(tmp_path):
     matrix = tmp_path / "m.csv"
     run(["generate", "two-type", "--values", "3,2,1", "--alpha", "0.5",

@@ -14,7 +14,6 @@ from fairrec.lp import (
     Region,
     WarmLP,
     _violation,
-    maxmin_lift,
     solve_lp,
     solve_maxmin_linear,
     sum_k_lift,
@@ -130,12 +129,13 @@ def test_var_bounds_are_honored():
 def test_sum_k_floor_keeps_smallest_rows_above_bound():
     # Every coordinate must stay at 0.3 or more, so x0 tops out at 0.7.
     region = sum_k_smallest_floor(np.eye(2), 1, 0.3, SIMPLEX2)
-    value, point, _ = solve_maxmin_linear(np.array([[1.0, 0.0, 0.0, 0.0, 0.0]]), region)
+    value, point, _ = solve_maxmin_linear(np.eye(region.num_vars)[:1], region)
     assert abs(value - 0.7) < 1e-12
     assert abs(point[1] - 0.3) < 1e-12
     # The two smallest coordinates sum to 1 on the simplex; a floor above that is empty.
     with pytest.raises(LPSolverError) as err:
-        solve_maxmin_linear(np.eye(5)[:1], sum_k_smallest_floor(np.eye(2), 2, 1.5, SIMPLEX2))
+        region = sum_k_smallest_floor(np.eye(2), 2, 1.5, SIMPLEX2)
+        solve_maxmin_linear(np.eye(region.num_vars)[:1], region)
     assert err.value.status is LPStatus.INFEASIBLE
 
 
@@ -157,7 +157,7 @@ def test_warm_resolve_matches_cold_solve_and_survives_infeasibility():
     floors = rng.uniform(0.1, 1.0, size=5)
     # x_j >= floor_j on the simplex: coordinate floors as <= rows.
     region = Region(5, a_eq=np.ones((1, 5)), b_eq=[1.0], a_ub=-np.eye(5), b_ub=np.zeros(5))
-    objective, lifted = maxmin_lift(rows, region)
+    objective, lifted = sum_k_lift(rows, 1, region)
     warm = WarmLP(objective, lifted)
 
     def b_ub(floor):
@@ -212,7 +212,7 @@ def test_start_from_the_optimal_basis_takes_no_iterations():
     # every row at its bound.
     region = Region(4, a_eq=[[1.0, 1.0, 1.0, 0.0]], b_eq=[1.0], lb=[0.0, 0.0, 0.0, 0.5],
                     ub=[np.inf, np.inf, np.inf, 0.5])
-    objective, lifted = maxmin_lift([[1.0, 0.0, 0.0, 1.0], [0.0, 2.0, 0.0, 0.0], [0.0, 0.0, 4.0, 0.0]], region)
+    objective, lifted = sum_k_lift([[1.0, 0.0, 0.0, 1.0], [0.0, 2.0, 0.0, 0.0], [0.0, 0.0, 4.0, 0.0]], 1, region)
     cold = WarmLP(objective, lifted).solve(lifted.b_ub)
     assert cold.status is LPStatus.OPTIMAL and cold.iterations > 0
     warm = WarmLP(objective, lifted)

@@ -1,6 +1,7 @@
 """End-to-end solver behavior: optima, constraints, tie-breaks, sweeps."""
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -384,6 +385,22 @@ def test_sum_1_min_pipeline_matches_maxmin(seed):
         a = compute_uf_star(w, gamma).value
         b = compute_uf_star(w, gamma, measure=sum1).value
         assert abs(a - b) < 1e-7
+
+
+def test_maxmin_is_sum_k_with_k_1_row_for_row():
+    """Max-min is sum-k with k = 1, so both build the same programs and
+    their sweeps agree exactly: on types with counts above 1, and on tied
+    favourites, where the gamma = 0 solve starts cold."""
+    assert FairnessMeasure(MeasureKind.MAX_MIN, 3).k == 1
+    rng = np.random.default_rng(31)
+    typed = UtilityMatrix.from_types(rng.uniform(0.1, 1.0, (6, 8)), np.repeat(np.arange(6), [2, 3, 1, 4, 2, 3]))
+    sum1 = FairnessMeasure(MeasureKind.SUM_K_MIN, 1)
+    for w in (typed, UtilityMatrix(duplicated_item_matrix(0))):
+        maxmin, sumk = (tradeoff_sweep(w, np.linspace(0.0, 1.0, 11), measure=m) for m in (FairnessMeasure(), sum1))
+        assert maxmin.if_star == sumk.if_star
+        for a, b in zip(maxmin.rows, sumk.rows, strict=True):
+            assert a.status == b.status == "ok"
+            assert (a.uf_achieved, a.if_achieved) == (b.uf_achieved, b.if_achieved)
 
 
 def test_nash_item_optimum_on_worked_instance(worked_instance):
@@ -992,6 +1009,20 @@ def test_gamma_0_with_tied_favourites_solves_cold(k, monkeypatch):
     assert solutions[0].iterations == cold.iterations
     assert np.array_equal(solutions[0].point, cold.point)
     assert np.array_equal(result.rows_by_type, RecommendationPolicy.from_solver(cold.point[:16].reshape(4, 4)).rows)
+
+
+def test_lp_sweep_assembly_stays_sparse():
+    """A 100 x 100 max-min sweep has 10^4 policy variables, so one dense
+    variables-by-variables array (an 800 MB identity, say) would dwarf the
+    few MiB its sparse programs and solutions take."""
+    w = UtilityMatrix(np.random.default_rng(0).uniform(0.1, 1.0, (100, 100)))
+    tracemalloc.start()
+    try:
+        tradeoff_sweep(w, np.linspace(0.0, 1.0, 11))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak
 
 
 def test_sweep_from_the_favourites_basis_agrees_with_a_cold_sweep(monkeypatch):
