@@ -23,16 +23,15 @@ from .core import (
     MeasureKind,
     RecommendationPolicy,
     UtilityMatrix,
-    item_fairness,
     item_utility_vector,
     measure_value,
-    user_fairness,
     user_utility_vector,
 )
 from .lp import LPSolverError, LPStatus
 from .numerics import NonConvergenceError, nash_concave_solve
 from .optimizer import (
     IfStarResult,
+    Problem,
     Scope,
     TieBreak,
     TradeoffCurve,
@@ -67,6 +66,7 @@ __all__ = [
     "MisestSpec",
     "MisestimationData",
     "NonConvergenceError",
+    "Problem",
     "RecommendationPolicy",
     "Scope",
     "TieBreak",
@@ -81,7 +81,6 @@ __all__ = [
     "gen_homogeneous",
     "gen_misestimation",
     "gen_two_type",
-    "item_fairness",
     "item_utility_vector",
     "load_utility_csv",
     "measure_value",
@@ -95,7 +94,6 @@ __all__ = [
     "tradeoff_sweep",
     "two_type_pof_curve",
     "two_type_solution",
-    "user_fairness",
     "user_utility_vector",
     "__version__",
 ]

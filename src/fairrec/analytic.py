@@ -145,11 +145,6 @@ def _pivot_scan(candidates) -> tuple[int, tuple]:
     return best_t, best
 
 
-def two_type_pivot(spec: TwoTypeSpec) -> int:
-    """Pivot item of the item-fairness optimum, 1-based, in [1, n]."""
-    return two_type_solution(spec).t
-
-
 def two_type_solution(spec: TwoTypeSpec) -> TwoTypeSolution:
     q = q_weights(spec)
     t, (if_star, x, y) = _pivot_scan(_two_type_candidate(q, t) for t in range(1, spec.n + 1))
@@ -174,9 +169,10 @@ def two_type_pof_curve(v, alphas) -> np.ndarray:
 class MisestSolution:
     """Item-fairness optimum of the estimated three-type instance.
 
-    x is the recognized v-ranked type's policy, z the averaged users' policy
-    (palindromic), and lam the common equalized item utility.  The mirrored
-    recognized type plays y = reverse(x).
+    t is the 1-based pivot, at most floor((n + 1) / 2).  x is the recognized
+    v-ranked type's policy, z the averaged users' policy (palindromic), and
+    lam the common equalized item utility.  The mirrored recognized type
+    plays y = reverse(x).
     """
 
     t: int
@@ -232,11 +228,6 @@ def _misest_candidate(q: np.ndarray, beta: float, t: int) -> tuple[float, np.nda
         return None
     x[i] = max(x[i], 0.0)
     return lam, x, z
-
-
-def misest_pivot(spec: MisestSpec) -> int:
-    """Pivot of the averaged-population optimum, 1-based, at most floor((n+1)/2)."""
-    return misest_solution(spec).t
 
 
 def misest_solution(spec: MisestSpec) -> MisestSolution:

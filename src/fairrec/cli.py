@@ -38,7 +38,7 @@ from .optimizer import (
     TieBreak,
     check_gamma_grid,
     compute_uf_star,
-    price_of_fairness_terms,
+    price_of_fairness,
     price_of_misestimation,
     require_price_measure,
     tradeoff_sweep,
@@ -116,7 +116,11 @@ def _load_instance(args):
 
 
 def _config_echo(args, keys) -> dict:
-    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
+    # k as the measure uses it: a flag the measure ignores leaves no trace.
+    cfg = {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
+    if "k" in cfg:
+        cfg["k"] = _measure(args).k
+    return cfg
 
 
 def _write_csv(args, command: str, header, rows, keys, seed=None) -> None:
@@ -198,7 +202,7 @@ def cmd_pof(args) -> int:
     measure = _measure(args)
     require_price_measure(measure, "price of fairness")
     problem = Problem(_load_instance(args), ItemUtilityModel(args.delta), measure)
-    uf0, uf1, pof = price_of_fairness_terms(problem)
+    uf0, uf1, pof = price_of_fairness(problem)
     print(f"uf_unconstrained = {uf0:.9g}")
     print(f"uf_full_fairness = {uf1:.9g}")
     print(f"pof = {pof:.9g}")
@@ -239,7 +243,7 @@ def cmd_validate(args) -> int:
         realized = float(np.sum(problem.w.type_of == 0)) / m
         sol = two_type_solution(TwoTypeSpec(v, realized))
         if_lp = problem.if_star.value
-        uf_lp = compute_uf_star(problem.w, 1.0, problem=problem).value
+        uf_lp = compute_uf_star(problem, 1.0).value
         if_err = abs(if_lp - sol.if_star)
         uf_err = abs(uf_lp - sol.uf1)
         max_if_err = max(max_if_err, if_err)

@@ -263,17 +263,3 @@ def measure_value(values: np.ndarray, measure: FairnessMeasure, weights: np.ndar
         raise ValueError(f"k = {measure.k} exceeds the {taken[-1]} available utilities")
     return float(np.repeat(values[order], np.diff(taken, prepend=0)).sum())
 
-
-def user_fairness(policy: RecommendationPolicy, w: UtilityMatrix, measure: FairnessMeasure = MAX_MIN) -> float:
-    """Fairness of the user side: the measure applied to normalized user utilities."""
-    return measure_value(user_utility_vector(policy, w), measure)
-
-
-def item_fairness(
-    policy: RecommendationPolicy,
-    w: UtilityMatrix,
-    model: ItemUtilityModel | None = None,
-    measure: FairnessMeasure = MAX_MIN,
-) -> float:
-    """Fairness of the item side, evaluated on the delta-transformed matrix."""
-    return measure_value(item_utility_vector(policy, w, model), measure)

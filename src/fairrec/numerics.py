@@ -1,9 +1,9 @@
 """Numerical routines used by the optimizer.
 
-One region type, ``SimplexProduct`` (a product of probability simplices),
-carries ``nash_concave_solve``: a log-barrier Newton maximizer for weighted
-sums of logarithms of linear functionals, optionally under a floor on a
-second such sum.  It returns a weak-duality certificate computed from its
+``nash_concave_solve`` is a log-barrier Newton maximizer for weighted sums
+of logarithms of linear functionals over a product of K probability
+simplices of n entries each, flattened row by row, optionally under a floor
+on a second such sum.  It returns a weak-duality certificate computed from its
 point, an upper bound on the distance to the optimum value.
 ``dykstra_project`` (Dykstra's alternating projections onto an intersection
 of convex sets, each given by its own ``project``) remains here only because
@@ -36,21 +36,6 @@ DYKSTRA_MAX_CYCLES = 200_000
 
 class NonConvergenceError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class SimplexProduct:
-    """``num_rows`` independent distributions over ``row_len`` entries, flattened row by row."""
-
-    num_rows: int
-    row_len: int
-
-    @property
-    def num_vars(self) -> int:
-        return self.num_rows * self.row_len
-
-    def uniform(self) -> np.ndarray:
-        return np.full(self.num_vars, 1.0 / self.row_len)
 
 
 def dykstra_project(target: np.ndarray, sets) -> np.ndarray:
@@ -112,18 +97,18 @@ class ConcaveResult:
     t: float
 
 
-def _fw_gap(grad: np.ndarray, x: np.ndarray, region: SimplexProduct) -> float:
-    """max over the region of grad . (y - x): the Frank-Wolfe gap at x."""
-    g, xr = grad.reshape(region.num_rows, region.row_len), x.reshape(region.num_rows, region.row_len)
+def _fw_gap(grad: np.ndarray, x: np.ndarray, shape: tuple[int, int]) -> float:
+    """max over the simplex rows of grad . (y - x): the Frank-Wolfe gap at x."""
+    g, xr = grad.reshape(shape), x.reshape(shape)
     return float(np.sum(g.max(axis=1) - np.einsum("ij,ij->i", g, xr)))
 
 
-def _normalize_rows(x: np.ndarray, region: SimplexProduct) -> np.ndarray:
-    rows = x.reshape(region.num_rows, region.row_len)
+def _normalize_rows(x: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    rows = x.reshape(shape)
     return (rows / rows.sum(axis=1, keepdims=True)).ravel()
 
 
-def _newton_step(x, region, t, f, floor=None):
+def _newton_step(x, shape, t, f, floor=None):
     """The Newton step dx of phi = -t F - sum log x - rho log(G - tau) on
     the simplex rows, and its decrement dx^T H dx.
 
@@ -140,7 +125,7 @@ def _newton_step(x, region, t, f, floor=None):
     rho / slack^2 term enters by Sherman-Morrison through h_z and the SVD
     never sees that weight.  No dense (K n)^2 matrix is formed.
     """
-    k, n = region.num_rows, region.row_len
+    k, n = shape
     b, c, bx = f
     cols, h = [b.T * (np.sqrt(t * c) / bx)], [np.sqrt(t * c)]
     if floor is not None:
@@ -194,14 +179,15 @@ def _newton_step(x, region, t, f, floor=None):
 
 def nash_concave_solve(
     objective: LogObjective,
-    region,
+    shape: tuple[int, int],
     start: np.ndarray | None = None,
     tol: float = GAP_TOL,
     constraint: tuple[LogObjective, float] | None = None,
 ) -> ConcaveResult:
     """Maximize F, a weighted sum of logs of linear functionals, over the
-    SimplexProduct ``region``, optionally subject to ``constraint`` = (G, tau):
-    another such sum and its floor, G(x) >= tau.
+    product of K simplices of n entries each, ``shape`` = (K, n), flattened
+    row by row, optionally subject to ``constraint`` = (G, tau): another such
+    sum and its floor, G(x) >= tau.
 
     Log-barrier Newton method (Boyd & Vandenberghe, ch. 11): damped Newton
     steps (``_newton_step``) on t F + sum log x + rho log(G - tau), with
@@ -224,10 +210,9 @@ def nash_concave_solve(
     or when a step that promises a decrease finds none.  ``iterations``
     counts Newton steps.
     """
-    if not isinstance(region, SimplexProduct):
-        raise TypeError(f"unsupported region type {type(region).__name__}")
-    k, n, size = region.num_rows, region.row_len, region.num_vars
-    x0 = region.uniform() if start is None else _normalize_rows(np.asarray(start, dtype=float), region)
+    k, n = shape
+    size = k * n
+    x0 = np.full(size, 1.0 / n) if start is None else _normalize_rows(np.asarray(start, dtype=float), shape)
     b, c = objective.coeffs, objective.weights
     bx = b @ x0
     if np.any(x0 <= 0) or np.any(bx <= 0):
@@ -241,15 +226,15 @@ def nash_concave_solve(
         if not slack > 0:
             raise ValueError(f"starting point is not strictly feasible: G(x) - tau = {slack:.3e}")
     x, delta, value = x0, np.zeros(size), float(c @ np.log(bx))
-    t = (size + rho) / max(_fw_gap(b.T @ (c / bx), x, region), 1e-12)
+    t = (size + rho) / max(_fw_gap(b.T @ (c / bx), x, shape), 1e-12)
     decrement, gap, polished = np.inf, np.inf, 0
     for it in range(MAX_ITER + 1):
         grad = b.T @ (c / bx)
         if constraint is None:
-            gap = _fw_gap(grad, x, region)
+            gap = _fw_gap(grad, x, shape)
         else:
             grad_g = a.T @ (wa / ax)
-            gap = rho / t + _fw_gap(grad + rho / (t * slack) * grad_g, x, region)
+            gap = rho / t + _fw_gap(grad + rho / (t * slack) * grad_g, x, shape)
         target = tol * (1.0 + abs(value))
         if gap <= target or it == MAX_ITER:
             break
@@ -269,7 +254,7 @@ def nash_concave_solve(
                 t, polished, polish = t * BARRIER_GROWTH, 0, False
         if constraint is not None:
             floor = (a, wa, ax, slack, rho)
-        dx, decrement = _newton_step(x, region, t, (b, c, bx), floor)
+        dx, decrement = _newton_step(x, shape, t, (b, c, bx), floor)
         # Backtracking line search on phi = -t F - sum log x - rho log(G - tau).
         neg = dx < 0
         step = min(1.0, 0.99 * float(np.min(-x[neg] / dx[neg]))) if neg.any() else 1.0
@@ -295,4 +280,4 @@ def nash_concave_solve(
         value = float(c @ np.log(bx))
         if floor is not None:
             ax, slack = a @ x, slack + d_g
-    return ConcaveResult(value, _normalize_rows(x, region), gap, it, gap <= tol * (1.0 + abs(value)), t)
+    return ConcaveResult(value, _normalize_rows(x, shape), gap, it, gap <= tol * (1.0 + abs(value)), t)

@@ -52,7 +52,7 @@ from .core import (
     measure_value,
     user_utility_vector,
 )
-from .numerics import LogObjective, NonConvergenceError, SimplexProduct, nash_concave_solve
+from .numerics import LogObjective, NonConvergenceError, nash_concave_solve
 
 # Backoff applied when an optimal value is reused as a constraint threshold,
 # so that floating-point optima stay feasible.
@@ -222,7 +222,7 @@ class Problem:
         (k, n), measure = self.b.shape, self.measure
         lp_solution = gap = None
         if measure.kind is MeasureKind.NASH_WELFARE:
-            res = nash_concave_solve(LogObjective(self.item_rows.toarray()), SimplexProduct(k, n), tol=NASH_IF_TOL)
+            res = nash_concave_solve(LogObjective(self.item_rows.toarray()), (k, n), tol=NASH_IF_TOL)
             _require_certified(res, "item phase (IF*, shared by every gamma > 0)", k, n)
             point, gap = res.point, res.gap
         else:
@@ -357,55 +357,45 @@ def min_norm_face_point(
     return x[:n]
 
 
-def compute_uf_star(
-    w: UtilityMatrix,
-    gamma: float,
-    item_model: ItemUtilityModel | None = None,
-    measure: FairnessMeasure = MAX_MIN,
-    problem: Problem | None = None,
-    tie_break: TieBreak = TieBreak.SOLVER,
-) -> UfStarResult:
+def compute_uf_star(problem: Problem, gamma: float, tie_break: TieBreak = TieBreak.SOLVER) -> UfStarResult:
     """Best attainable user fairness when the item side must keep a gamma
     fraction of its optimum.  gamma = 0 drops the item constraint entirely.
 
-    ``problem`` is ``Problem(w, item_model, measure)`` and stands in for
-    those three arguments; without it one is built.  Passing one problem to
-    several calls shares its type reduction, rows, IF* and LP programs: a
-    gamma < 1 solve starts ``uf_program`` from the last basis left in it,
-    cold on a new problem or after ``clear_basis``, except that gamma = 0
-    starts at its optimum when favourites are unique (every type on its one
-    favourite item; with ties the solve is cold).  Gamma = 1 solves
-    ``face_program`` cold, and its point must keep the item measure
+    Calls on one problem share its type reduction, rows, IF* and LP
+    programs: a gamma < 1 solve starts ``uf_program`` from the last basis
+    left in it, cold on a new problem or after ``clear_basis``, except that
+    gamma = 0 starts at its optimum when favourites are unique (every type
+    on its one favourite item; with ties the solve is cold).  Gamma = 1
+    solves ``face_program`` cold, and its point must keep the item measure
     within lp.FACE_TOL (1 + IF*) of IF* (else LPSolverError, FAILED)."""
     (gamma,) = check_gamma_grid([gamma])
-    p = problem if problem is not None else Problem(w, item_model, measure)
-    red, measure = p.reduction, p.measure
+    red, measure = problem.reduction, problem.measure
     tie_break = _tie_break(tie_break, measure)
-    k, n = p.b.shape
-    if_value = p.if_star.value if gamma > 0 else None
+    k, n = problem.b.shape
+    if_value = problem.if_star.value if gamma > 0 else None
     gap = None
 
     if measure.kind is MeasureKind.NASH_WELFARE:
         if_target = (if_value / gamma) if gamma > 0 else -np.inf
-        rows, gap = _nash_uf_rows(p, gamma, if_target)
+        rows, gap = _nash_uf_rows(problem, gamma, if_target)
     else:
         if_target = gamma * if_value if gamma > 0 else 0.0
         if gamma == 1.0:
-            program, b_ub = p.face_program, p.face_program.region.b_ub
+            program, b_ub = problem.face_program, problem.face_program.region.b_ub
             program.clear_basis()
         else:
-            program = p.uf_program
+            program = problem.uf_program
             # Only the item floor moves with gamma: its rows of right-hand side +inf at build.
             b_ub = program.region.b_ub.copy()
-            b_ub[np.flatnonzero(np.isposinf(p.uf_floor.b_ub))] = SLACK - if_target if gamma > 0 else np.inf
+            b_ub[np.flatnonzero(np.isposinf(problem.uf_floor.b_ub))] = SLACK - if_target if gamma > 0 else np.inf
             if gamma == 0:
-                p._start_at_favourites()
+                problem._start_at_favourites()
         sol = program.solve(b_ub)
         if sol.status is not lp.LPStatus.OPTIMAL:
             raise lp.LPSolverError(sol.status, sol.message)
         rows = sol.point[: k * n].reshape(k, n)
         if tie_break is TieBreak.CANONICAL and gamma == 0:
-            rows = p.favourite_rows
+            rows = problem.favourite_rows
         elif tie_break is TieBreak.CANONICAL:
             # The point of the exact optimal face nearest the uniform policy.
             # A symmetry of the instance permutes the face and fixes the
@@ -414,12 +404,12 @@ def compute_uf_star(
             rows = min_norm_face_point(np.full(k * n, 1.0 / n), program.optimal_face(), sol.point, gamma)
             rows = rows.reshape(k, n)
         if gamma == 1.0:
-            shortfall = if_value - measure_value((p.a * rows).sum(axis=0), measure)
+            shortfall = if_value - measure_value((problem.a * rows).sum(axis=0), measure)
             if shortfall > lp.FACE_TOL * (1.0 + abs(if_value)):
                 raise lp.LPSolverError(lp.LPStatus.FAILED, f"UF*(1), {k}x{n}: its point misses IF* by {shortfall:.3e}")
 
     policy_rows = RecommendationPolicy.from_solver(rows).rows
-    value = measure_value((p.b * policy_rows).sum(axis=1), measure, weights=red.counts)
+    value = measure_value((problem.b * policy_rows).sum(axis=1), measure, weights=red.counts)
     return UfStarResult(value, policy_rows, red, if_value, if_target, gap)
 
 
@@ -451,7 +441,7 @@ def _nash_uf_rows(p: Problem, gamma: float, target: float) -> tuple[np.ndarray, 
     theta = 0.5 if gain <= 0 else min(0.5, 0.5 * (g_if - tau) / gain)
     res = nash_concave_solve(
         LogObjective(p.user_rows.toarray(), p.reduction.counts.astype(float)),
-        SimplexProduct(k, n),
+        (k, n),
         start=(1.0 - theta) * x_if + theta * uniform,
         constraint=(item, tau),
     )
@@ -482,7 +472,7 @@ def require_price_measure(measure: FairnessMeasure, price: str) -> None:
         )
 
 
-def price_of_fairness_terms(problem: Problem) -> tuple[float, float, float]:
+def price_of_fairness(problem: Problem) -> tuple[float, float, float]:
     """UF*(0), UF*(1) and the price of fairness ``(UF*(0) - UF*(1)) / UF*(0)``.
 
     UF*(0) is the closed form that puts every type on a favorite item: the
@@ -492,17 +482,8 @@ def price_of_fairness_terms(problem: Problem) -> tuple[float, float, float]:
     require_price_measure(problem.measure, "price of fairness")
     red = problem.reduction
     uf0 = measure_value(np.ones(red.k), problem.measure, weights=red.counts)
-    uf1 = compute_uf_star(problem.w, 1.0, problem=problem).value
+    uf1 = compute_uf_star(problem, 1.0).value
     return uf0, uf1, (uf0 - uf1) / uf0
-
-
-def price_of_fairness(
-    w: UtilityMatrix,
-    item_model: ItemUtilityModel | None = None,
-    measure: FairnessMeasure = MAX_MIN,
-) -> float:
-    """Relative loss in optimal user fairness caused by maximal item fairness."""
-    return price_of_fairness_terms(Problem(w, item_model, measure))[2]
 
 
 def misestimated_users(w: UtilityMatrix, w_hat: UtilityMatrix) -> np.ndarray:
@@ -561,8 +542,8 @@ def price_of_misestimation(
     for g in gammas:
         for p in (ref_p, est_p):
             p.uf_program.clear_basis()
-        ref = compute_uf_star(w, g, problem=ref_p, tie_break=tie_break)
-        est = compute_uf_star(w_hat, g, problem=est_p, tie_break=tie_break)
+        ref = compute_uf_star(ref_p, g, tie_break)
+        est = compute_uf_star(est_p, g, tie_break)
         u_ref = user_utility_vector(RecommendationPolicy(ref.rows_by_type[t_ref]), w_rep)
         u_est = user_utility_vector(RecommendationPolicy(est.rows_by_type[t_est]), w_rep)
         ref_val = measure_value(u_ref, measure, weights=counts)
@@ -617,7 +598,7 @@ def tradeoff_sweep(
     for g in gammas:
         start = time.perf_counter()
         try:
-            r = compute_uf_star(w, g, problem=p, tie_break=tie_break)
+            r = compute_uf_star(p, g, tie_break)
         except (lp.LPSolverError, NonConvergenceError) as exc:
             elapsed = (time.perf_counter() - start) * 1000.0
             rows.append(TradeoffRow(g, np.nan, np.nan, np.nan, f"error: {exc}", elapsed))

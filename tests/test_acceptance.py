@@ -50,7 +50,7 @@ def test_criterion_01_unconstrained_optimum_is_perfect_and_deterministic():
         m = int(rng.integers(1, 31))
         n = int(rng.integers(1, 31))
         w = UtilityMatrix(random_positive_matrix(rng, m, n))
-        res = compute_uf_star(w, 0.0)
+        res = compute_uf_star(Problem(w), 0.0)
         worst_value_gap = max(worst_value_gap, abs(res.value - 1.0))
         favorites = np.argmax(w.values, axis=1)
         mass = res.policy.rows[np.arange(m), favorites]
@@ -100,7 +100,7 @@ def test_criterion_03_closed_form_matches_lp_across_populations():
             sol = two_type_solution(TwoTypeSpec(v, float(alpha)))
             w = gen_two_type(v, float(alpha), 20)
             worst_if = max(worst_if, abs(Problem(w).if_star.value - sol.if_star))
-            worst_uf = max(worst_uf, abs(compute_uf_star(w, 1.0).value - sol.uf1))
+            worst_uf = max(worst_uf, abs(compute_uf_star(Problem(w), 1.0).value - sol.uf1))
             cases += 1
     elapsed = time.perf_counter() - t0
     ok = worst_if < 1e-6 and worst_uf < 1e-6 and elapsed < 60.0
@@ -122,13 +122,13 @@ def test_criterion_04_worked_instance_exact_values():
         and abs(sol.pof - 1 / 7) < 1e-9
     )
     w = gen_two_type(v, 0.5, 10)
-    res1 = compute_uf_star(w, 1.0, tie_break=TieBreak.CANONICAL)
+    res1 = compute_uf_star(Problem(w), 1.0, tie_break=TieBreak.CANONICAL)
     lp_ok = (
         abs(Problem(w).if_star.value - 3 / 7) < 1e-6
         and abs(res1.value - 6 / 7) < 1e-6
         and np.allclose(res1.rows_by_type[0], [4 / 7, 3 / 7, 0], atol=1e-6)
         and np.allclose(res1.rows_by_type[1], [0, 3 / 7, 4 / 7], atol=1e-6)
-        and abs(price_of_fairness(w) - 1 / 7) < 1e-6
+        and abs(price_of_fairness(Problem(w))[2] - 1 / 7) < 1e-6
     )
     report(
         "criterion 4: worked three-item instance reproduces exactly",
@@ -152,7 +152,7 @@ def test_criterion_05_price_curve_is_v_shaped_and_lp_consistent():
         worst_shape = max(worst_shape, float(-np.diff(pof[half:]).max(initial=-np.inf)))
         for alpha, want in zip(alphas, pof):
             w = gen_two_type(v, float(alpha), 20)
-            lp_pof = price_of_fairness(w)
+            lp_pof = price_of_fairness(Problem(w))[2]
             worst_lp = max(worst_lp, abs(lp_pof - want))
     ok = worst_shape < 1e-9 and worst_lp < 1e-6
     report(
@@ -169,7 +169,7 @@ def test_criterion_05_price_curve_is_v_shaped_and_lp_consistent():
 )
 def test_criterion_06a_homogeneous_two_item_price_is_half():
     prices = [
-        price_of_fairness(gen_homogeneous(np.array([1.0 - eps, eps]), 6))
+        price_of_fairness(Problem(gen_homogeneous(np.array([1.0 - eps, eps]), 6)))[2]
         for eps in (0.05, 0.1, 0.2)
     ]
     ok = all(abs(p - 0.5) < 1e-6 for p in prices)
@@ -184,7 +184,7 @@ def test_criterion_06b_balanced_diverse_two_item_price_is_zero():
     worst = 0.0
     for v in (np.array([0.9, 0.1]), np.array([2.0, 1.0]), np.array([5.0, 4.0])):
         w = gen_two_type(v, 0.5, 20)
-        worst = max(worst, abs(price_of_fairness(w)))
+        worst = max(worst, abs(price_of_fairness(Problem(w))[2]))
     report(
         "criterion 6b: balanced two-type two-item population pays nothing",
         worst < 1e-6,
@@ -212,7 +212,7 @@ def test_criterion_07_recognized_majority_starves_extreme_items():
             data = gen_misestimation(v, beta, m, seed=0)
             red = reduce_by_types(data.w_hat)
             cold_row = red.user_to_type[data.misestimated[0]]
-            res = compute_uf_star(data.w_hat, 1.0, tie_break=TieBreak.CANONICAL)
+            res = compute_uf_star(Problem(data.w_hat), 1.0, tie_break=TieBreak.CANONICAL)
             z = res.rows_by_type[cold_row]
             worst_lp = max(worst_lp, float(z[0]), float(z[-1]))
             lp_cases += 1
@@ -314,7 +314,7 @@ def test_criterion_11_grid_search_confirms_micro_instances():
     for wt, counts in cases:
         w = UtilityMatrix(np.repeat(wt, counts, axis=0))
         _, uf_grid = grid_if_and_uf(wt, counts, step=0.01)
-        uf_solver = compute_uf_star(w, 1.0).value
+        uf_solver = compute_uf_star(Problem(w), 1.0).value
         worst = max(worst, abs(uf_solver - uf_grid))
     elapsed = time.perf_counter() - t0
     ok = worst < 2e-2 and elapsed < 30.0
@@ -335,7 +335,7 @@ def test_criterion_12_nash_rows_are_certified_within_budget():
     worst = 0.0
     for gamma in (0.3, 1.0):
         start = time.perf_counter()
-        res = compute_uf_star(w, gamma, problem=problem)
+        res = compute_uf_star(problem, gamma)
         times.append(time.perf_counter() - start)
         worst = max(worst, res.gap / (GAP_TOL * (1.0 + abs(res.value))))
     ok = worst <= 1.0 and max(times[1:]) < 2.0

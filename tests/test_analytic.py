@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 from fairrec.analytic import (
     MisestSpec,
     TwoTypeSpec,
-    misest_pivot,
     misest_solution,
     q_weights,
-    two_type_pivot,
     two_type_pof_curve,
     two_type_solution,
 )
@@ -61,7 +59,7 @@ def test_mirrored_population_swaps_policies(v, alpha):
 @given(decreasing_values)
 def test_pivot_weakly_increases_with_alpha(v):
     grid = np.linspace(0.05, 0.95, 19)
-    pivots = [two_type_pivot(TwoTypeSpec(v, a)) for a in grid]
+    pivots = [two_type_solution(TwoTypeSpec(v, a)).t for a in grid]
     assert all(t2 >= t1 for t1, t2 in zip(pivots, pivots[1:]))
 
 
@@ -86,13 +84,13 @@ def test_policies_balance_every_item_and_respect_support(v, alpha):
 
 @given(decreasing_values, st.floats(0.02, 0.5))
 def test_pivot_stays_left_of_middle_for_minority_v_type(v, alpha):
-    t = two_type_pivot(TwoTypeSpec(v, alpha))
+    t = two_type_solution(TwoTypeSpec(v, alpha)).t
     assert t <= (v.size + 1) // 2 + (1 if v.size % 2 == 0 else 0)
 
 
 def test_tied_pivot_candidates_resolve_to_smaller_index():
     # alpha = 1/2 with n = 2 makes both candidates describe the same optimum
-    assert two_type_pivot(TwoTypeSpec(np.array([2.0, 1.0]), 0.5)) == 1
+    assert two_type_solution(TwoTypeSpec(np.array([2.0, 1.0]), 0.5)).t == 1
 
 
 def test_pof_curve_rows_and_symmetry():
@@ -149,14 +147,14 @@ def test_misest_starvation_exactly_when_recognized_mass_dominates(v, beta):
 
 
 @given(decreasing_values.filter(lambda v: v.size >= 3), st.floats(0.05, 0.45))
-def test_misest_pivot_one_matches_value_ratio_threshold(v, beta):
+def test_misest_first_pivot_matches_value_ratio_threshold(v, beta):
     # the innermost pivot occurs exactly when the tail value is large enough
     n = v.size
     threshold = (n - 2) / (1.0 / (2 * beta) - 1.0) - 1.0
     lhs = v[-1] / v[0]
     if abs(lhs - threshold) < 1e-9:
         return
-    assert (misest_pivot(MisestSpec(v, beta)) == 1) == (lhs >= threshold)
+    assert (misest_solution(MisestSpec(v, beta)).t == 1) == (lhs >= threshold)
 
 
 def test_misest_mirror_type_plays_reversed_policy():

@@ -12,10 +12,8 @@ from fairrec.core import (
     MeasureKind,
     RecommendationPolicy,
     UtilityMatrix,
-    item_fairness,
     item_utility_vector,
     measure_value,
-    user_fairness,
     user_utility_vector,
 )
 
@@ -212,14 +210,6 @@ def test_item_model_extremes():
     assert np.allclose(item_utility_vector(policy, w, ItemUtilityModel(1.0)), policy.rows.mean(axis=0))
     with pytest.raises(ValueError):
         ItemUtilityModel(1.5)
-
-
-def test_fairness_wrappers_match_vector_minima():
-    rng = np.random.default_rng(7)
-    w = UtilityMatrix(rng.uniform(0.1, 2.0, size=(4, 3)))
-    policy = random_policy(rng, 4, 3)
-    assert user_fairness(policy, w) == user_utility_vector(policy, w).min()
-    assert item_fairness(policy, w) == item_utility_vector(policy, w).min()
 
 
 def test_shape_mismatch_raises():

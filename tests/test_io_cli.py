@@ -312,9 +312,9 @@ def test_cli_pof_reports_worked_value(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_pof_full_fairness_equals_the_tradeoff_gamma_1_row(tmp_path, worked_instance):
-    from fairrec.optimizer import Problem, price_of_fairness_terms, tradeoff_sweep
+    from fairrec.optimizer import Problem, price_of_fairness, tradeoff_sweep
 
-    uf1 = price_of_fairness_terms(Problem(worked_instance))[1]
+    uf1 = price_of_fairness(Problem(worked_instance))[1]
     assert uf1 == tradeoff_sweep(worked_instance, cli.parse_gamma_grid("11")).rows[-1].uf_achieved
     flags = ["--values", "3,2,1", "--alpha", "0.5", "--users", "10", "--out"]
     assert run(["pof", *flags, str(tmp_path / "pof.csv")]) == 0
@@ -408,9 +408,9 @@ def test_cli_pof_solves_only_full_fairness_on_one_program(tmp_path, monkeypatch)
     real, gammas, programs = opt.compute_uf_star, [], []
     real_init = lp.WarmLP.__init__
 
-    def recorded(w, gamma, *args, **kwargs):
+    def recorded(problem, gamma, *args, **kwargs):
         gammas.append(gamma)
-        return real(w, gamma, *args, **kwargs)
+        return real(problem, gamma, *args, **kwargs)
 
     def counted_init(self, *args, **kwargs):
         programs.append(1)
@@ -507,8 +507,8 @@ def test_cli_rising_sweep_exit_and_record(tmp_path, monkeypatch):
 
     real = opt.compute_uf_star
 
-    def rising(w, gamma, *args, **kwargs):
-        return dataclasses.replace(real(w, gamma, *args, **kwargs), value=1.0 + gamma)
+    def rising(problem, gamma, *args, **kwargs):
+        return dataclasses.replace(real(problem, gamma, *args, **kwargs), value=1.0 + gamma)
 
     monkeypatch.setattr(opt, "compute_uf_star", rising)
     out = tmp_path / "c.csv"
@@ -526,10 +526,10 @@ def test_cli_failed_sweep_rows_exit_and_record(tmp_path, monkeypatch):
 
     real = opt.compute_uf_star
 
-    def flaky(w, gamma, *args, **kwargs):
+    def flaky(problem, gamma, *args, **kwargs):
         if gamma == 0.5:
             raise LPSolverError(LPStatus.FAILED, "injected failure")
-        return real(w, gamma, *args, **kwargs)
+        return real(problem, gamma, *args, **kwargs)
 
     monkeypatch.setattr(opt, "compute_uf_star", flaky)
     out = tmp_path / "c.csv"
@@ -737,6 +737,21 @@ def _cli_outputs(tmp_path, capsys, argv) -> dict:
 @pytest.mark.parametrize("name", sorted(CLI_RUNS))
 def test_cli_outputs_match_recorded_digests(tmp_path, capsys, name):
     assert _cli_outputs(tmp_path, capsys, CLI_RUNS[name]) == CLI_GOLDEN[name]
+
+
+@pytest.mark.parametrize("argv", [
+    ["tradeoff", *WORKED, "--out", "{d}t.csv"],
+    ["tradeoff", *WORKED, "--measure", "nash", "--out", "{d}t.csv"],
+    ["pof", *WORKED, "--out", "{d}pof.csv"],
+    ["misest", "--values", "3,2,1", "--beta", "0.4", "--users", "10", "--scope", "all", "--out", "{d}pom.csv"],
+])
+def test_cli_k_that_the_measure_ignores_leaves_no_trace(tmp_path, capsys, argv):
+    # Max-min and Nash solve k = 1 whatever --k says, so --k 3 writes what --k 1 writes.
+    outputs = []
+    for k in ("1", "3"):
+        (tmp_path / k).mkdir()
+        outputs.append(_cli_outputs(tmp_path / k, capsys, [*argv, "--k", k]))
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_rejects_unknown_subcommand():

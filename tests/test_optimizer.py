@@ -124,25 +124,25 @@ def test_worked_instance_item_optimum(worked_instance):
 
 def test_worked_instance_constrained_user_curve(worked_instance):
     for gamma in (0.0, 0.25, 0.5, 0.75, 1.0):
-        res = compute_uf_star(worked_instance, gamma)
+        res = compute_uf_star(Problem(worked_instance), gamma)
         assert abs(res.value - (1.0 - gamma / 7.0)) < 1e-6
-    assert abs(price_of_fairness(worked_instance) - 1.0 / 7.0) < 1e-6
+    assert abs(price_of_fairness(Problem(worked_instance))[2] - 1.0 / 7.0) < 1e-6
 
 
 def test_worked_instance_full_fairness_policy_canonical(worked_instance):
-    res = compute_uf_star(worked_instance, 1.0, tie_break=TieBreak.CANONICAL)
+    res = compute_uf_star(Problem(worked_instance), 1.0, tie_break=TieBreak.CANONICAL)
     assert np.allclose(res.rows_by_type[0], [4 / 7, 3 / 7, 0.0], atol=1e-6)
     assert np.allclose(res.rows_by_type[1], [0.0, 3 / 7, 4 / 7], atol=1e-6)
 
 
 def test_canonical_midcurve_point_is_symmetric(worked_instance):
-    res = compute_uf_star(worked_instance, 0.5, tie_break=TieBreak.CANONICAL)
+    res = compute_uf_star(Problem(worked_instance), 0.5, tie_break=TieBreak.CANONICAL)
     assert np.allclose(res.rows_by_type[0], res.rows_by_type[1][::-1], atol=1e-8)
 
 
 def test_canonical_unconstrained_mixes_tied_favorites():
     w = UtilityMatrix(np.array([[1.0, 1.0, 0.5]]))
-    res = compute_uf_star(w, 0.0, tie_break=TieBreak.CANONICAL)
+    res = compute_uf_star(Problem(w), 0.0, tie_break=TieBreak.CANONICAL)
     assert np.allclose(res.rows_by_type, [[0.5, 0.5, 0.0]], atol=1e-12)
     assert abs(res.value - 1.0) < 1e-12
 
@@ -192,7 +192,7 @@ def test_canonical_faces_of_positive_dimension_split_copied_items(monkeypatch):
         for g, r_sol, r_can in zip(gammas, solver.rows, canonical.rows):
             assert r_sol.status == r_can.status == "ok"
             assert abs(r_can.uf_achieved - r_sol.uf_achieved) <= 1e-9
-            rows = compute_uf_star(w, g, tie_break=TieBreak.CANONICAL).rows_by_type
+            rows = compute_uf_star(Problem(w), g, tie_break=TieBreak.CANONICAL).rows_by_type
             assert np.max(np.abs(rows[:, 0] - rows[:, 3])) <= 1e-9
     assert calls, "every face was short-circuited; the QP path went untested"
 
@@ -204,8 +204,8 @@ def test_canonical_point_faces_are_the_solver_vertex(monkeypatch):
     for seed in range(8):
         w = UtilityMatrix(np.random.default_rng(seed).uniform(0.1, 1.0, (10, 10)))
         for g in np.linspace(0.1, 1.0, 10):
-            solver = compute_uf_star(w, g).rows_by_type
-            canonical = compute_uf_star(w, g, tie_break=TieBreak.CANONICAL).rows_by_type
+            solver = compute_uf_star(Problem(w), g).rows_by_type
+            canonical = compute_uf_star(Problem(w), g, tie_break=TieBreak.CANONICAL).rows_by_type
             assert np.max(np.abs(canonical - solver)) <= 1e-12
     assert calls == []
 
@@ -239,7 +239,7 @@ def test_uncertified_face_point_fails_its_row_only(monkeypatch):
 @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2])
 def test_homogeneous_two_item_price(eps):
     w = gen_homogeneous(np.array([1.0 - eps, eps]), 6)
-    pof = price_of_fairness(w)
+    pof = price_of_fairness(Problem(w))[2]
     assert abs(pof - (1 - 2 * eps) / (2 - 2 * eps)) < 1e-9
 
 
@@ -255,37 +255,37 @@ def test_homogeneous_sweep_values():
 
 def test_gamma_validation(worked_instance):
     with pytest.raises(ValueError):
-        compute_uf_star(worked_instance, -0.1)
+        compute_uf_star(Problem(worked_instance), -0.1)
     with pytest.raises(ValueError):
-        compute_uf_star(worked_instance, 1.2)
+        compute_uf_star(Problem(worked_instance), 1.2)
 
 
 def test_canonical_tie_break_limited_to_maxmin(worked_instance):
     with pytest.raises(ValueError):
-        compute_uf_star(worked_instance, 0.5, measure=NASH, tie_break=TieBreak.CANONICAL)
+        compute_uf_star(Problem(worked_instance, measure=NASH), 0.5, tie_break=TieBreak.CANONICAL)
     with pytest.raises(ValueError):
-        compute_uf_star(worked_instance, 0.5, measure=SUMK3, tie_break=TieBreak.CANONICAL)
+        compute_uf_star(Problem(worked_instance, measure=SUMK3), 0.5, tie_break=TieBreak.CANONICAL)
 
 
 def test_measure_size_validation(worked_instance):
     with pytest.raises(ValueError):
         Problem(worked_instance, measure=FairnessMeasure(MeasureKind.SUM_K_MIN, 5)).if_star
     with pytest.raises(ValueError):
-        compute_uf_star(worked_instance, 0.5, measure=FairnessMeasure(MeasureKind.SUM_K_MIN, 11))
+        compute_uf_star(Problem(worked_instance, measure=FairnessMeasure(MeasureKind.SUM_K_MIN, 11)), 0.5)
 
 
 def test_single_item_instance_is_trivially_fair():
     w = UtilityMatrix(np.array([[1.0], [2.0]]))
     assert abs(Problem(w).if_star.value - 1.0) < 1e-12
     for gamma in (0.0, 0.7, 1.0):
-        assert abs(compute_uf_star(w, gamma).value - 1.0) < 1e-12
+        assert abs(compute_uf_star(Problem(w), gamma).value - 1.0) < 1e-12
 
 
 def test_indifferent_population_spreads_mass():
     w = UtilityMatrix(np.ones((4, 3)))
     assert abs(Problem(w).if_star.value - 1.0 / 3.0) < 1e-9
     for gamma in (0.0, 1.0):
-        assert abs(compute_uf_star(w, gamma).value - 1.0) < 1e-9
+        assert abs(compute_uf_star(Problem(w), gamma).value - 1.0) < 1e-9
 
 
 def test_item_equality_at_item_optimum():
@@ -302,7 +302,7 @@ def test_constraint_target_is_met_along_gamma():
     w = UtilityMatrix(random_positive_matrix(rng, 6, 4))
     if_star = Problem(w).if_star.value
     for gamma in (0.3, 0.8, 1.0):
-        res = compute_uf_star(w, gamma)
+        res = compute_uf_star(Problem(w), gamma)
         achieved = item_utility_vector(res.policy, w).min()
         assert achieved >= gamma * if_star - 1e-6
 
@@ -317,7 +317,7 @@ def test_if_star_result_reused_when_passed_in(worked_instance, monkeypatch):
 
     monkeypatch.setattr(lp, "solve_lp", counted)
     problem = Problem(worked_instance)
-    results = [compute_uf_star(worked_instance, g, problem=problem) for g in (0.5, 1.0, 0.25)]
+    results = [compute_uf_star(problem, g) for g in (0.5, 1.0, 0.25)]
     assert len(solves) == 1
     pre, res = problem.if_star, results[1]
     assert abs(res.if_target - pre.value) < 1e-15
@@ -338,8 +338,8 @@ def test_global_scaling_leaves_everything_invariant():
     rng = np.random.default_rng(21)
     values = random_positive_matrix(rng, 5, 3)
     for gamma in (0.0, 0.6, 1.0):
-        a = compute_uf_star(UtilityMatrix(values), gamma)
-        b = compute_uf_star(UtilityMatrix(values * 7.3), gamma)
+        a = compute_uf_star(Problem(UtilityMatrix(values)), gamma)
+        b = compute_uf_star(Problem(UtilityMatrix(values * 7.3)), gamma)
         assert abs(a.value - b.value) < 1e-9
 
 
@@ -347,8 +347,8 @@ def test_item_permutation_permutes_the_optimum():
     rng = np.random.default_rng(22)
     values = random_positive_matrix(rng, 5, 4)
     perm = rng.permutation(4)
-    a = compute_uf_star(UtilityMatrix(values), 1.0)
-    b = compute_uf_star(UtilityMatrix(values[:, perm]), 1.0)
+    a = compute_uf_star(Problem(UtilityMatrix(values)), 1.0)
+    b = compute_uf_star(Problem(UtilityMatrix(values[:, perm])), 1.0)
     assert abs(a.value - b.value) < 1e-9
     assert abs(Problem(UtilityMatrix(values)).if_star.value
                - Problem(UtilityMatrix(values[:, perm])).if_star.value) < 1e-9
@@ -371,7 +371,7 @@ def test_sum_k_measures_on_worked_instance(worked_instance):
     # best-share placement: 0.75 + 0.75
     assert abs(res.value - 1.5) < 1e-9
     for gamma, want in ((0.0, 3.0), (0.5, 3.0), (1.0, 3.0)):
-        val = compute_uf_star(worked_instance, gamma, measure=SUMK3).value
+        val = compute_uf_star(Problem(worked_instance, measure=SUMK3), gamma).value
         assert abs(val - want) < 1e-6
 
 
@@ -382,8 +382,8 @@ def test_sum_1_min_pipeline_matches_maxmin(seed):
     sum1 = FairnessMeasure(MeasureKind.SUM_K_MIN, 1)
     assert abs(Problem(w).if_star.value - Problem(w, measure=sum1).if_star.value) < 1e-7
     for gamma in (0.0, 0.8):
-        a = compute_uf_star(w, gamma).value
-        b = compute_uf_star(w, gamma, measure=sum1).value
+        a = compute_uf_star(Problem(w), gamma).value
+        b = compute_uf_star(Problem(w, measure=sum1), gamma).value
         assert abs(a - b) < 1e-7
 
 
@@ -412,7 +412,7 @@ def test_nash_item_optimum_on_worked_instance(worked_instance):
 def test_nash_constrained_curve_on_worked_instance(worked_instance):
     values = []
     for gamma in (0.0, 0.5, 1.0):
-        res = compute_uf_star(worked_instance, gamma, measure=NASH)
+        res = compute_uf_star(Problem(worked_instance, measure=NASH), gamma)
         values.append(res.value)
         if gamma > 0:
             # certificate: scaled item log-welfare stays above the target
@@ -426,7 +426,7 @@ def test_nash_pipeline_matches_grid_search(worked_instance):
     red = reduce_by_types(worked_instance)
     if_grid, uf_grid = grid_nash_if_and_uf(red.matrix.values, red.counts, step=0.02)
     if_solver = Problem(worked_instance, measure=NASH).if_star.value
-    uf_solver = compute_uf_star(worked_instance, 1.0, measure=NASH).value
+    uf_solver = compute_uf_star(Problem(worked_instance, measure=NASH), 1.0).value
     assert if_solver >= if_grid - 1e-9
     assert abs(if_solver - if_grid) < 0.05
     assert abs(uf_solver - uf_grid) < 0.15
@@ -456,13 +456,13 @@ def test_nash_rows_that_stalled_the_bisection_are_certified():
     assert [r.status for r in curve.rows] == ["ok"] * 6
     p6 = Problem(_postsolve_nash_matrix(6), measure=NASH)
     for gamma in np.linspace(0.0, 1.0, 6):
-        _assert_nash_row(compute_uf_star(p6.w, gamma, problem=p6), p6)
+        _assert_nash_row(compute_uf_star(p6, gamma), p6)
     p0 = Problem(_postsolve_nash_matrix(0), measure=NASH)
-    _assert_nash_row(compute_uf_star(p0.w, 1.0, problem=p0), p0)
+    _assert_nash_row(compute_uf_star(p0, 1.0), p0)
     for n in (10, 20):
         p = Problem(UtilityMatrix(np.random.default_rng(0).uniform(0.1, 1.0, (n, n))), measure=NASH)
         for gamma in (0.3, 1.0):
-            _assert_nash_row(compute_uf_star(p.w, gamma, problem=p), p)
+            _assert_nash_row(compute_uf_star(p, gamma), p)
 
 
 def _nash_instances(worked_instance):
@@ -485,7 +485,7 @@ def test_nash_certificate_bounds_a_tight_solve(worked_instance, monkeypatch):
     for w in _nash_instances(worked_instance):
         p = Problem(w, measure=NASH)
         for gamma in (0.5, 1.0):
-            compute_uf_star(w, gamma, problem=p)
+            compute_uf_star(p, gamma)
     assert len(calls) == 9  # IF* and two rows per instance
     for args, kwargs, res in calls:
         assert res.converged and res.gap >= 0.0
@@ -497,7 +497,7 @@ def test_nash_rows_stay_on_the_simplex(worked_instance):
     for w in _nash_instances(worked_instance):
         p = Problem(w, measure=NASH)
         for gamma in (0.0, 0.25, 0.5, 0.75, 1.0):
-            _assert_nash_row(compute_uf_star(w, gamma, problem=p), p)
+            _assert_nash_row(compute_uf_star(p, gamma), p)
 
 
 def test_misestimated_users_detection():
@@ -659,10 +659,10 @@ def test_sweep_records_failures_and_continues(worked_instance, monkeypatch):
 
     real = opt.compute_uf_star
 
-    def flaky(w, gamma, *args, **kwargs):
+    def flaky(problem, gamma, *args, **kwargs):
         if gamma == 0.5:
             raise lp.LPSolverError(lp.LPStatus.FAILED, "injected failure")
-        return real(w, gamma, *args, **kwargs)
+        return real(problem, gamma, *args, **kwargs)
 
     monkeypatch.setattr(opt, "compute_uf_star", flaky)
     curve = opt.tradeoff_sweep(worked_instance, [0.0, 0.5, 1.0])
@@ -673,7 +673,7 @@ def test_sweep_records_failures_and_continues(worked_instance, monkeypatch):
 
 
 def test_policies_evaluate_consistently(worked_instance):
-    res = compute_uf_star(worked_instance, 1.0)
+    res = compute_uf_star(Problem(worked_instance), 1.0)
     u = user_utility_vector(res.policy, worked_instance)
     assert abs(u.min() - res.value) < 1e-9
 
@@ -804,13 +804,13 @@ def test_warm_sweep_matches_single_gamma_solves(measure):
         clear_caches()
         curve = tradeoff_sweep(w, gammas, measure=measure)
         for r, g in zip(curve.rows, gammas):
-            assert abs(r.uf_achieved - compute_uf_star(w, g, measure=measure).value) <= 1e-9
+            assert abs(r.uf_achieved - compute_uf_star(Problem(w, measure=measure), g).value) <= 1e-9
 
 
 @LP_MEASURES
 def test_pof_unconstrained_optimum_is_the_sweep_gamma_0_row(measure):
     for w in parity_instances():
-        uf0 = opt.price_of_fairness_terms(Problem(w, measure=measure))[0]
+        uf0 = opt.price_of_fairness(Problem(w, measure=measure))[0]
         assert uf0 == tradeoff_sweep(w, [0.0], measure=measure).rows[0].uf_achieved
 
 
@@ -846,8 +846,8 @@ def test_uf_star_calls_on_one_problem_share_its_program(worked_instance, monkeyp
 
     monkeypatch.setattr(lp.WarmLP, "__init__", counted_init)
     p = Problem(worked_instance, measure=measure)
-    first = compute_uf_star(worked_instance, 0.5, problem=p)
-    second = compute_uf_star(worked_instance, 0.5, problem=p)
+    first = compute_uf_star(p, 0.5)
+    second = compute_uf_star(p, 0.5)
     assert len(programs) == 1
     assert abs(first.value - second.value) <= 1e-12
 
@@ -907,11 +907,11 @@ def test_full_fairness_on_a_face_that_is_not_a_point_matches_cold_tight_referenc
     reference = cold_uf(w.values, 1.0, p.if_star.value, measure)
     tie_breaks = list(TieBreak) if measure.kind is MeasureKind.MAX_MIN else [TieBreak.SOLVER]
     for tie_break in tie_breaks:
-        assert abs(compute_uf_star(w, 1.0, problem=p, tie_break=tie_break).value - reference) <= 1e-9
+        assert abs(compute_uf_star(p, 1.0, tie_break=tie_break).value - reference) <= 1e-9
 
 
 def test_full_fairness_on_the_worked_instance_is_six_sevenths(worked_instance):
-    uf1 = opt.price_of_fairness_terms(Problem(worked_instance))[1]
+    uf1 = opt.price_of_fairness(Problem(worked_instance))[1]
     row = tradeoff_sweep(worked_instance, np.linspace(0.0, 1.0, 11)).rows[-1].uf_achieved
     assert abs(uf1 - 6 / 7) <= 1e-11
     assert abs(row - 6 / 7) <= 1e-11
@@ -923,7 +923,7 @@ def test_full_fairness_point_that_misses_if_star_fails_typed(worked_instance, mo
     # A face read too wide, here the whole feasible set, lets UF*(1) drop items below IF*.
     monkeypatch.setattr(lp, "optimal_face", lambda region, row_dual, col_dual: region)
     with pytest.raises(lp.LPSolverError, match=r"UF\*\(1\), 2x3: its point misses IF\*") as err:
-        compute_uf_star(worked_instance, 1.0, measure=measure)
+        compute_uf_star(Problem(worked_instance, measure=measure), 1.0)
     assert err.value.status is lp.LPStatus.FAILED
 
 
@@ -987,7 +987,7 @@ def test_gamma_0_starts_at_its_optimum_and_matches_a_cold_solve(k, monkeypatch):
     tie_breaks = list(TieBreak) if k is None else [TieBreak.SOLVER]
     for tie_break in tie_breaks:
         p = Problem(w, measure=measure)
-        result = compute_uf_star(w, 0.0, problem=p, tie_break=tie_break)
+        result = compute_uf_star(p, 0.0, tie_break=tie_break)
         assert solutions[-1].iterations == 0
         assert np.array_equal(solutions[-1].point[: 6 * 8], cold.point[: 6 * 8])
         assert result.value == measure_value(np.ones(6), measure, weights=p.reduction.counts)
@@ -1002,7 +1002,7 @@ def test_gamma_0_with_tied_favourites_solves_cold(k, monkeypatch):
     measure = FairnessMeasure() if k is None else FairnessMeasure(MeasureKind.SUM_K_MIN, k)
     w = UtilityMatrix(duplicated_item_matrix(0))
     solutions, starts = _record_warm_solves(monkeypatch)
-    result = compute_uf_star(w, 0.0, measure=measure)
+    result = compute_uf_star(Problem(w, measure=measure), 0.0)
     fresh = Problem(w, measure=measure).uf_program
     cold = fresh.solve(fresh.region.b_ub)
     assert not starts
@@ -1051,7 +1051,7 @@ def test_prices_are_undefined_for_nash_and_solve_nothing(worked_instance, monkey
 
     monkeypatch.setattr(opt, "compute_uf_star", solved)
     with pytest.raises(ValueError, match="Nash"):
-        opt.price_of_fairness(worked_instance, measure=NASH)
+        opt.price_of_fairness(Problem(worked_instance, measure=NASH))
     data = gen_misestimation(V321, 0.3, 10, seed=0)
     for scope in Scope:
         with pytest.raises(ValueError, match="Nash"):
@@ -1061,8 +1061,8 @@ def test_prices_are_undefined_for_nash_and_solve_nothing(worked_instance, monkey
 def _per_user_pom(w, w_hat, gamma, scope, measure, tie_break=TieBreak.SOLVER):
     """Price of misestimation evaluated user by user on expanded policies,
     each side solved on a fresh problem and UF* program."""
-    ref = compute_uf_star(w, gamma, measure=measure, tie_break=tie_break)
-    est = compute_uf_star(w_hat, gamma, measure=measure, tie_break=tie_break)
+    ref = compute_uf_star(Problem(w, measure=measure), gamma, tie_break=tie_break)
+    est = compute_uf_star(Problem(w_hat, measure=measure), gamma, tie_break=tie_break)
     u_ref = user_utility_vector(RecommendationPolicy(expand_policy(ref.rows_by_type, ref.reduction)), w)
     u_est = user_utility_vector(RecommendationPolicy(expand_policy(est.rows_by_type, est.reduction)), w)
     if scope is Scope.MISESTIMATED_GROUP:
@@ -1099,7 +1099,7 @@ def test_solves_and_prices_stay_in_type_space(monkeypatch):
     monkeypatch.setattr(opt, "expand_policy", counted)
     data = gen_misestimation(V5, 0.3, 25, seed=3)
     ifres = Problem(data.w).if_star
-    results = [compute_uf_star(data.w, g, measure=mu) for g in (0.0, 0.5) for mu in (FairnessMeasure(), SUMK3)]
+    results = [compute_uf_star(Problem(data.w, measure=mu), g) for g in (0.0, 0.5) for mu in (FairnessMeasure(), SUMK3)]
     for scope in Scope:
         price_of_misestimation(data.w, data.w_hat, [0.5], scope)
         price_of_misestimation(data.w, data.w_hat, [1.0], scope, measure=SUMK3)
@@ -1142,7 +1142,7 @@ def test_only_the_tradeoff_command_hashes_the_matrix(worked_instance, monkeypatc
     }
     assert hashes(lambda: opt.tradeoff_sweep(worked_instance, GRID11)) == 0
     assert hashes(lambda: opt.price_of_misestimation(data.w, data.w_hat, GRID11, Scope.ALL_USERS)) == 0
-    assert hashes(lambda: opt.price_of_fairness(worked_instance)) == 0
+    assert hashes(lambda: opt.price_of_fairness(Problem(worked_instance))[2]) == 0
     codes = []
     for name, argv in commands.items():
         assert hashes(lambda: codes.append(cli.main(argv))) == (1 if name == "tradeoff" else 0), name
