@@ -8,15 +8,13 @@ if it were recommended to every user.  Both sides then live on a common
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 # Policy rows must sum to one within this tolerance.
 ROW_SUM_TOL = 1e-9
-# Matrix entries compared at once when checking that users of a type share a row.
-TYPE_CHECK_BLOCK = 1 << 17
 
 
 class MeasureKind(str, Enum):
@@ -89,17 +87,16 @@ def first_occurrence(ids) -> tuple[np.ndarray, np.ndarray]:
 class UtilityMatrix:
     """Strictly positive m x n utilities, optionally annotated with user types.
 
-    When ``type_of`` is given, users sharing a type id must have identical
-    rows; optimizers use it to collapse the instance to one row per type.
-    A matrix made by ``from_types`` holds only its K type rows and its m
-    type ids: ``values`` is gathered from them when first read, and
-    ``rows_of`` gives the rows of some users without that gather.
+    Typed matrices come only from ``from_types``, which alone sets ``type_of``
+    and keeps just the K type rows and the m ids: ``values`` is gathered from
+    them when first read, and ``rows_of`` gives some users' rows without that
+    gather.  Optimizers collapse the instance to one row per type by the ids.
     """
 
     values: np.ndarray
-    type_of: np.ndarray | None = None
     user_labels: tuple[str, ...] | None = None
     item_labels: tuple[str, ...] | None = None
+    type_of: np.ndarray | None = field(default=None, init=False)
     # The K type rows that ``type_of`` indexes, in a matrix from from_types.
     _type_rows = None
 
@@ -117,20 +114,6 @@ class UtilityMatrix:
                 f"entry at row {bad[0]}, column {bad[1]} is {values[bad[0], bad[1]]}"
             )
         object.__setattr__(self, "values", _freeze(values.copy()))
-        if self.type_of is not None:
-            type_of = np.asarray(self.type_of, dtype=int)
-            if type_of.shape != (values.shape[0],):
-                raise ValueError(f"type_of must have one entry per user, got shape {type_of.shape}")
-            # Compare every row with its type's first row, a block of rows at
-            # a time so that no second copy of the matrix is made.
-            first, cls = first_occurrence(type_of)
-            rep = first[cls]
-            step = max(1, TYPE_CHECK_BLOCK // values.shape[1])
-            blocks = range(0, values.shape[0], step)
-            if not all((values[s : s + step] == values[rep[s : s + step]]).all() for s in blocks):
-                t = type_of[np.any(values != values[rep], axis=1)].min()
-                raise ValueError(f"users of type {t} do not share identical utility rows")
-            object.__setattr__(self, "type_of", _freeze(type_of.copy()))
         if self.user_labels is not None and len(self.user_labels) != values.shape[0]:
             raise ValueError("user_labels length does not match the number of rows")
         if self.item_labels is not None and len(self.item_labels) != values.shape[1]:
@@ -141,14 +124,15 @@ class UtilityMatrix:
         """User i has type ``type_of[i]`` and row ``rows[type_of[i]]``.  Only the
         K type rows are checked, and the matrix keeps them and the ids: no
         m x n array is made unless ``values`` is read."""
-        w, type_of = cls(rows, item_labels=item_labels), np.asarray(type_of, dtype=int)
-        if type_of.ndim != 1 or type_of.size == 0 or not 0 <= type_of.min() <= type_of.max() < w.m:
-            raise ValueError(f"type_of must be a nonempty vector of ids into the {w.m} type rows")
+        w, ids = cls(rows, item_labels=item_labels), np.asarray(type_of)
+        type_of = _freeze(ids.astype(int))
+        if ids.ndim != 1 or ids.size == 0 or np.any(type_of != ids) or not 0 <= ids.min() <= ids.max() < w.m:
+            raise ValueError(f"type_of must be a nonempty vector of integer ids into the {w.m} type rows")
         if user_labels is not None and len(user_labels) != type_of.size:
             raise ValueError("user_labels length does not match the number of rows")
         # w is new and still private, so its fields can be set in place.
         fields = vars(w)
-        fields.update(_type_rows=fields.pop("values"), type_of=_freeze(type_of.copy()), user_labels=user_labels)
+        fields.update(_type_rows=fields.pop("values"), type_of=type_of, user_labels=user_labels)
         return w
 
     def __getattr__(self, name):

@@ -194,7 +194,7 @@ def solve_lp(objective: np.ndarray, region: Region) -> LPSolution:
         bounds=np.column_stack([region.lb, region.ub]),
         method="highs-ipm",
         # Presolve removes nothing from these programs; it only costs time.
-        options={"presolve": False},
+        options={"presolve": False, "primal_feasibility_tolerance": FEAS_TOL, "dual_feasibility_tolerance": OPT_TOL},
     )
     if res.status == 2:
         return LPSolution(LPStatus.INFEASIBLE, message=res.message)
@@ -256,7 +256,8 @@ class WarmLP:
     ``[a_ub; a_eq]``, the ``<=`` rows ranged ``(-inf, b_ub]`` and the
     equality rows ``[b_eq, b_eq]``, with each column the region fixes
     (lb == ub) substituted out.  HiGHS's primal feasibility tolerance is
-    FEAS_TOL, the bound its optimal points are then checked against.
+    FEAS_TOL, the bound its optimal points are then checked against, and its
+    dual feasibility tolerance OPT_TOL.
     """
 
     def __init__(self, objective: np.ndarray, region: Region):
@@ -268,9 +269,8 @@ class WarmLP:
         lower = np.concatenate([np.full(region.b_ub.size, -np.inf), region.b_eq]) - self._shift
         upper = np.concatenate([region.b_ub, region.b_eq]) - self._shift
         model = _highs_lp(-objective[keep], a[:, keep], region.lb[keep], region.ub[keep], lower, upper)
-        self._highs = _silent_highs(
-            model, solver="simplex", simplex_strategy=1, primal_feasibility_tolerance=FEAS_TOL
-        )
+        self._highs = _silent_highs(model, solver="simplex", simplex_strategy=1,
+                                    primal_feasibility_tolerance=FEAS_TOL, dual_feasibility_tolerance=OPT_TOL)
 
     def solve(self, b_ub: Any) -> LPSolution:
         """Maximize over the region with its ``<=`` right-hand sides set to b_ub."""

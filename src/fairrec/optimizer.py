@@ -103,7 +103,9 @@ def reduce_by_types(w: UtilityMatrix) -> TypeReduction:
 
 
 def expand_policy(rows_by_type: np.ndarray, reduction: TypeReduction) -> np.ndarray:
-    """Inverse of the type reduction; preserves every user and item utility."""
+    """Inverse of the type reduction; preserves every user and item utility.
+    No solve path calls it, as results stay in type space; it stays only while
+    the benchmark under ``perfbench/`` wraps it by name (ROADMAP item 14)."""
     return np.asarray(rows_by_type, dtype=float)[reduction.user_to_type]
 
 
@@ -143,34 +145,24 @@ def check_gamma_grid(gammas) -> list[float]:
 
 
 @dataclass(frozen=True)
-class TypeSpacePolicy:
-    """An optimum and its attaining policy, held in type space, one row per
-    type of ``reduction``; ``policy`` expands it to one row per user on
-    first access."""
+class IfStarResult:
+    """Item-fairness optimum IF* and an attaining policy, one row per type of
+    the ``Problem`` that solved it."""
 
     value: float
     rows_by_type: np.ndarray
-    reduction: TypeReduction
-
-    @cached_property
-    def policy(self) -> RecommendationPolicy:
-        return RecommendationPolicy(expand_policy(self.rows_by_type, self.reduction))
-
-
-@dataclass(frozen=True)
-class IfStarResult(TypeSpacePolicy):
-    """Item-fairness optimum IF* together with an attaining policy."""
-
     lp_solution: lp.LPSolution | None = None
     gap: float | None = None
 
 
 @dataclass(frozen=True)
-class UfStarResult(TypeSpacePolicy):
-    """Constrained user-fairness optimum for one gamma.  For the Nash measure
-    ``gap`` bounds UF* minus ``value``, computed from the returned policy."""
+class UfStarResult:
+    """Constrained user-fairness optimum for one gamma and an attaining
+    policy, one row per type of the ``Problem`` that solved it.  For the Nash
+    measure ``gap`` bounds UF* minus ``value``, computed from that policy."""
 
-    if_star: float | None
+    value: float
+    rows_by_type: np.ndarray
     if_target: float
     gap: float | None = None
 
@@ -229,7 +221,7 @@ class Problem:
             _, point, lp_solution = lp.sum_k_smallest_epigraph(self.item_rows, measure.k, self.simplex)
         rows = RecommendationPolicy.from_solver(point.reshape(k, n)).rows
         value = measure_value((self.a * rows).sum(axis=0), measure)
-        return IfStarResult(value, rows, self.reduction, lp_solution, gap)
+        return IfStarResult(value, rows, lp_solution, gap)
 
     @cached_property
     def uf_floor(self) -> lp.Region:
@@ -369,7 +361,7 @@ def compute_uf_star(problem: Problem, gamma: float, tie_break: TieBreak = TieBre
     solves ``face_program`` cold, and its point must keep the item measure
     within lp.FACE_TOL (1 + IF*) of IF* (else LPSolverError, FAILED)."""
     (gamma,) = check_gamma_grid([gamma])
-    red, measure = problem.reduction, problem.measure
+    measure = problem.measure
     tie_break = _tie_break(tie_break, measure)
     k, n = problem.b.shape
     if_value = problem.if_star.value if gamma > 0 else None
@@ -390,9 +382,7 @@ def compute_uf_star(problem: Problem, gamma: float, tie_break: TieBreak = TieBre
             b_ub[np.flatnonzero(np.isposinf(problem.uf_floor.b_ub))] = SLACK - if_target if gamma > 0 else np.inf
             if gamma == 0:
                 problem._start_at_favourites()
-        sol = program.solve(b_ub)
-        if sol.status is not lp.LPStatus.OPTIMAL:
-            raise lp.LPSolverError(sol.status, sol.message)
+        sol = lp._require_optimal(program.solve(b_ub))
         rows = sol.point[: k * n].reshape(k, n)
         if tie_break is TieBreak.CANONICAL and gamma == 0:
             rows = problem.favourite_rows
@@ -409,8 +399,8 @@ def compute_uf_star(problem: Problem, gamma: float, tie_break: TieBreak = TieBre
                 raise lp.LPSolverError(lp.LPStatus.FAILED, f"UF*(1), {k}x{n}: its point misses IF* by {shortfall:.3e}")
 
     policy_rows = RecommendationPolicy.from_solver(rows).rows
-    value = measure_value((problem.b * policy_rows).sum(axis=1), measure, weights=red.counts)
-    return UfStarResult(value, policy_rows, red, if_value, if_target, gap)
+    value = measure_value((problem.b * policy_rows).sum(axis=1), measure, weights=problem.reduction.counts)
+    return UfStarResult(value, policy_rows, if_target, gap)
 
 
 def _nash_uf_rows(p: Problem, gamma: float, target: float) -> tuple[np.ndarray, float]:
@@ -581,16 +571,17 @@ def tradeoff_sweep(
 ) -> TradeoffCurve:
     """Solve the constrained problem across a gamma grid.
 
-    The grid must be strictly increasing inside [0, 1] (ValueError
-    otherwise, before anything is solved).  The item-side optimum is
-    computed once and shared by every row; for the LP measures so is one
-    UF* program, re-solved warm from the previous gamma's optimal basis.  A
-    failing gamma is recorded in its row and the sweep continues.  The
-    user-fairness column is checked to be nonincreasing; a violation means
-    the solver contract is broken and raises LPSolverError with status
-    FAILED.
+    The grid must be strictly increasing inside [0, 1], and the tie-break
+    one the measure supports (ValueError otherwise, before anything is
+    solved).  The item-side optimum is computed once and shared by every
+    row; for the LP measures so is one UF* program, re-solved warm from the
+    previous gamma's optimal basis.  A failing gamma is recorded in its row
+    and the sweep continues.  The user-fairness column is checked to be
+    nonincreasing; a violation means the solver contract is broken and
+    raises LPSolverError with status FAILED.
     """
     gammas = check_gamma_grid(gammas)
+    tie_break = _tie_break(tie_break, measure)
     p = Problem(w, item_model, measure)
     if_star = p.if_star.value
     rows = []

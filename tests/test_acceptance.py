@@ -14,13 +14,14 @@ from conftest import random_positive_matrix
 from oracles import grid_if_and_uf
 
 from fairrec.analytic import MisestSpec, TwoTypeSpec, misest_solution, two_type_pof_curve, two_type_solution
-from fairrec.core import FairnessMeasure, MeasureKind, UtilityMatrix, item_utility_vector
+from fairrec.core import FairnessMeasure, MeasureKind, RecommendationPolicy, UtilityMatrix, item_utility_vector
 from fairrec.numerics import GAP_TOL
 from fairrec.optimizer import (
     Problem,
     Scope,
     TieBreak,
     compute_uf_star,
+    expand_policy,
     price_of_fairness,
     price_of_misestimation,
     reduce_by_types,
@@ -50,10 +51,11 @@ def test_criterion_01_unconstrained_optimum_is_perfect_and_deterministic():
         m = int(rng.integers(1, 31))
         n = int(rng.integers(1, 31))
         w = UtilityMatrix(random_positive_matrix(rng, m, n))
-        res = compute_uf_star(Problem(w), 0.0)
+        problem = Problem(w)
+        res = compute_uf_star(problem, 0.0)
         worst_value_gap = max(worst_value_gap, abs(res.value - 1.0))
         favorites = np.argmax(w.values, axis=1)
-        mass = res.policy.rows[np.arange(m), favorites]
+        mass = RecommendationPolicy(expand_policy(res.rows_by_type, problem.reduction)).rows[np.arange(m), favorites]
         worst_favorite_mass = min(worst_favorite_mass, float(mass.min()))
     elapsed = time.perf_counter() - t0
     ok = worst_value_gap < 1e-9 and worst_favorite_mass > 1.0 - 1e-9 and elapsed < 10.0
@@ -77,8 +79,9 @@ def test_criterion_02_item_optimum_equalizes_item_utilities():
         instances.append(UtilityMatrix(random_positive_matrix(rng, m, n)))
     worst = 0.0
     for w in instances:
-        res = Problem(w).if_star
-        i_vals = item_utility_vector(res.policy, w)
+        problem = Problem(w)
+        res = problem.if_star
+        i_vals = item_utility_vector(RecommendationPolicy(expand_policy(res.rows_by_type, problem.reduction)), w)
         worst = max(worst, float(i_vals.max() - i_vals.min()))
     report(
         "criterion 2: all items collect equal utility at the item optimum",

@@ -113,15 +113,16 @@ def _per_row_csv(w, provenance) -> str:
 
 
 def _writer_cases(rng):
-    """(values, type_of) pairs the writer must format as a per-row pass
-    would: repeated and distinct rows without types, typed rows whose ids are
-    not in first-occurrence order, two ids sharing one row, and random rows."""
+    """(rows, type_of) pairs the writer must format as a per-row pass would,
+    an untyped matrix of the rows where type_of is None: repeated and
+    distinct rows without types, type rows whose ids are not in
+    first-occurrence order, two ids sharing one row, and random rows."""
     types = rng.uniform(0.001, 123.0, size=(3, 4))
     values = np.vstack([types[rng.integers(0, 3, size=40)], rng.uniform(0.5, 2.0, size=(6, 4))])
     yield values[rng.permutation(values.shape[0])], None
     type_of = np.concatenate([[2, 0, 1], rng.integers(0, 3, size=43)])
-    yield types[type_of], type_of
-    yield types[[0, 1, 0]][type_of], type_of
+    yield types, type_of
+    yield types[[0, 1, 0]], type_of
     yield rng.uniform(0.001, 123.0, size=(46, 4)), None
 
 
@@ -132,8 +133,9 @@ def test_writer_matches_per_row_reference(tmp_path, monkeypatch, labelled):
     labels = {"user_labels": tuple(f"usér-{i}" for i in range(46)), "item_labels": ("w", "x", "y", "ž")}
     prov = provenance_lines("test", {"users": 46})
     path = tmp_path / "m.csv"
-    for values, type_of in _writer_cases(np.random.default_rng(11)):
-        w = UtilityMatrix(values, type_of=type_of, **(labels if labelled else {}))
+    for rows, type_of in _writer_cases(np.random.default_rng(11)):
+        kwargs = labels if labelled else {}
+        w = UtilityMatrix(rows, **kwargs) if type_of is None else UtilityMatrix.from_types(rows, type_of, **kwargs)
         save_utility_csv(path, w, prov)
         assert path.read_bytes() == _per_row_csv(w, prov).encode()
 
@@ -426,12 +428,13 @@ def test_cli_pof_solves_only_full_fairness_on_one_program(tmp_path, monkeypatch)
 
 def test_cli_config_error_exit_and_record(tmp_path):
     out = tmp_path / "c.csv"
-    code = run(["tradeoff", "--values", "3,2,1", "--alpha", "1.5",
-                "--users", "10", "--out", str(out)])
-    assert code == 2
-    record = json.loads((tmp_path / "error.json").read_text())
-    assert record["exit_code"] == 2
-    assert record["error"] == "ValueError"
+    # An alpha outside [0, 1], and a tie-break the Nash measure does not support.
+    for flags in (["--alpha", "1.5"], ["--alpha", "0.5", "--measure", "nash", "--tie-break", "canonical"]):
+        code = run(["tradeoff", "--values", "3,2,1", *flags, "--users", "10", "--out", str(out)])
+        assert code == 2
+        record = json.loads((tmp_path / "error.json").read_text())
+        assert record["exit_code"] == 2
+        assert record["error"] == "ValueError"
 
 
 def test_cli_io_error_exit_and_record(tmp_path):

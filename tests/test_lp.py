@@ -8,6 +8,7 @@ import pytest
 
 from oracles import grid_maxmin, simplex_grid
 
+import fairrec.lp as lp
 from fairrec.lp import (
     LPSolverError,
     LPStatus,
@@ -247,6 +248,32 @@ def test_solve_lp_face_holds_every_optimum_and_nothing_else():
     for x in ([0.7, 0.3, 0.0], [0.7, 0.0, 0.3], [0.7, 0.15, 0.15]):
         assert _violation(solution.face, np.array(x)) <= 1e-15
     assert _violation(solution.face, np.array([0.6, 0.4, 0.0])) > 0.09
+
+
+def test_highs_runs_at_the_tolerances_of_the_solver_contract(monkeypatch):
+    """FEAS_TOL and OPT_TOL, which every output file prints, are the ones
+    HiGHS is given: read back from a WarmLP's HiGHS instance and from
+    solve_lp's linprog options, both set apart from HiGHS's defaults."""
+    monkeypatch.setattr(lp, "FEAS_TOL", 3e-7)
+    monkeypatch.setattr(lp, "OPT_TOL", 2e-7)
+    made, options = [], []
+    real_highs, real_linprog = lp._silent_highs, lp.linprog
+
+    def silent_highs(model, **kwargs):
+        made.append(real_highs(model, **kwargs))
+        return made[-1]
+
+    def linprog(*args, **kwargs):
+        options.append(kwargs["options"])
+        return real_linprog(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "_silent_highs", silent_highs)
+    monkeypatch.setattr(lp, "linprog", linprog)
+    WarmLP(np.ones(2), SIMPLEX2)
+    keys = ("primal_feasibility_tolerance", "dual_feasibility_tolerance")
+    assert [made[0].getOptionValue(key)[1] for key in keys] == [3e-7, 2e-7]
+    assert solve_lp(np.ones(2), SIMPLEX2).status is LPStatus.OPTIMAL
+    assert [options[0][key] for key in keys] == [3e-7, 2e-7]
 
 
 def test_only_lp_imports_the_private_highs_binding():

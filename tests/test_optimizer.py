@@ -59,9 +59,9 @@ def test_type_reduction_groups_identical_rows():
 
 
 def test_type_reduction_respects_explicit_labels():
-    values = np.array([[1.0, 2.0]] * 3)
-    for labels, user_to_type in (([5, 5, 9], [0, 0, 1]), ([9, 5, 9], [0, 1, 0])):
-        red = reduce_by_types(UtilityMatrix(values, type_of=np.array(labels)))
+    rows = np.array([[1.0, 2.0]] * 2)
+    for labels, user_to_type in (([0, 0, 1], [0, 0, 1]), ([1, 0, 1], [0, 1, 0])):
+        red = reduce_by_types(UtilityMatrix.from_types(rows, labels))
         assert red.k == 2
         assert np.array_equal(red.counts, [2, 1])
         assert np.array_equal(red.user_to_type, user_to_type)
@@ -83,10 +83,10 @@ def _loop_reduction(values, type_of):
 def test_type_reduction_matches_loop_reference(seed):
     rng = np.random.default_rng(300 + seed)
     types = rng.uniform(0.1, 1.0, size=(5, 4))
-    labels = rng.permutation(40) % 5 + 7 * seed
-    values = types[labels % 5]
-    for type_of in (None, labels):
-        red = reduce_by_types(UtilityMatrix(values, type_of=type_of))
+    labels = rng.permutation(40) % 5
+    values = types[labels]
+    for w, type_of in ((UtilityMatrix(values), None), (UtilityMatrix.from_types(types, labels), labels)):
+        red = reduce_by_types(w)
         user_to_type, counts, rows = _loop_reduction(values, type_of)
         assert np.array_equal(red.user_to_type, user_to_type)
         assert np.array_equal(red.counts, counts)
@@ -94,15 +94,13 @@ def test_type_reduction_matches_loop_reference(seed):
 
 
 def test_type_reduction_of_typed_rows_matches_row_equality():
-    # Ids out of first-occurrence order, a type row no user has, and ids
-    # outside [0, m) given to the checked constructor.
+    # Ids out of first-occurrence order and a type row no user has.
     rows = np.array([[1.0, 2.0], [2.0, 1.0], [3.0, 1.0], [9.0, 9.0]])
     by_rows = reduce_by_types(UtilityMatrix(rows[[2, 0, 2, 1]]))
-    for w in (UtilityMatrix.from_types(rows, [2, 0, 2, 1]), UtilityMatrix(rows[[2, 0, 2, 1]], type_of=[5, -1, 5, 9])):
-        red = reduce_by_types(w)
-        assert np.array_equal(red.matrix.values, by_rows.matrix.values)
-        assert np.array_equal(red.counts, by_rows.counts)
-        assert np.array_equal(red.user_to_type, by_rows.user_to_type)
+    red = reduce_by_types(UtilityMatrix.from_types(rows, [2, 0, 2, 1]))
+    assert np.array_equal(red.matrix.values, by_rows.matrix.values)
+    assert np.array_equal(red.counts, by_rows.counts)
+    assert np.array_equal(red.user_to_type, by_rows.user_to_type)
     assert by_rows.user_to_type.tolist() == [0, 1, 0, 2]
 
 
@@ -115,9 +113,10 @@ def test_policy_expansion_repeats_type_rows(worked_instance):
 
 
 def test_worked_instance_item_optimum(worked_instance):
-    res = Problem(worked_instance).if_star
+    problem = Problem(worked_instance)
+    res = problem.if_star
     assert abs(res.value - 3.0 / 7.0) < 1e-9
-    i_vals = item_utility_vector(res.policy, worked_instance)
+    i_vals = item_utility_vector(RecommendationPolicy(expand_policy(res.rows_by_type, problem.reduction)), worked_instance)
     assert np.allclose(i_vals, 3.0 / 7.0, atol=1e-7)
     assert res.lp_solution is not None and res.lp_solution.is_vertex
 
@@ -267,6 +266,18 @@ def test_canonical_tie_break_limited_to_maxmin(worked_instance):
         compute_uf_star(Problem(worked_instance, measure=SUMK3), 0.5, tie_break=TieBreak.CANONICAL)
 
 
+def test_sweep_checks_the_tie_break_before_any_solve(monkeypatch):
+    def solved(*args, **kwargs):
+        raise AssertionError("IF* was solved before the tie-break was checked")
+
+    monkeypatch.setattr(opt, "nash_concave_solve", solved)
+    monkeypatch.setattr(lp, "solve_lp", solved)
+    w = UtilityMatrix(random_positive_matrix(np.random.default_rng(0), 30, 30))
+    for measure in (NASH, SUMK3):
+        with pytest.raises(ValueError, match="canonical"):
+            tradeoff_sweep(w, [0.0, 0.5, 1.0], measure=measure, tie_break="canonical")
+
+
 def test_measure_size_validation(worked_instance):
     with pytest.raises(ValueError):
         Problem(worked_instance, measure=FairnessMeasure(MeasureKind.SUM_K_MIN, 5)).if_star
@@ -292,8 +303,9 @@ def test_item_equality_at_item_optimum():
     rng = np.random.default_rng(5)
     for _ in range(10):
         w = UtilityMatrix(random_positive_matrix(rng, 7, 4))
-        res = Problem(w).if_star
-        i_vals = item_utility_vector(res.policy, w)
+        problem = Problem(w)
+        res = problem.if_star
+        i_vals = item_utility_vector(RecommendationPolicy(expand_policy(res.rows_by_type, problem.reduction)), w)
         assert i_vals.max() - i_vals.min() < 1e-6
 
 
@@ -302,8 +314,9 @@ def test_constraint_target_is_met_along_gamma():
     w = UtilityMatrix(random_positive_matrix(rng, 6, 4))
     if_star = Problem(w).if_star.value
     for gamma in (0.3, 0.8, 1.0):
-        res = compute_uf_star(Problem(w), gamma)
-        achieved = item_utility_vector(res.policy, w).min()
+        problem = Problem(w)
+        res = compute_uf_star(problem, gamma)
+        achieved = item_utility_vector(RecommendationPolicy(expand_policy(res.rows_by_type, problem.reduction)), w).min()
         assert achieved >= gamma * if_star - 1e-6
 
 
@@ -321,7 +334,7 @@ def test_if_star_result_reused_when_passed_in(worked_instance, monkeypatch):
     assert len(solves) == 1
     pre, res = problem.if_star, results[1]
     assert abs(res.if_target - pre.value) < 1e-15
-    assert res.if_star == pre.value
+    assert [r.if_target for r in results] == [g * pre.value for g in (0.5, 1.0, 0.25)]
 
 
 def test_item_optimum_is_cached(worked_instance):
@@ -412,11 +425,13 @@ def test_nash_item_optimum_on_worked_instance(worked_instance):
 def test_nash_constrained_curve_on_worked_instance(worked_instance):
     values = []
     for gamma in (0.0, 0.5, 1.0):
-        res = compute_uf_star(Problem(worked_instance, measure=NASH), gamma)
+        problem = Problem(worked_instance, measure=NASH)
+        res = compute_uf_star(problem, gamma)
         values.append(res.value)
         if gamma > 0:
             # certificate: scaled item log-welfare stays above the target
-            i_vals = item_utility_vector(res.policy, worked_instance)
+            policy = RecommendationPolicy(expand_policy(res.rows_by_type, problem.reduction))
+            i_vals = item_utility_vector(policy, worked_instance)
             assert np.log(i_vals).sum() >= res.if_target - 1e-6 * (1 + abs(res.if_target))
     assert abs(values[0]) < 1e-12
     assert values[0] >= values[1] >= values[2]
@@ -673,8 +688,9 @@ def test_sweep_records_failures_and_continues(worked_instance, monkeypatch):
 
 
 def test_policies_evaluate_consistently(worked_instance):
-    res = compute_uf_star(Problem(worked_instance), 1.0)
-    u = user_utility_vector(res.policy, worked_instance)
+    problem = Problem(worked_instance)
+    res = compute_uf_star(problem, 1.0)
+    u = user_utility_vector(RecommendationPolicy(expand_policy(res.rows_by_type, problem.reduction)), worked_instance)
     assert abs(u.min() - res.value) < 1e-9
 
 
@@ -1061,10 +1077,11 @@ def test_prices_are_undefined_for_nash_and_solve_nothing(worked_instance, monkey
 def _per_user_pom(w, w_hat, gamma, scope, measure, tie_break=TieBreak.SOLVER):
     """Price of misestimation evaluated user by user on expanded policies,
     each side solved on a fresh problem and UF* program."""
-    ref = compute_uf_star(Problem(w, measure=measure), gamma, tie_break=tie_break)
-    est = compute_uf_star(Problem(w_hat, measure=measure), gamma, tie_break=tie_break)
-    u_ref = user_utility_vector(RecommendationPolicy(expand_policy(ref.rows_by_type, ref.reduction)), w)
-    u_est = user_utility_vector(RecommendationPolicy(expand_policy(est.rows_by_type, est.reduction)), w)
+    ref_p, est_p = Problem(w, measure=measure), Problem(w_hat, measure=measure)
+    ref = compute_uf_star(ref_p, gamma, tie_break=tie_break)
+    est = compute_uf_star(est_p, gamma, tie_break=tie_break)
+    u_ref = user_utility_vector(RecommendationPolicy(expand_policy(ref.rows_by_type, ref_p.reduction)), w)
+    u_est = user_utility_vector(RecommendationPolicy(expand_policy(est.rows_by_type, est_p.reduction)), w)
     if scope is Scope.MISESTIMATED_GROUP:
         group = misestimated_users(w, w_hat)
         u_ref, u_est = u_ref[group], u_est[group]
@@ -1098,16 +1115,14 @@ def test_solves_and_prices_stay_in_type_space(monkeypatch):
 
     monkeypatch.setattr(opt, "expand_policy", counted)
     data = gen_misestimation(V5, 0.3, 25, seed=3)
-    ifres = Problem(data.w).if_star
-    results = [compute_uf_star(Problem(data.w, measure=mu), g) for g in (0.0, 0.5) for mu in (FairnessMeasure(), SUMK3)]
+    Problem(data.w).if_star
+    for g in (0.0, 0.5):
+        for mu in (FairnessMeasure(), SUMK3):
+            compute_uf_star(Problem(data.w, measure=mu), g)
     for scope in Scope:
         price_of_misestimation(data.w, data.w_hat, [0.5], scope)
         price_of_misestimation(data.w, data.w_hat, [1.0], scope, measure=SUMK3)
     assert calls == []
-    for res in (ifres, *results):
-        assert np.array_equal(res.policy.rows, real_expand(res.rows_by_type, res.reduction))
-        assert res.policy is res.policy
-    assert len(calls) == 1 + len(results)
 
 
 def test_only_the_tradeoff_command_hashes_the_matrix(worked_instance, monkeypatch, tmp_path):
