@@ -116,7 +116,10 @@ def _load_instance(args):
 
 
 def _config_echo(args, keys) -> dict:
-    # k as the measure uses it: a flag the measure ignores leaves no trace.
+    # A flag the run ignores leaves no trace: the recipe flags, which --matrix
+    # overrides, and k beyond what the measure uses.
+    if getattr(args, "matrix", None) is not None:
+        keys = [key for key in keys if key not in ("values", "alpha", "beta", "users")]
     cfg = {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
     if "k" in cfg:
         cfg["k"] = _measure(args).k

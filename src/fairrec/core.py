@@ -5,11 +5,14 @@ Each user's realized utility is normalized by the value of their single best
 item; each item's realized utility is normalized by the value it would collect
 if it were recommended to every user.  Both sides then live on a common
 [0, 1] scale and can be aggregated by the same family of fairness measures.
+A matrix is held as its distinct user types: one row per type and one type
+id per user.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -83,81 +86,68 @@ def first_occurrence(ids) -> tuple[np.ndarray, np.ndarray]:
     return first, rank[ids]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UtilityMatrix:
-    """Strictly positive m x n utilities, optionally annotated with user types.
+    """Strictly positive m x n utilities, held as K type rows and one type id
+    per user: user i's row is ``rows[type_of[i]]``.
 
-    Typed matrices come only from ``from_types``, which alone sets ``type_of``
-    and keeps just the K type rows and the m ids: ``values`` is gathered from
-    them when first read, and ``rows_of`` gives some users' rows without that
-    gather.  Optimizers collapse the instance to one row per type by the ids.
+    Given ``type_of``, ``rows`` are the type rows, and only they are checked.
+    Without it each row is one user's, and users whose rows are equal share
+    a type, numbered in order of first occurrence.  ``values`` is gathered
+    from the type rows when first read, and ``rows_of`` gives some users'
+    rows without that gather.  Matrices compare by identity.
     """
 
-    values: np.ndarray
+    rows: np.ndarray
     user_labels: tuple[str, ...] | None = None
     item_labels: tuple[str, ...] | None = None
-    type_of: np.ndarray | None = field(default=None, init=False)
-    # The K type rows that ``type_of`` indexes, in a matrix from from_types.
-    _type_rows = None
+    type_of: np.ndarray | None = None
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2 or values.size == 0:
-            raise ValueError(f"utility matrix must be 2-D and nonempty, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            bad = np.argwhere(~np.isfinite(values))[0]
+        rows = np.array(self.rows, dtype=float, order="C")
+        if rows.ndim != 2 or rows.size == 0:
+            raise ValueError(f"utility matrix must be 2-D and nonempty, got shape {rows.shape}")
+        if not np.all(np.isfinite(rows)):
+            bad = np.argwhere(~np.isfinite(rows))[0]
             raise ValueError(f"non-finite utility at row {bad[0]}, column {bad[1]}")
-        if np.any(values <= 0):
-            bad = np.argwhere(values <= 0)[0]
+        if np.any(rows <= 0):
+            bad = np.argwhere(rows <= 0)[0]
             raise ValueError(
                 f"utilities must be strictly positive; "
-                f"entry at row {bad[0]}, column {bad[1]} is {values[bad[0], bad[1]]}"
+                f"entry at row {bad[0]}, column {bad[1]} is {rows[bad[0], bad[1]]}"
             )
-        object.__setattr__(self, "values", _freeze(values.copy()))
-        if self.user_labels is not None and len(self.user_labels) != values.shape[0]:
+        if self.type_of is None:
+            # Positive finite rows are equal exactly when their bytes are.
+            ids = np.unique(rows.view(np.dtype((np.void, rows[0].nbytes))).ravel(), return_inverse=True)[1]
+            first, type_of = first_occurrence(ids)
+            rows = rows[first]
+        else:
+            ids = np.asarray(self.type_of)
+            type_of = ids.astype(int)
+            if ids.ndim != 1 or ids.size == 0 or np.any(type_of != ids) or not 0 <= ids.min() <= ids.max() < len(rows):
+                raise ValueError(f"type_of must be a nonempty vector of integer ids into the {len(rows)} type rows")
+        if self.user_labels is not None and len(self.user_labels) != type_of.size:
             raise ValueError("user_labels length does not match the number of rows")
-        if self.item_labels is not None and len(self.item_labels) != values.shape[1]:
+        if self.item_labels is not None and len(self.item_labels) != rows.shape[1]:
             raise ValueError("item_labels length does not match the number of columns")
+        object.__setattr__(self, "rows", _freeze(rows))
+        object.__setattr__(self, "type_of", _freeze(type_of))
 
-    @classmethod
-    def from_types(cls, rows, type_of, user_labels=None, item_labels=None) -> UtilityMatrix:
-        """User i has type ``type_of[i]`` and row ``rows[type_of[i]]``.  Only the
-        K type rows are checked, and the matrix keeps them and the ids: no
-        m x n array is made unless ``values`` is read."""
-        w, ids = cls(rows, item_labels=item_labels), np.asarray(type_of)
-        type_of = _freeze(ids.astype(int))
-        if ids.ndim != 1 or ids.size == 0 or np.any(type_of != ids) or not 0 <= ids.min() <= ids.max() < w.m:
-            raise ValueError(f"type_of must be a nonempty vector of integer ids into the {w.m} type rows")
-        if user_labels is not None and len(user_labels) != type_of.size:
-            raise ValueError("user_labels length does not match the number of rows")
-        # w is new and still private, so its fields can be set in place.
-        fields = vars(w)
-        fields.update(_type_rows=fields.pop("values"), type_of=type_of, user_labels=user_labels)
-        return w
-
-    def __getattr__(self, name):
-        # Called for missing attributes only: ``values`` is missing from a
-        # matrix made by from_types until its first read gathers it.
-        if name != "values" or self._type_rows is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        values = _freeze(self._type_rows[self.type_of])
-        object.__setattr__(self, "values", values)
-        return values
+    @cached_property
+    def values(self) -> np.ndarray:
+        return _freeze(self.rows[self.type_of])
 
     def rows_of(self, users) -> np.ndarray:
-        """The utility rows of ``users`` (an index array or a slice), taken
-        from the type rows when the matrix holds them."""
-        if self._type_rows is None:
-            return self.values[users]
-        return self._type_rows[self.type_of[users]]
+        """The utility rows of ``users``, an index array or a slice."""
+        return self.rows[self.type_of[users]]
 
     @property
     def m(self) -> int:
-        return self.values.shape[0] if self._type_rows is None else self.type_of.size
+        return self.type_of.size
 
     @property
     def n(self) -> int:
-        return (self.values if self._type_rows is None else self._type_rows).shape[1]
+        return self.rows.shape[1]
 
 
 @dataclass(frozen=True)

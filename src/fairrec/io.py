@@ -5,13 +5,13 @@ positive decimals, UTF-8 with LF endings.  Lines starting with '#' are
 provenance comments and are skipped on load.  Numbers are written with 12
 significant digits, enough to verify 1e-6 tolerances without false diffs.
 
-Populations repeat a few type rows many times, so each distinct row is
-formatted once on save, and users are written, labels made, a block at a
-time.  The loader reads a line at a time and parses and checks each
-distinct value string once, into one type per distinct row of a typed
-matrix.  Neither makes an m x n array.  Files and error messages are those
-of a per-row pass: every bad cell, infinite ones too, names the file, its
-first user and item.
+Populations repeat a few type rows many times, so each type row of the
+matrix is formatted once on save, and users are written, labels made, a
+block at a time.  The loader reads a line at a time and parses and checks
+each distinct value string once, into one type row per distinct row.
+Neither makes an m x n array.  Files and error messages are those of a
+per-row pass: every bad cell, infinite ones too, names the file, its first
+user and item.
 """
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ import numpy as np
 
 from . import __version__
 from .core import UtilityMatrix
-from .optimizer import reduce_by_types
 
 # Users written per block, so that the file is never held whole in memory.
 WRITE_BLOCK = 4096
@@ -64,8 +63,7 @@ def save_utility_csv(path, w: UtilityMatrix, provenance: list[str] | None = None
                 raise MatrixFormatError(f"{path}: {kind} label {label!r} would not load back; labels may not "
                                         f"hold ',', '\\n' or '\\r', and user labels may not start with '#'")
     items = w.item_labels if w.item_labels is not None else [f"i{j}" for j in range(w.n)]
-    red = reduce_by_types(w)
-    tails = [f",{','.join(map(_fmt, row))}\n".encode() for row in red.matrix.values]
+    tails = [f",{','.join(map(_fmt, row))}\n".encode() for row in w.rows]
     with open(path, "wb") as fh:
         fh.write("".join(line + "\n" for line in [*(provenance or []), "user_id," + ",".join(items)]).encode())
         for s in range(0, w.m, WRITE_BLOCK):
@@ -73,7 +71,7 @@ def save_utility_csv(path, w: UtilityMatrix, provenance: list[str] | None = None
             users = w.user_labels[s:stop] if w.user_labels is not None else [f"u{i}" for i in range(s, stop)]
             parts = [b""] * (2 * (stop - s))
             parts[::2] = map(str.encode, users)
-            parts[1::2] = map(tails.__getitem__, red.user_to_type[s:stop].tolist())
+            parts[1::2] = map(tails.__getitem__, w.type_of[s:stop].tolist())
             fh.write(b"".join(parts))
 
 
@@ -131,7 +129,7 @@ def load_utility_csv(path) -> UtilityMatrix:
     if not type_of:
         raise MatrixFormatError(f"{path}: no user rows")
     values = np.frombuffer(b"".join(rows)).reshape(len(rows), len(item_labels))
-    return UtilityMatrix.from_types(values, type_of, tuple(user_labels), tuple(item_labels))
+    return UtilityMatrix(values, tuple(user_labels), tuple(item_labels), type_of=type_of)
 
 
 def write_rows_csv(path, header: list[str], rows, provenance: list[str] | None = None) -> None:

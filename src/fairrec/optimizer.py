@@ -90,15 +90,9 @@ class TypeReduction:
 
 
 def reduce_by_types(w: UtilityMatrix) -> TypeReduction:
-    """Group users into types by the type annotation or by exact row
-    equality, numbered in order of first occurrence so the reduction is
-    deterministic.  A typed matrix gives its rows from its type rows."""
-    if w.type_of is not None:
-        ids = w.type_of
-    else:
-        values = np.ascontiguousarray(w.values)
-        ids = np.unique(values.view(np.dtype((np.void, values.itemsize * w.n))).ravel(), return_inverse=True)[1]
-    first, user_to_type = first_occurrence(ids)
+    """Number the types of ``w``'s users in order of first occurrence, so the
+    reduction is deterministic, and keep the rows of those types only."""
+    first, user_to_type = first_occurrence(w.type_of)
     return TypeReduction(UtilityMatrix(w.rows_of(first)), np.bincount(user_to_type), user_to_type)
 
 
@@ -271,11 +265,11 @@ _IF_STAR_CACHE: dict[bytes, IfStarResult] = {}
 
 def _cache_key(w: UtilityMatrix, model: ItemUtilityModel, measure: FairnessMeasure) -> bytes:
     h = hashlib.sha256()
-    # Both arrays are frozen contiguous copies, so their buffers hash as is.
-    h.update(w.values.data)
-    h.update(b"|")
-    h.update(w.type_of.data if w.type_of is not None else b"-")
-    h.update(f"|{model.delta!r}|{measure.kind.value}|{measure.k}".encode())
+    # Both arrays are frozen contiguous copies, so their buffers hash as is;
+    # the shape of the rows tells where the ids begin.
+    h.update(w.rows.data)
+    h.update(w.type_of.data)
+    h.update(f"|{w.rows.shape}|{model.delta!r}|{measure.kind.value}|{measure.k}".encode())
     return h.digest()
 
 

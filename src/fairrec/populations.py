@@ -2,8 +2,8 @@
 
 All generators are deterministic given their arguments.  The misestimation
 generator's seed only permutes row order; the multiset of rows never
-depends on it.  Each population is ``UtilityMatrix.from_types`` of its
-few type rows and one type id per user, so none holds an m x n array.
+depends on it.  Each population is a ``UtilityMatrix`` of its few type
+rows and one type id per user, so none holds an m x n array.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ def gen_homogeneous(v, m: int) -> UtilityMatrix:
         raise ValueError("v must be a 1-D strictly positive value vector")
     if m < 1:
         raise ValueError(f"population size must be at least 1, got {m}")
-    return UtilityMatrix.from_types(v[None, :], np.zeros(m, dtype=int))
+    return UtilityMatrix(v[None, :], type_of=np.zeros(m, dtype=int))
 
 
 def gen_two_type(v, alpha: float, m: int) -> UtilityMatrix:
@@ -43,7 +43,7 @@ def gen_two_type(v, alpha: float, m: int) -> UtilityMatrix:
             f"alpha = {alpha} with m = {m} rounds to an empty type ({n1} vs {m - n1} users)"
         )
     type_of = (np.arange(m) >= n1).astype(int)
-    return UtilityMatrix.from_types(np.stack([v, v[::-1]]), type_of)
+    return UtilityMatrix(np.stack([v, v[::-1]]), type_of=type_of)
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,8 @@ def gen_misestimation(v, beta: float, m: int, seed: int = 0) -> MisestimationDat
     perm = np.random.default_rng(seed).permutation(m)
     true_type, est_type = true_type[perm], est_type[perm]
     return MisestimationData(
-        w=UtilityMatrix.from_types(rows, true_type),
-        w_hat=UtilityMatrix.from_types(rows, est_type),
+        w=UtilityMatrix(rows, type_of=true_type),
+        w_hat=UtilityMatrix(rows, type_of=est_type),
         misestimated=np.flatnonzero(est_type == 2),
     )
 

@@ -136,33 +136,54 @@ def test_matrix_rejects_nonpositive_entries():
         UtilityMatrix(np.array([[1.0, -2.0]]))
 
 
-def test_from_types_equals_the_checked_constructor():
+def test_typed_matrix_equals_the_checked_constructor():
     rng = np.random.default_rng(1)
     for k, m in ((1, 1), (3, 50), (6, 20)):
         rows, type_of = rng.uniform(0.5, 2.0, (k, 4)), rng.integers(0, k, m)
-        w = UtilityMatrix.from_types(rows, type_of)
+        w = UtilityMatrix(rows, type_of=type_of)
         for a, b in ((w.values, rows[type_of]), (w.type_of, type_of)):
             assert (a.dtype, a.shape, a.tobytes(), a.flags.writeable) == (b.dtype, b.shape, b.tobytes(), False)
-    labelled = UtilityMatrix.from_types(rows, type_of, tuple("abcdefghijklmnopqrst"), tuple("wxyz"))
+    labelled = UtilityMatrix(rows, tuple("abcdefghijklmnopqrst"), tuple("wxyz"), type_of=type_of)
     assert (labelled.user_labels, labelled.item_labels) == (tuple("abcdefghijklmnopqrst"), tuple("wxyz"))
     with pytest.raises(ValueError, match="user_labels"):
-        UtilityMatrix.from_types(rows, type_of, ("a",))
+        UtilityMatrix(rows, ("a",), type_of=type_of)
     with pytest.raises(ValueError, match="item_labels"):
-        UtilityMatrix.from_types(rows, type_of, item_labels=("a",))
+        UtilityMatrix(rows, item_labels=("a",), type_of=type_of)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -1.0])
-def test_from_types_rejects_bad_type_rows(bad):
+def test_typed_matrix_rejects_bad_type_rows(bad):
     rows = np.array([[1.0, 2.0], [2.0, 1.0]])
     rows[1, 0] = bad
     with pytest.raises(ValueError, match="row 1, column 0"):
-        UtilityMatrix.from_types(rows, [0, 0, 0])
+        UtilityMatrix(rows, type_of=[0, 0, 0])
 
 
 @pytest.mark.parametrize("type_of", [[0, 2, 1], [0, -1], [], [[0, 1]], [0.5, 1.7]])
-def test_from_types_rejects_ids_outside_the_type_rows(type_of):
+def test_typed_matrix_rejects_ids_outside_the_type_rows(type_of):
     with pytest.raises(ValueError, match="type_of"):
-        UtilityMatrix.from_types(np.array([[1.0, 2.0], [2.0, 1.0]]), type_of)
+        UtilityMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]), type_of=type_of)
+
+
+def test_untyped_matrix_groups_equal_rows_in_order_of_first_occurrence():
+    values = np.array([[2.0, 1.0], [1.0, 2.0], [2.0, 1.0], [3.0, 3.0]])
+    w = UtilityMatrix(values)
+    assert w.rows.tolist() == [[2.0, 1.0], [1.0, 2.0], [3.0, 3.0]]
+    assert w.type_of.tolist() == [0, 1, 0, 2]
+    assert (w.m, w.n) == (4, 2) and np.array_equal(w.values, values)
+    assert not (w.rows.flags.writeable or w.type_of.flags.writeable or w.values.flags.writeable)
+
+
+def test_matrices_compare_by_identity():
+    w = UtilityMatrix([[1.0, 2.0]])
+    assert w == w
+    assert not UtilityMatrix([[1.0, 2.0]]) == UtilityMatrix([[1.0, 2.0]])
+
+
+def test_repr_of_a_population_does_not_gather_its_values():
+    w = UtilityMatrix([[1.0, 2.0]], type_of=np.zeros(1_000_000, int))
+    assert "type_of" in repr(w)
+    assert "values" not in vars(w)
 
 
 def test_policy_rejects_bad_rows():

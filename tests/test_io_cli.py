@@ -135,7 +135,7 @@ def test_writer_matches_per_row_reference(tmp_path, monkeypatch, labelled):
     path = tmp_path / "m.csv"
     for rows, type_of in _writer_cases(np.random.default_rng(11)):
         kwargs = labels if labelled else {}
-        w = UtilityMatrix(rows, **kwargs) if type_of is None else UtilityMatrix.from_types(rows, type_of, **kwargs)
+        w = UtilityMatrix(rows, type_of=type_of, **kwargs)
         save_utility_csv(path, w, prov)
         assert path.read_bytes() == _per_row_csv(w, prov).encode()
 
@@ -144,7 +144,7 @@ def test_loaded_types_reduce_as_the_rows_do(tmp_path):
     # Types 1 and 3 share a row, and ids are drawn in no particular order.
     rows = np.random.default_rng(3).uniform(0.5, 2.0, size=(4, 3))
     rows[3] = rows[1]
-    w = UtilityMatrix.from_types(rows, np.random.default_rng(4).integers(0, 4, size=200))
+    w = UtilityMatrix(rows, type_of=np.random.default_rng(4).integers(0, 4, size=200))
     path = tmp_path / "m.csv"
     save_utility_csv(path, w)
     # Two tails that parse to one row share its type.
@@ -178,7 +178,7 @@ def test_cli_tradeoff_matrix_sha256_is_the_digest_of_the_untyped_matrix(tmp_path
     rng = np.random.default_rng(8)
     rows, type_of = np.round(rng.uniform(0.5, 2.0, size=(3, 4)), 3), rng.integers(0, 3, size=17)
     matrix, out = tmp_path / "m.csv", tmp_path / "t.csv"
-    save_utility_csv(matrix, UtilityMatrix.from_types(rows, type_of))
+    save_utility_csv(matrix, UtilityMatrix(rows, type_of=type_of))
     assert run(["tradeoff", "--matrix", str(matrix), "--gammas", "3", "--out", str(out)]) == 0
     config = next(ln for ln in out.read_text().splitlines() if ln.startswith("# config:"))
     untyped = UtilityMatrix(rows[type_of])
@@ -281,6 +281,22 @@ def test_cli_outputs_are_reproducible_except_timing(tmp_path):
     run(["generate", "two-type", "--values", "3,2,1", "--alpha", "0.5",
          "--users", "10", "--out", str(again)])
     assert again.read_text() == matrix.read_text()
+
+
+@pytest.mark.parametrize("command", ["tradeoff", "pof"])
+def test_cli_recipe_flags_beside_a_matrix_leave_the_output_unchanged(tmp_path, command):
+    # --matrix overrides the recipe flags, so the provenance must not record them.
+    matrix = tmp_path / "m.csv"
+    run(["generate", "two-type", "--values", "3,2,1", "--alpha", "0.5", "--users", "10", "--out", str(matrix)])
+    outs = tmp_path / "plain.csv", tmp_path / "recipe.csv"
+    for out, extra in zip(outs, ([], ["--values", "9,8", "--alpha", "0.3", "--beta", "0.2", "--users", "5"])):
+        assert run([command, "--matrix", str(matrix), *extra, "--out", str(out)]) == 0
+
+    def without_timing(path):
+        text = path.read_text()
+        return text if command == "pof" else [ln.rsplit(",", 1)[0] for ln in text.splitlines()]
+
+    assert without_timing(outs[0]) == without_timing(outs[1])
 
 
 def test_cli_misest_generation_writes_coupled_files(tmp_path):

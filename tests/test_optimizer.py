@@ -61,7 +61,7 @@ def test_type_reduction_groups_identical_rows():
 def test_type_reduction_respects_explicit_labels():
     rows = np.array([[1.0, 2.0]] * 2)
     for labels, user_to_type in (([0, 0, 1], [0, 0, 1]), ([1, 0, 1], [0, 1, 0])):
-        red = reduce_by_types(UtilityMatrix.from_types(rows, labels))
+        red = reduce_by_types(UtilityMatrix(rows, type_of=labels))
         assert red.k == 2
         assert np.array_equal(red.counts, [2, 1])
         assert np.array_equal(red.user_to_type, user_to_type)
@@ -85,7 +85,7 @@ def test_type_reduction_matches_loop_reference(seed):
     types = rng.uniform(0.1, 1.0, size=(5, 4))
     labels = rng.permutation(40) % 5
     values = types[labels]
-    for w, type_of in ((UtilityMatrix(values), None), (UtilityMatrix.from_types(types, labels), labels)):
+    for w, type_of in ((UtilityMatrix(values), None), (UtilityMatrix(types, type_of=labels), labels)):
         red = reduce_by_types(w)
         user_to_type, counts, rows = _loop_reduction(values, type_of)
         assert np.array_equal(red.user_to_type, user_to_type)
@@ -97,7 +97,7 @@ def test_type_reduction_of_typed_rows_matches_row_equality():
     # Ids out of first-occurrence order and a type row no user has.
     rows = np.array([[1.0, 2.0], [2.0, 1.0], [3.0, 1.0], [9.0, 9.0]])
     by_rows = reduce_by_types(UtilityMatrix(rows[[2, 0, 2, 1]]))
-    red = reduce_by_types(UtilityMatrix.from_types(rows, [2, 0, 2, 1]))
+    red = reduce_by_types(UtilityMatrix(rows, type_of=[2, 0, 2, 1]))
     assert np.array_equal(red.matrix.values, by_rows.matrix.values)
     assert np.array_equal(red.counts, by_rows.counts)
     assert np.array_equal(red.user_to_type, by_rows.user_to_type)
@@ -406,7 +406,7 @@ def test_maxmin_is_sum_k_with_k_1_row_for_row():
     favourites, where the gamma = 0 solve starts cold."""
     assert FairnessMeasure(MeasureKind.MAX_MIN, 3).k == 1
     rng = np.random.default_rng(31)
-    typed = UtilityMatrix.from_types(rng.uniform(0.1, 1.0, (6, 8)), np.repeat(np.arange(6), [2, 3, 1, 4, 2, 3]))
+    typed = UtilityMatrix(rng.uniform(0.1, 1.0, (6, 8)), type_of=np.repeat(np.arange(6), [2, 3, 1, 4, 2, 3]))
     sum1 = FairnessMeasure(MeasureKind.SUM_K_MIN, 1)
     for w in (typed, UtilityMatrix(duplicated_item_matrix(0))):
         maxmin, sumk = (tradeoff_sweep(w, np.linspace(0.0, 1.0, 11), measure=m) for m in (FairnessMeasure(), sum1))
@@ -995,7 +995,7 @@ def test_gamma_0_starts_at_its_optimum_and_matches_a_cold_solve(k, monkeypatch):
     short), and k = 8 four, past every single type's count."""
     measure = FairnessMeasure() if k is None else FairnessMeasure(MeasureKind.SUM_K_MIN, k)
     rng = np.random.default_rng(30)
-    w = UtilityMatrix.from_types(rng.uniform(0.1, 1.0, (6, 8)), np.repeat(np.arange(6), [2, 3, 1, 4, 2, 3]))
+    w = UtilityMatrix(rng.uniform(0.1, 1.0, (6, 8)), type_of=np.repeat(np.arange(6), [2, 3, 1, 4, 2, 3]))
     solutions, starts = _record_warm_solves(monkeypatch)
     fresh = Problem(w, measure=measure).uf_program
     cold = fresh.solve(fresh.region.b_ub)
