@@ -6,7 +6,8 @@ item; each item's realized utility is normalized by the value it would collect
 if it were recommended to every user.  Both sides then live on a common
 [0, 1] scale and can be aggregated by the same family of fairness measures.
 A matrix is held as its distinct user types: one row per type and one type
-id per user.
+id per user, the types numbered in order of first occurrence.  This is the
+one numbering of types; every solve and price reads it from the matrix.
 """
 from __future__ import annotations
 
@@ -91,11 +92,12 @@ class UtilityMatrix:
     """Strictly positive m x n utilities, held as K type rows and one type id
     per user: user i's row is ``rows[type_of[i]]``.
 
-    Given ``type_of``, ``rows`` are the type rows, and only they are checked.
+    Given ``type_of``, ``rows`` are the type rows, and every one is checked.
     Without it each row is one user's, and users whose rows are equal share
-    a type, numbered in order of first occurrence.  ``values`` is gathered
-    from the type rows when first read, and ``rows_of`` gives some users'
-    rows without that gather.  Matrices compare by identity.
+    a type.  Either way types are numbered in order of first occurrence and
+    rows no user has are dropped, however the matrix was built.  ``values``
+    is gathered from the type rows when first read, and ``rows_of`` gives
+    some users' rows without that gather.  Matrices compare by identity.
     """
 
     rows: np.ndarray
@@ -118,14 +120,16 @@ class UtilityMatrix:
             )
         if self.type_of is None:
             # Positive finite rows are equal exactly when their bytes are.
-            ids = np.unique(rows.view(np.dtype((np.void, rows[0].nbytes))).ravel(), return_inverse=True)[1]
-            first, type_of = first_occurrence(ids)
-            rows = rows[first]
+            _, keep, ids = np.unique(rows.view(np.dtype((np.void, rows[0].nbytes))).ravel(),
+                                     return_index=True, return_inverse=True)
+            rows = rows[keep]
         else:
-            ids = np.asarray(self.type_of)
-            type_of = ids.astype(int)
-            if ids.ndim != 1 or ids.size == 0 or np.any(type_of != ids) or not 0 <= ids.min() <= ids.max() < len(rows):
+            given = np.asarray(self.type_of)
+            ids = given.astype(int)
+            if given.ndim != 1 or given.size == 0 or np.any(ids != given) or not 0 <= ids.min() <= ids.max() < len(rows):
                 raise ValueError(f"type_of must be a nonempty vector of integer ids into the {len(rows)} type rows")
+        first, type_of = first_occurrence(ids)
+        rows = rows[ids[first]]
         if self.user_labels is not None and len(self.user_labels) != type_of.size:
             raise ValueError("user_labels length does not match the number of rows")
         if self.item_labels is not None and len(self.item_labels) != rows.shape[1]:

@@ -93,7 +93,7 @@ def _parse_row(path, lineno: int, line: str, item_labels: list[str]) -> np.ndarr
                 f"{path}: cell (user {uid!r}, item {item_labels[j]!r}) is not a number: {cell!r}"
             ) from None
         if not 0 < row[j] < np.inf:
-            rule = "strictly positive" if not row[j] > 0 else "finite"
+            rule = "strictly positive" if row[j] <= 0 else "finite"
             raise MatrixFormatError(f"{path}: cell (user {uid!r}, item {item_labels[j]!r}) must be {rule}, got {cell}")
     return row
 

@@ -2,12 +2,12 @@
 
 The central problem: maximize a fairness measure of the users' normalized
 utilities subject to the item side retaining at least a fraction gamma of
-its own best attainable fairness.  Populations are first collapsed to one
-policy row per user type; averaging the rows of any feasible policy within
-a type changes no item utility and never hurts the worst-off user, so the
-reduction is lossless.
+its own best attainable fairness.  Policies have one row per user type of
+the matrix, in its numbering; averaging the rows of any feasible policy
+within a type changes no item utility and never hurts the worst-off user,
+so the reduction is lossless.
 
-A ``Problem`` is one instance assembled once: its type reduction, the
+A ``Problem`` is one instance assembled once: its type counts, the
 per-type user rows and item rows, and its IF*, solved on first use.  Every
 solve and price reads them from it.  Max-min is the sum of the k smallest
 with k = 1, so the LP measures share one path: sparse programs over the
@@ -76,31 +76,17 @@ class Scope(str, Enum):
     MISESTIMATED_GROUP = "misest-group"
 
 
-@dataclass(frozen=True)
-class TypeReduction:
-    """Collapse of an instance to one row per user type."""
-
-    matrix: UtilityMatrix
-    counts: np.ndarray
-    user_to_type: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return self.matrix.m
+def reduce_by_types(w: UtilityMatrix) -> np.ndarray:
+    """The user count of each of ``w``'s types, in the matrix's numbering."""
+    return np.bincount(w.type_of)
 
 
-def reduce_by_types(w: UtilityMatrix) -> TypeReduction:
-    """Number the types of ``w``'s users in order of first occurrence, so the
-    reduction is deterministic, and keep the rows of those types only."""
-    first, user_to_type = first_occurrence(w.type_of)
-    return TypeReduction(UtilityMatrix(w.rows_of(first)), np.bincount(user_to_type), user_to_type)
-
-
-def expand_policy(rows_by_type: np.ndarray, reduction: TypeReduction) -> np.ndarray:
-    """Inverse of the type reduction; preserves every user and item utility.
-    No solve path calls it, as results stay in type space; it stays only while
-    the benchmark under ``perfbench/`` wraps it by name (ROADMAP item 14)."""
-    return np.asarray(rows_by_type, dtype=float)[reduction.user_to_type]
+def expand_policy(rows_by_type: np.ndarray, w: UtilityMatrix) -> np.ndarray:
+    """One policy row per user of ``w`` from one per type; preserves every
+    user and item utility.  No solve path calls it, as results stay in type
+    space; it stays only while the benchmark under ``perfbench/`` wraps it by
+    name (ROADMAP item 14)."""
+    return np.asarray(rows_by_type, dtype=float)[w.type_of]
 
 
 def _coefficient_rows(coef: np.ndarray, by_item: bool = False) -> coo_array:
@@ -165,22 +151,23 @@ class UfStarResult:
 class Problem:
     """One instance, assembled once in type space for every solve on it.
 
-    The constructor checks the measure against the shape and reduces ``w``
-    to types.  ``b`` holds each type's row-normalized user utilities and
-    ``a`` each item's utility shares on the delta-transformed matrix, K x n,
-    so that U_k = sum_j b[k, j] x[k, j] and I_j = sum_k a[k, j] x[k, j];
-    ``user_rows`` (K, K*n) and ``item_rows`` (n, K*n) are the same as sparse
-    rows over the flattened policy, ``simplex`` is the row-stochastic
-    region, and ``favourite_rows`` each type's uniform mixture over its tied
-    favourite items.  ``if_star`` and the LP measures' two UF* programs,
-    ``uf_program`` for gamma < 1 and ``face_program`` for gamma = 1, are
-    built on first access and shared by every solve on the problem.
+    The constructor checks the measure against the shape and counts the
+    users of each of ``w``'s K types, its rows ``w.rows``.  ``b`` holds each
+    type's row-normalized user utilities and ``a`` each item's utility
+    shares on the delta-transformed matrix, K x n, so that U_k = sum_j
+    b[k, j] x[k, j] and I_j = sum_k a[k, j] x[k, j]; ``user_rows`` (K, K*n)
+    and ``item_rows`` (n, K*n) are the same as sparse rows over the flattened
+    policy, ``simplex`` is the row-stochastic region, and ``favourite_rows``
+    each type's uniform mixture over its tied favourite items.  ``if_star``
+    and the LP measures' two UF* programs, ``uf_program`` for gamma < 1 and
+    ``face_program`` for gamma = 1, are built on first access and shared by
+    every solve on the problem.
     """
 
     w: UtilityMatrix
     model: ItemUtilityModel | None = None
     measure: FairnessMeasure = MAX_MIN
-    reduction: TypeReduction = field(init=False)
+    counts: np.ndarray = field(init=False)
     b: np.ndarray = field(init=False)
     a: np.ndarray = field(init=False)
     user_rows: coo_array = field(init=False)
@@ -191,12 +178,12 @@ class Problem:
     def __post_init__(self):
         _validate_measure(self.measure, self.w.m, self.w.n)
         model = self.model or ItemUtilityModel()
-        red = reduce_by_types(self.w)
-        wt, (k, n) = red.matrix.values, red.matrix.values.shape
-        weighted = red.counts[:, None] * (model.delta + (1.0 - model.delta) * wt)
+        counts = reduce_by_types(self.w)
+        wt, (k, n) = self.w.rows, self.w.rows.shape
+        weighted = counts[:, None] * (model.delta + (1.0 - model.delta) * wt)
         b, a = wt / wt.max(axis=1, keepdims=True), weighted / weighted.sum(axis=0, keepdims=True)
         simplex = lp.Region(k * n, a_eq=_coefficient_rows(np.ones((k, n))), b_eq=np.ones(k))
-        derived = dict(model=model, reduction=red, b=b, a=a, simplex=simplex, favourite_rows=_argmax_mixing_rows(wt))
+        derived = dict(model=model, counts=counts, b=b, a=a, simplex=simplex, favourite_rows=_argmax_mixing_rows(wt))
         derived.update(user_rows=_coefficient_rows(b), item_rows=_coefficient_rows(a, by_item=True))
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -248,7 +235,7 @@ class Problem:
         k, program, floor = self.b.shape[0], self.uf_program, self.uf_floor
         if np.any(np.count_nonzero(self.favourite_rows, axis=1) > 1):
             return
-        carriers = int(np.searchsorted(np.cumsum(self.reduction.counts), self.measure.k)) + 1
+        carriers = int(np.searchsorted(np.cumsum(self.counts), self.measure.k)) + 1
         t, ub = floor.num_vars, program.region.b_ub.size  # ub: the floor rows, then one lift row per type
         program.start_from(np.r_[np.flatnonzero(self.favourite_rows), t : t + carriers],
                            np.r_[: floor.b_ub.size, ub + carriers : ub + k])
@@ -257,7 +244,7 @@ class Problem:
         rows = self.user_rows
         # The user rows read x, the region's first K*n variables, only.
         rows = coo_array((rows.data, (rows.row, rows.col)), shape=(rows.shape[0], region.num_vars))
-        return lp.WarmLP(*lp.sum_k_lift(rows, self.measure.k, region, weights=self.reduction.counts))
+        return lp.WarmLP(*lp.sum_k_lift(rows, self.measure.k, region, weights=self.counts))
 
 
 _IF_STAR_CACHE: dict[bytes, IfStarResult] = {}
@@ -347,7 +334,7 @@ def compute_uf_star(problem: Problem, gamma: float, tie_break: TieBreak = TieBre
     """Best attainable user fairness when the item side must keep a gamma
     fraction of its optimum.  gamma = 0 drops the item constraint entirely.
 
-    Calls on one problem share its type reduction, rows, IF* and LP
+    Calls on one problem share its type counts, rows, IF* and LP
     programs: a gamma < 1 solve starts ``uf_program`` from the last basis
     left in it, cold on a new problem or after ``clear_basis``, except that
     gamma = 0 starts at its optimum when favourites are unique (every type
@@ -393,7 +380,7 @@ def compute_uf_star(problem: Problem, gamma: float, tie_break: TieBreak = TieBre
                 raise lp.LPSolverError(lp.LPStatus.FAILED, f"UF*(1), {k}x{n}: its point misses IF* by {shortfall:.3e}")
 
     policy_rows = RecommendationPolicy.from_solver(rows).rows
-    value = measure_value((problem.b * policy_rows).sum(axis=1), measure, weights=problem.reduction.counts)
+    value = measure_value((problem.b * policy_rows).sum(axis=1), measure, weights=problem.counts)
     return UfStarResult(value, policy_rows, if_target, gap)
 
 
@@ -416,7 +403,7 @@ def _nash_uf_rows(p: Problem, gamma: float, target: float) -> tuple[np.ndarray, 
     if gamma == 0:
         rows = p.favourite_rows
         u = (p.b * rows).sum(axis=1)
-        return rows, float(p.reduction.counts @ ((1.0 - u) / u))
+        return rows, float(p.counts @ ((1.0 - u) / u))
     k, n = p.b.shape
     item, tau = LogObjective(p.item_rows.toarray()), target - SLACK
     x_if, uniform = p.if_star.rows_by_type.ravel(), np.full(k * n, 1.0 / n)
@@ -424,7 +411,7 @@ def _nash_uf_rows(p: Problem, gamma: float, target: float) -> tuple[np.ndarray, 
     gain = g_if - item.value(uniform)
     theta = 0.5 if gain <= 0 else min(0.5, 0.5 * (g_if - tau) / gain)
     res = nash_concave_solve(
-        LogObjective(p.user_rows.toarray(), p.reduction.counts.astype(float)),
+        LogObjective(p.user_rows.toarray(), p.counts.astype(float)),
         (k, n),
         start=(1.0 - theta) * x_if + theta * uniform,
         constraint=(item, tau),
@@ -464,8 +451,7 @@ def price_of_fairness(problem: Problem) -> tuple[float, float, float]:
     program is built for it.  UF*(1) is solved on IF*'s optimal face as a
     sweep solves it, so it equals a sweep's gamma = 1 row."""
     require_price_measure(problem.measure, "price of fairness")
-    red = problem.reduction
-    uf0 = measure_value(np.ones(red.k), problem.measure, weights=red.counts)
+    uf0 = measure_value(np.ones(problem.counts.size), problem.measure, weights=problem.counts)
     uf1 = compute_uf_star(problem, 1.0).value
     return uf0, uf1, (uf0 - uf1) / uf0
 
@@ -511,15 +497,15 @@ def price_of_misestimation(
         raise ValueError("true and estimated matrices must have identical shape")
     tie_break = _tie_break(tie_break, measure)
     ref_p, est_p = Problem(w, item_model, measure), Problem(w_hat, item_model, measure)
-    t_ref, t_est = ref_p.reduction.user_to_type, est_p.reduction.user_to_type
-    first, user_to_class = first_occurrence(t_ref * est_p.reduction.k + t_est)
-    counts = np.bincount(user_to_class)
-    missed = misestimated_users(UtilityMatrix(w.rows_of(first)), UtilityMatrix(w_hat.rows_of(first)))
-    if scope is Scope.MISESTIMATED_GROUP:
-        if missed.size == 0:
-            raise ValueError("no users are misestimated; the group scope is undefined")
-        first, counts = first[missed], counts[missed]
-    t_ref, t_est, w_rep = t_ref[first], t_est[first], UtilityMatrix(w.rows_of(first))
+    first, user_to_class = first_occurrence(len(w_hat.rows) * w.type_of + w_hat.type_of)
+    counts, t_ref, t_est = np.bincount(user_to_class), w.type_of[first], w_hat.type_of[first]
+    w_rep = UtilityMatrix(w.rows, type_of=t_ref)
+    scoped = misestimated_users(w_rep, UtilityMatrix(w_hat.rows, type_of=t_est))
+    if scope is Scope.ALL_USERS:
+        scoped = slice(None)
+    elif scoped.size == 0:
+        raise ValueError("no users are misestimated; the group scope is undefined")
+    counts = counts[scoped]
     if measure.k > counts.sum():
         raise ValueError(f"k = {measure.k} exceeds the {counts.sum()} users of the {scope.value} scope")
     poms = []
@@ -528,8 +514,8 @@ def price_of_misestimation(
             p.uf_program.clear_basis()
         ref = compute_uf_star(ref_p, g, tie_break)
         est = compute_uf_star(est_p, g, tie_break)
-        u_ref = user_utility_vector(RecommendationPolicy(ref.rows_by_type[t_ref]), w_rep)
-        u_est = user_utility_vector(RecommendationPolicy(est.rows_by_type[t_est]), w_rep)
+        u_ref = user_utility_vector(RecommendationPolicy(ref.rows_by_type[t_ref]), w_rep)[scoped]
+        u_est = user_utility_vector(RecommendationPolicy(est.rows_by_type[t_est]), w_rep)[scoped]
         ref_val = measure_value(u_ref, measure, weights=counts)
         est_val = measure_value(u_est, measure, weights=counts)
         if abs(ref_val) < 1e-12:

@@ -62,8 +62,8 @@ def gen_misestimation(v, beta: float, m: int, seed: int = 0) -> MisestimationDat
     types.  The remaining users' estimated rows are the palindromic average
     (v_j + v_{n-j+1}) / 2; their true rows alternate deterministically
     between the two types, starting with v.  The seed permutes row order
-    and nothing else.  Both matrices are typed by the rows v, v reversed and
-    their average: ``w`` by true type, ``w_hat`` by estimated type.
+    and nothing else.  ``w`` holds the true types, v and v reversed, and
+    ``w_hat`` the estimated ones, which add their average.
     """
     v = _check_values(v)
     if not 0.0 < beta < 0.5:

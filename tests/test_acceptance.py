@@ -24,7 +24,6 @@ from fairrec.optimizer import (
     expand_policy,
     price_of_fairness,
     price_of_misestimation,
-    reduce_by_types,
     tradeoff_sweep,
 )
 from fairrec.populations import _round_half_up, gen_homogeneous, gen_misestimation, gen_two_type
@@ -55,7 +54,7 @@ def test_criterion_01_unconstrained_optimum_is_perfect_and_deterministic():
         res = compute_uf_star(problem, 0.0)
         worst_value_gap = max(worst_value_gap, abs(res.value - 1.0))
         favorites = np.argmax(w.values, axis=1)
-        mass = RecommendationPolicy(expand_policy(res.rows_by_type, problem.reduction)).rows[np.arange(m), favorites]
+        mass = RecommendationPolicy(expand_policy(res.rows_by_type, problem.w)).rows[np.arange(m), favorites]
         worst_favorite_mass = min(worst_favorite_mass, float(mass.min()))
     elapsed = time.perf_counter() - t0
     ok = worst_value_gap < 1e-9 and worst_favorite_mass > 1.0 - 1e-9 and elapsed < 10.0
@@ -81,7 +80,7 @@ def test_criterion_02_item_optimum_equalizes_item_utilities():
     for w in instances:
         problem = Problem(w)
         res = problem.if_star
-        i_vals = item_utility_vector(RecommendationPolicy(expand_policy(res.rows_by_type, problem.reduction)), w)
+        i_vals = item_utility_vector(RecommendationPolicy(expand_policy(res.rows_by_type, problem.w)), w)
         worst = max(worst, float(i_vals.max() - i_vals.min()))
     report(
         "criterion 2: all items collect equal utility at the item optimum",
@@ -213,8 +212,7 @@ def test_criterion_07_recognized_majority_starves_extreme_items():
             if beta_real <= 1.0 / n or m - 2 * nk < 1:
                 continue
             data = gen_misestimation(v, beta, m, seed=0)
-            red = reduce_by_types(data.w_hat)
-            cold_row = red.user_to_type[data.misestimated[0]]
+            cold_row = data.w_hat.type_of[data.misestimated[0]]
             res = compute_uf_star(Problem(data.w_hat), 1.0, tie_break=TieBreak.CANONICAL)
             z = res.rows_by_type[cold_row]
             worst_lp = max(worst_lp, float(z[0]), float(z[-1]))

@@ -1,10 +1,13 @@
-"""What the benchmark under perfbench/ relies on: wrapped names and a quiet stdout.
+"""What the benchmark under perfbench/ relies on: its names and a quiet stdout.
 
 perfbench replaces fairrec attributes by timing wrappers; a name it cannot
-find makes a per-layer metric go absent.  Its result is the last line of
-standard output, so a solve must write nothing to fd 1 (or fd 2).
+find makes a per-layer metric go absent.  It also calls fairrec names
+directly, and one of those that went missing would fail every run.  Its
+result is the last line of standard output, so a solve must write nothing
+to fd 1 (or fd 2).
 """
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,6 +38,22 @@ def test_perfbench_finds_every_wrapped_name(monkeypatch):
     finally:
         tracer.unwrap_all()
     assert tracer.missing == []
+
+
+def test_every_fairrec_name_perfbench_reads_resolves():
+    # Dotted references through the package or a workload's handle on it
+    # (``self.fr``), in code and in the strings run in a fresh interpreter.
+    pattern = re.compile(r"\b(?:fairrec|self\.fr)\.(\w+(?:\.\w+)*)")
+    refs = {ref for name in ("run.py", "workloads.py") for ref in pattern.findall((PERFBENCH / name).read_text())}
+    absent, missing = object(), []
+    for ref in sorted(refs):
+        obj = fairrec
+        for part in ref.split("."):
+            obj = getattr(obj, part, absent)
+        if obj is absent:
+            missing.append(ref)
+    assert "optimizer.clear_caches" in refs
+    assert missing == []
 
 
 def test_solves_write_nothing_to_stdout_or_stderr(worked_instance, capfd):

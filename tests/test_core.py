@@ -137,11 +137,15 @@ def test_matrix_rejects_nonpositive_entries():
 
 
 def test_typed_matrix_equals_the_checked_constructor():
+    # Given ids are renumbered in order of first occurrence and rows no user
+    # has are dropped; every user keeps the row it was given.
     rng = np.random.default_rng(1)
     for k, m in ((1, 1), (3, 50), (6, 20)):
         rows, type_of = rng.uniform(0.5, 2.0, (k, 4)), rng.integers(0, k, m)
         w = UtilityMatrix(rows, type_of=type_of)
-        for a, b in ((w.values, rows[type_of]), (w.type_of, type_of)):
+        ids = {}
+        canonical = np.array([ids.setdefault(t, len(ids)) for t in type_of.tolist()])
+        for a, b in ((w.values, rows[type_of]), (w.type_of, canonical), (w.rows, rows[list(ids)])):
             assert (a.dtype, a.shape, a.tobytes(), a.flags.writeable) == (b.dtype, b.shape, b.tobytes(), False)
     labelled = UtilityMatrix(rows, tuple("abcdefghijklmnopqrst"), tuple("wxyz"), type_of=type_of)
     assert (labelled.user_labels, labelled.item_labels) == (tuple("abcdefghijklmnopqrst"), tuple("wxyz"))

@@ -151,10 +151,10 @@ def test_loaded_types_reduce_as_the_rows_do(tmp_path):
     (tmp_path / "tails.csv").write_text("user_id,a,b\nu0,1.5,2\nu1,1.50,2\nu2,2,1\nu3,1.5,2.0\n")
     for name in ("m.csv", "tails.csv"):
         typed = load_utility_csv(tmp_path / name)
-        red, by_rows = reduce_by_types(typed), reduce_by_types(UtilityMatrix(typed.values))
-        assert np.array_equal(red.matrix.values, by_rows.matrix.values)
-        assert np.array_equal(red.counts, by_rows.counts)
-        assert np.array_equal(red.user_to_type, by_rows.user_to_type)
+        by_rows = UtilityMatrix(typed.values)
+        assert np.array_equal(typed.rows, by_rows.rows)
+        assert np.array_equal(reduce_by_types(typed), reduce_by_types(by_rows))
+        assert np.array_equal(typed.type_of, by_rows.type_of)
     assert load_utility_csv(tmp_path / "tails.csv").type_of.tolist() == [0, 0, 1, 0]
 
 
@@ -464,14 +464,19 @@ def test_cli_io_error_exit_and_record(tmp_path):
     assert run(["tradeoff", "--matrix", str(bad), "--out", str(out)]) == 4
 
 
-@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
-def test_cli_non_finite_cell_exits_with_io_error(tmp_path, cell):
+@pytest.mark.parametrize(
+    "cell, rule",
+    [pytest.param(cell, rule, id=cell)
+     for cell, rule in (("nan", "finite"), ("inf", "finite"), ("-inf", "strictly positive"), ("1e400", "finite"))],
+)
+def test_cli_non_finite_cell_exits_with_io_error(tmp_path, cell, rule):
     bad = tmp_path / "bad.csv"
     bad.write_text(f"user_id,i0,i1\nu0,1,{cell}\n")
     assert run(["tradeoff", "--matrix", str(bad), "--out", str(tmp_path / "c.csv")]) == 4
     record = json.loads((tmp_path / "error.json").read_text())
     assert record["error"] == "MatrixFormatError"
     assert "cell (user 'u0', item 'i1')" in record["message"]
+    assert f"must be {rule}, got {cell}" in record["message"]
 
 
 def test_cli_io_error_in_a_missing_out_directory_records_in_the_working_directory(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 """End-to-end solver behavior: optima, constraints, tie-breaks, sweeps."""
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -51,20 +52,20 @@ def test_type_reduction_groups_identical_rows():
         ([[2.0, 1.0], [1.0, 2.0], [2.0, 1.0]], [0, 1, 0], [2, 1], [[2.0, 1.0], [1.0, 2.0]]),
     ]
     for values, user_to_type, counts, rows in cases:
-        red = reduce_by_types(UtilityMatrix(np.array(values)))
-        assert red.k == 2
-        assert np.array_equal(red.counts, counts)
-        assert np.array_equal(red.user_to_type, user_to_type)
-        assert np.array_equal(red.matrix.values, rows)
+        w = UtilityMatrix(np.array(values))
+        assert len(w.rows) == 2
+        assert np.array_equal(reduce_by_types(w), counts)
+        assert np.array_equal(w.type_of, user_to_type)
+        assert np.array_equal(w.rows, rows)
 
 
 def test_type_reduction_respects_explicit_labels():
     rows = np.array([[1.0, 2.0]] * 2)
     for labels, user_to_type in (([0, 0, 1], [0, 0, 1]), ([1, 0, 1], [0, 1, 0])):
-        red = reduce_by_types(UtilityMatrix(rows, type_of=labels))
-        assert red.k == 2
-        assert np.array_equal(red.counts, [2, 1])
-        assert np.array_equal(red.user_to_type, user_to_type)
+        w = UtilityMatrix(rows, type_of=labels)
+        assert len(w.rows) == 2
+        assert np.array_equal(reduce_by_types(w), [2, 1])
+        assert np.array_equal(w.type_of, user_to_type)
 
 
 def _loop_reduction(values, type_of):
@@ -86,37 +87,35 @@ def test_type_reduction_matches_loop_reference(seed):
     labels = rng.permutation(40) % 5
     values = types[labels]
     for w, type_of in ((UtilityMatrix(values), None), (UtilityMatrix(types, type_of=labels), labels)):
-        red = reduce_by_types(w)
         user_to_type, counts, rows = _loop_reduction(values, type_of)
-        assert np.array_equal(red.user_to_type, user_to_type)
-        assert np.array_equal(red.counts, counts)
-        assert np.array_equal(red.matrix.values, rows)
+        assert np.array_equal(w.type_of, user_to_type)
+        assert np.array_equal(reduce_by_types(w), counts)
+        assert np.array_equal(w.rows, rows)
 
 
 def test_type_reduction_of_typed_rows_matches_row_equality():
     # Ids out of first-occurrence order and a type row no user has.
     rows = np.array([[1.0, 2.0], [2.0, 1.0], [3.0, 1.0], [9.0, 9.0]])
-    by_rows = reduce_by_types(UtilityMatrix(rows[[2, 0, 2, 1]]))
-    red = reduce_by_types(UtilityMatrix(rows, type_of=[2, 0, 2, 1]))
-    assert np.array_equal(red.matrix.values, by_rows.matrix.values)
-    assert np.array_equal(red.counts, by_rows.counts)
-    assert np.array_equal(red.user_to_type, by_rows.user_to_type)
-    assert by_rows.user_to_type.tolist() == [0, 1, 0, 2]
+    by_rows = UtilityMatrix(rows[[2, 0, 2, 1]])
+    typed = UtilityMatrix(rows, type_of=[2, 0, 2, 1])
+    assert np.array_equal(typed.rows, by_rows.rows)
+    assert np.array_equal(reduce_by_types(typed), reduce_by_types(by_rows))
+    assert np.array_equal(typed.type_of, by_rows.type_of)
+    assert by_rows.type_of.tolist() == [0, 1, 0, 2]
 
 
 def test_policy_expansion_repeats_type_rows(worked_instance):
-    red = reduce_by_types(worked_instance)
     rows = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    full = expand_policy(rows, red)
+    full = expand_policy(rows, worked_instance)
     assert full.shape == (10, 3)
-    assert np.array_equal(full, rows[red.user_to_type])
+    assert np.array_equal(full, rows[worked_instance.type_of])
 
 
 def test_worked_instance_item_optimum(worked_instance):
     problem = Problem(worked_instance)
     res = problem.if_star
     assert abs(res.value - 3.0 / 7.0) < 1e-9
-    i_vals = item_utility_vector(RecommendationPolicy(expand_policy(res.rows_by_type, problem.reduction)), worked_instance)
+    i_vals = item_utility_vector(RecommendationPolicy(expand_policy(res.rows_by_type, problem.w)), worked_instance)
     assert np.allclose(i_vals, 3.0 / 7.0, atol=1e-7)
     assert res.lp_solution is not None and res.lp_solution.is_vertex
 
@@ -305,7 +304,7 @@ def test_item_equality_at_item_optimum():
         w = UtilityMatrix(random_positive_matrix(rng, 7, 4))
         problem = Problem(w)
         res = problem.if_star
-        i_vals = item_utility_vector(RecommendationPolicy(expand_policy(res.rows_by_type, problem.reduction)), w)
+        i_vals = item_utility_vector(RecommendationPolicy(expand_policy(res.rows_by_type, problem.w)), w)
         assert i_vals.max() - i_vals.min() < 1e-6
 
 
@@ -316,7 +315,7 @@ def test_constraint_target_is_met_along_gamma():
     for gamma in (0.3, 0.8, 1.0):
         problem = Problem(w)
         res = compute_uf_star(problem, gamma)
-        achieved = item_utility_vector(RecommendationPolicy(expand_policy(res.rows_by_type, problem.reduction)), w).min()
+        achieved = item_utility_vector(RecommendationPolicy(expand_policy(res.rows_by_type, problem.w)), w).min()
         assert achieved >= gamma * if_star - 1e-6
 
 
@@ -430,7 +429,7 @@ def test_nash_constrained_curve_on_worked_instance(worked_instance):
         values.append(res.value)
         if gamma > 0:
             # certificate: scaled item log-welfare stays above the target
-            policy = RecommendationPolicy(expand_policy(res.rows_by_type, problem.reduction))
+            policy = RecommendationPolicy(expand_policy(res.rows_by_type, problem.w))
             i_vals = item_utility_vector(policy, worked_instance)
             assert np.log(i_vals).sum() >= res.if_target - 1e-6 * (1 + abs(res.if_target))
     assert abs(values[0]) < 1e-12
@@ -438,8 +437,7 @@ def test_nash_constrained_curve_on_worked_instance(worked_instance):
 
 
 def test_nash_pipeline_matches_grid_search(worked_instance):
-    red = reduce_by_types(worked_instance)
-    if_grid, uf_grid = grid_nash_if_and_uf(red.matrix.values, red.counts, step=0.02)
+    if_grid, uf_grid = grid_nash_if_and_uf(worked_instance.rows, reduce_by_types(worked_instance), step=0.02)
     if_solver = Problem(worked_instance, measure=NASH).if_star.value
     uf_solver = compute_uf_star(Problem(worked_instance, measure=NASH), 1.0).value
     assert if_solver >= if_grid - 1e-9
@@ -690,7 +688,7 @@ def test_sweep_records_failures_and_continues(worked_instance, monkeypatch):
 def test_policies_evaluate_consistently(worked_instance):
     problem = Problem(worked_instance)
     res = compute_uf_star(problem, 1.0)
-    u = user_utility_vector(RecommendationPolicy(expand_policy(res.rows_by_type, problem.reduction)), worked_instance)
+    u = user_utility_vector(RecommendationPolicy(expand_policy(res.rows_by_type, problem.w)), worked_instance)
     assert abs(u.min() - res.value) < 1e-9
 
 
@@ -1006,7 +1004,7 @@ def test_gamma_0_starts_at_its_optimum_and_matches_a_cold_solve(k, monkeypatch):
         result = compute_uf_star(p, 0.0, tie_break=tie_break)
         assert solutions[-1].iterations == 0
         assert np.array_equal(solutions[-1].point[: 6 * 8], cold.point[: 6 * 8])
-        assert result.value == measure_value(np.ones(6), measure, weights=p.reduction.counts)
+        assert result.value == measure_value(np.ones(6), measure, weights=p.counts)
     assert len(starts) == len(tie_breaks)
 
 
@@ -1080,8 +1078,8 @@ def _per_user_pom(w, w_hat, gamma, scope, measure, tie_break=TieBreak.SOLVER):
     ref_p, est_p = Problem(w, measure=measure), Problem(w_hat, measure=measure)
     ref = compute_uf_star(ref_p, gamma, tie_break=tie_break)
     est = compute_uf_star(est_p, gamma, tie_break=tie_break)
-    u_ref = user_utility_vector(RecommendationPolicy(expand_policy(ref.rows_by_type, ref_p.reduction)), w)
-    u_est = user_utility_vector(RecommendationPolicy(expand_policy(est.rows_by_type, est_p.reduction)), w)
+    u_ref = user_utility_vector(RecommendationPolicy(expand_policy(ref.rows_by_type, ref_p.w)), w)
+    u_est = user_utility_vector(RecommendationPolicy(expand_policy(est.rows_by_type, est_p.w)), w)
     if scope is Scope.MISESTIMATED_GROUP:
         group = misestimated_users(w, w_hat)
         u_ref, u_est = u_ref[group], u_est[group]
@@ -1103,15 +1101,44 @@ def test_price_of_misestimation_matches_per_user_reference(measure, beta, m, see
             assert pom == _per_user_pom(data.w, data.w_hat, gamma, scope, measure)
 
 
+def _relabelled(w, rng):
+    """``w``'s population with its type rows permuted together with their
+    ids, and one more type row that no user has."""
+    perm = rng.permutation(len(w.rows) + 1)
+    rows = np.empty((len(w.rows) + 1, w.n))
+    rows[perm[:-1]], rows[perm[-1]] = w.rows, rng.uniform(0.5, 9.0, w.n)
+    return UtilityMatrix(rows, type_of=perm[w.type_of])
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_relabelled_types_give_one_matrix_and_bit_identical_results(seed):
+    data, rng = gen_misestimation(V5, 0.3, 25, seed=seed), np.random.default_rng(seed)
+    w, w_hat = _relabelled(data.w, rng), _relabelled(data.w_hat, rng)
+    for given, copy in ((data.w, w), (data.w_hat, w_hat)):
+        assert np.array_equal(given.rows, copy.rows) and np.array_equal(given.type_of, copy.type_of)
+
+    def untimed(curve):
+        return curve.if_star, [dataclasses.replace(row, solve_ms=0.0) for row in curve.rows]
+
+    for measure, tie_break in ((FairnessMeasure(), TieBreak.SOLVER), (FairnessMeasure(), TieBreak.CANONICAL),
+                               (SUMK3, TieBreak.SOLVER)):
+        for a, b in ((data.w, w), (data.w_hat, w_hat)):
+            assert untimed(tradeoff_sweep(a, GRID11, measure=measure, tie_break=tie_break)) == untimed(
+                tradeoff_sweep(b, GRID11, measure=measure, tie_break=tie_break))
+        for scope in Scope:
+            assert price_of_misestimation(data.w, data.w_hat, GRID11, scope, measure=measure, tie_break=tie_break) == \
+                price_of_misestimation(w, w_hat, GRID11, scope, measure=measure, tie_break=tie_break)
+
+
 def test_solves_and_prices_stay_in_type_space(monkeypatch):
     import fairrec.optimizer as opt
 
     calls = []
     real_expand = opt.expand_policy
 
-    def counted(rows, reduction):
+    def counted(rows, w):
         calls.append(rows.shape)
-        return real_expand(rows, reduction)
+        return real_expand(rows, w)
 
     monkeypatch.setattr(opt, "expand_policy", counted)
     data = gen_misestimation(V5, 0.3, 25, seed=3)
