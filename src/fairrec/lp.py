@@ -9,25 +9,25 @@ rows) to the region, and ``sum_k_smallest_floor`` keeps that sum above a
 bound.  Max-min is k = 1, for which both keep t alone, with no slacks and no
 certificate row: that layout more than halves the dual simplex iterations of
 a warm sweep's first gamma > 0 step (5158 to 2435 on six 100 x 100 sweeps).
-The backend is HiGHS, deterministic for a fixed instance; both LP paths
-return basic feasible solutions, so optimal points are vertices of the
-feasible polyhedron, and both read their optimal face from the duals.
+The backend is HiGHS, deterministic for a fixed instance; every LP
+solution is a basic feasible solution, so optimal points are vertices of the
+feasible polyhedron, and the optimal face is read from its duals.
 
-There are two paths.  ``solve_lp`` is the cold one: each call hands one
-program to scipy's ``linprog``, which runs HiGHS's interior point method
-(IPX), without presolve, with crossover to a basis; the item-fairness
-optimum uses it.
-``WarmLP`` keeps one HiGHS model alive and re-solves it after its ``<=``
-right-hand sides change, starting dual simplex from the previous optimal
-basis, or from a basis its caller names (``start_from``), such as a known
-optimum; the user-fairness programs use it.
-``solve_qp`` solves the small identity-Hessian QPs of the canonical
-tie-break.  These two are the only users of scipy's private HiGHS binding,
-and hand it each model as arrays through ``passModel``'s array form (and
-the Hessian through ``passHessian``'s), not entry by entry.
-Both LP paths re-check optimal points against the region before reporting
-them; a check failure is surfaced as a distinct FAILED status rather than a
-silent wrong answer.  Each solution carries the iterations HiGHS took.
+Every LP is solved on the HiGHS model ``WarmLP`` builds, and each entry
+point fixes its method.  ``WarmLP`` keeps the model alive and re-solves it
+by dual simplex after its ``<=`` right-hand sides change, starting from the
+previous optimal basis, or from a basis its caller names (``start_from``),
+such as a known optimum; the user-fairness programs use it.  ``solve_lp``
+is one cold solve on that model by HiGHS's interior point method (IPX),
+without presolve, with crossover to a basis; the item-fairness optimum
+uses it.  ``solve_qp`` solves the small identity-Hessian QPs of the
+canonical tie-break.  It and ``WarmLP`` are the only users of scipy's
+private HiGHS binding, and hand it each model as arrays through
+``passModel``'s array form (and the Hessian through ``passHessian``'s),
+not entry by entry.  Optimal LP points are re-checked against the region
+before they are reported; a check failure is surfaced as a distinct FAILED
+status rather than a silent wrong answer.  Each solution carries the
+iterations HiGHS took and whether HiGHS holds a valid basis for it.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from enum import Enum
 from typing import Any
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog  # noqa: F401  Unused; perfbench wraps ``lp.linprog`` by name.
 from scipy.optimize._highspy import _core as highs
 from scipy.sparse import coo_array, csc_array, issparse, vstack
 
@@ -97,6 +97,9 @@ class Region:
             if bound.ndim and bound.shape != (nv,):
                 raise ValueError(f"{key} has shape {bound.shape}, expected ({nv},)")
             object.__setattr__(self, key, np.broadcast_to(bound, (nv,)))
+        if np.any(self.lb > self.ub):
+            j = int(np.argmax(self.lb > self.ub))
+            raise ValueError(f"variable {j} has lower bound {self.lb[j]:g} above its upper bound {self.ub[j]:g}")
 
     def extend(self, a_ub: Any, b_ub: Any, lb: Any = (), ub: Any = ()) -> Region:
         """This region with ``len(lb)`` new variables, bounded by ``lb`` and
@@ -181,39 +184,8 @@ def optimal_face(region: Region, row_dual: Any, col_dual: Any) -> Region:
     )
 
 
-def solve_lp(objective: np.ndarray, region: Region) -> LPSolution:
-    """Maximize ``objective @ x`` over the region; the solution holds its
-    optimal face.  Deterministic: identical programs give identical points."""
-    objective = _check_objective(objective, region)
-    res = linprog(
-        -objective,
-        A_ub=region.a_ub,
-        b_ub=region.b_ub,
-        A_eq=region.a_eq,
-        b_eq=region.b_eq,
-        bounds=np.column_stack([region.lb, region.ub]),
-        method="highs-ipm",
-        # Presolve removes nothing from these programs; it only costs time.
-        options={"presolve": False, "primal_feasibility_tolerance": FEAS_TOL, "dual_feasibility_tolerance": OPT_TOL},
-    )
-    if res.status == 2:
-        return LPSolution(LPStatus.INFEASIBLE, message=res.message)
-    if res.status == 3:
-        return LPSolution(LPStatus.UNBOUNDED, message=res.message)
-    if res.status != 0 or res.x is None:
-        return LPSolution(LPStatus.FAILED, message=res.message)
-    x = np.asarray(res.x, dtype=float)
-    viol = _violation(region, x)
-    if not viol <= FEAS_TOL:
-        return LPSolution(LPStatus.FAILED, message=f"reported optimum violates constraints by {viol:.3e}")
-    value = float(objective @ x)
-    # IPX's crossover (on by default) returns a basic feasible solution.
-    face = optimal_face(region, res.ineqlin.marginals, res.lower.marginals + res.upper.marginals)
-    return LPSolution(LPStatus.OPTIMAL, x, value, is_vertex=True, message=res.message, face=face, iterations=res.nit)
-
-
-# The model statuses linprog reports as infeasible (2) or unbounded (3);
-# every other non-optimal status is a failure.
+# The model statuses reported as infeasible or unbounded; every other
+# non-optimal status is a failure.
 _HIGHS_STATUS = {
     highs.HighsModelStatus.kInfeasible: LPStatus.INFEASIBLE,
     highs.HighsModelStatus.kModelError: LPStatus.INFEASIBLE,
@@ -252,15 +224,15 @@ class WarmLP:
     re-solved from the previous optimal basis after its ``<=`` right-hand
     sides change.
 
-    The model is the one ``solve_lp`` hands to ``linprog``: rows are
-    ``[a_ub; a_eq]``, the ``<=`` rows ranged ``(-inf, b_ub]`` and the
-    equality rows ``[b_eq, b_eq]``, with each column the region fixes
+    Rows are ``[a_ub; a_eq]``, the ``<=`` rows ranged ``(-inf, b_ub]`` and
+    the equality rows ``[b_eq, b_eq]``, with each column the region fixes
     (lb == ub) substituted out.  HiGHS's primal feasibility tolerance is
     FEAS_TOL, the bound its optimal points are then checked against, and its
-    dual feasibility tolerance OPT_TOL.
+    dual feasibility tolerance OPT_TOL.  ``solve_lp`` alone passes ``_ipx``,
+    which makes the method IPX without presolve.
     """
 
-    def __init__(self, objective: np.ndarray, region: Region):
+    def __init__(self, objective: np.ndarray, region: Region, *, _ipx: bool = False):
         self.objective = objective = _check_objective(objective, region)
         keep = self._keep = region.lb < region.ub
         self.region, self._base = region, np.where(keep, 0.0, region.lb)
@@ -269,7 +241,9 @@ class WarmLP:
         lower = np.concatenate([np.full(region.b_ub.size, -np.inf), region.b_eq]) - self._shift
         upper = np.concatenate([region.b_ub, region.b_eq]) - self._shift
         model = _highs_lp(-objective[keep], a[:, keep], region.lb[keep], region.ub[keep], lower, upper)
-        self._highs = _silent_highs(model, solver="simplex", simplex_strategy=1,
+        # Presolve removes nothing from the IPX programs; it only costs time.
+        method = {"solver": "ipm", "presolve": "off"} if _ipx else {"solver": "simplex"}
+        self._highs = _silent_highs(model, **method, simplex_strategy=1,
                                     primal_feasibility_tolerance=FEAS_TOL, dual_feasibility_tolerance=OPT_TOL)
 
     def solve(self, b_ub: Any) -> LPSolution:
@@ -281,7 +255,9 @@ class WarmLP:
         self._highs.run()
         status = self._highs.getModelStatus()
         message = self._highs.modelStatusToString(status)
-        iterations = self._highs.getInfo().simplex_iteration_count
+        info = self._highs.getInfo()
+        # Each method counts in its own field and leaves the other at 0.
+        iterations = info.simplex_iteration_count or info.ipm_iteration_count
         if status != highs.HighsModelStatus.kOptimal:
             solution = LPSolution(_HIGHS_STATUS.get(status, LPStatus.FAILED), message=message)
         else:
@@ -289,7 +265,8 @@ class WarmLP:
             x[self._keep] = self._highs.getSolution().col_value
             viol = _violation(self.region, x)
             if viol <= FEAS_TOL:
-                return LPSolution(LPStatus.OPTIMAL, x, float(self.objective @ x), True, message, iterations=iterations)
+                vertex = info.basis_validity == highs.kBasisValidityValid
+                return LPSolution(LPStatus.OPTIMAL, x, float(self.objective @ x), vertex, message, iterations=iterations)
             solution = LPSolution(
                 LPStatus.FAILED, message=f"reported optimum violates constraints by {viol:.3e}"
             )
@@ -325,6 +302,15 @@ class WarmLP:
         cost = np.zeros(self.region.num_vars)
         cost[self._keep] = duals.col_dual
         return optimal_face(self.region, duals.row_dual, cost)
+
+
+def solve_lp(objective: np.ndarray, region: Region) -> LPSolution:
+    """Maximize ``objective @ x`` over the region in one cold IPX solve with
+    crossover; the solution holds its optimal face.  Deterministic:
+    identical programs give identical points."""
+    program = WarmLP(objective, region, _ipx=True)
+    solution = program.solve(region.b_ub)
+    return replace(solution, face=program.optimal_face()) if solution.status is LPStatus.OPTIMAL else solution
 
 
 def solve_qp(c: np.ndarray, g: np.ndarray, h: np.ndarray) -> tuple[LPSolution, float]:

@@ -21,6 +21,23 @@ def fresh_caches():
 
 
 @pytest.fixture
+def highs_models(monkeypatch):
+    """Every HiGHS model ``fairrec.lp`` builds during the test, in order, as
+    (solver, columns, rows): "ipm" for ``solve_lp``'s cold IPX solve,
+    "simplex" for a ``WarmLP``, None for a QP."""
+    from fairrec import lp
+
+    models, real = [], lp._silent_highs
+
+    def recorded(model, **options):
+        models.append((options.get("solver"), model[0], model[1]))
+        return real(model, **options)
+
+    monkeypatch.setattr(lp, "_silent_highs", recorded)
+    return models
+
+
+@pytest.fixture
 def worked_instance():
     """Mirrored two-type population, v = (3, 2, 1), alpha = 1/2, ten users."""
     from fairrec.populations import gen_two_type

@@ -419,27 +419,22 @@ def test_cli_sum_k_above_the_group_exits_before_any_solve(tmp_path, monkeypatch)
     assert "misest-group" in record["message"] and "2 users" in record["message"]
 
 
-def test_cli_pof_solves_only_full_fairness_on_one_program(tmp_path, monkeypatch):
+def test_cli_pof_solves_only_full_fairness_on_one_program(tmp_path, monkeypatch, highs_models):
     # UF*(0) is the measure of all-ones user utilities, so no program is built for it.
     import fairrec.optimizer as opt
 
-    real, gammas, programs = opt.compute_uf_star, [], []
-    real_init = lp.WarmLP.__init__
+    real, gammas = opt.compute_uf_star, []
 
     def recorded(problem, gamma, *args, **kwargs):
         gammas.append(gamma)
         return real(problem, gamma, *args, **kwargs)
 
-    def counted_init(self, *args, **kwargs):
-        programs.append(1)
-        real_init(self, *args, **kwargs)
-
     monkeypatch.setattr(opt, "compute_uf_star", recorded)
-    monkeypatch.setattr(lp.WarmLP, "__init__", counted_init)
     assert run(["pof", "--values", "3,2,1", "--alpha", "0.5", "--users", "10",
                 "--out", str(tmp_path / "pof.csv")]) == 0
     assert gammas == [1.0]
-    assert len(programs) == 1
+    # IF*'s cold model, then the one warm program on its optimal face.
+    assert [solver for solver, _, _ in highs_models] == ["ipm", "simplex"]
 
 
 def test_cli_config_error_exit_and_record(tmp_path):
@@ -486,18 +481,10 @@ def test_cli_io_error_in_a_missing_out_directory_records_in_the_working_director
     assert json.loads((tmp_path / "error.json").read_text())["exit_code"] == 4
 
 
-def test_cli_validate_closed_form_builds_one_program_per_alpha(tmp_path, monkeypatch):
-    # Only UF*(1) is reported, so only its face program is built, not UF*(0)'s.
-    programs = []
-    real_init = lp.WarmLP.__init__
-
-    def counted_init(self, *args, **kwargs):
-        programs.append(1)
-        real_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(lp.WarmLP, "__init__", counted_init)
+def test_cli_validate_closed_form_builds_one_program_per_alpha(highs_models):
+    # Only UF*(1) is reported, so only IF*'s and its face program are built, not UF*(0)'s.
     assert run(["validate-closed-form", "--alpha", "3", "--users", "10"]) == 0
-    assert len(programs) == 3
+    assert [solver for solver, _, _ in highs_models] == ["ipm", "simplex"] * 3
 
 
 def test_cli_solver_error_exit_and_record(tmp_path, monkeypatch):

@@ -71,6 +71,12 @@ def test_solution_is_vertex_flagged():
     solution = solve_lp(np.array([1.0, 0.0]), SIMPLEX2)
     assert solution.status is LPStatus.OPTIMAL
     assert solution.is_vertex
+    # A cold dual simplex solve, then a warm one from its basis.
+    warm = WarmLP(np.array([1.0, 0.0, 0.0]), simplex(3).extend([[1.0, 0.0, 0.0]], [0.7]))
+    for b in (0.7, 0.4):
+        solution = warm.solve([b])
+        assert solution.status is LPStatus.OPTIMAL
+        assert solution.is_vertex
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -118,6 +124,8 @@ def test_constraint_validation():
         solve_lp(np.array([1.0]), Region(2))
     with pytest.raises(ValueError):
         Region(2, a_ub=[[1.0]], b_ub=[1.0])
+    with pytest.raises(ValueError, match="variable 0 has lower bound 0.6 above its upper bound 0.4"):
+        Region(2, a_eq=[[1.0, 1.0]], b_eq=[1.0], lb=[0.6, 0.0], ub=[0.4, 1.0])
 
 
 def test_var_bounds_are_honored():
@@ -250,30 +258,60 @@ def test_solve_lp_face_holds_every_optimum_and_nothing_else():
     assert _violation(solution.face, np.array([0.6, 0.4, 0.0])) > 0.09
 
 
+@pytest.mark.parametrize("k", [1, 2], ids=["maxmin", "sumk2"])
+@pytest.mark.parametrize("seed", range(6))
+def test_solve_lp_equals_linprog_ipm_bit_for_bit(seed, k):
+    """On IF*'s programs solve_lp gives the point, value, optimal face and
+    iteration count of scipy's ``linprog`` by IPX with crossover, without
+    presolve, at the solver contract's tolerances, bit for bit."""
+    from scipy.optimize import linprog
+
+    from fairrec.core import FairnessMeasure, MeasureKind, UtilityMatrix
+    from fairrec.optimizer import Problem
+
+    rng = np.random.default_rng(900 + seed)
+    measure = FairnessMeasure(MeasureKind.SUM_K_MIN, k) if k > 1 else FairnessMeasure()
+    problem = Problem(UtilityMatrix(rng.uniform(0.1, 1.0, rng.integers(10, 40, size=2))), measure=measure)
+    objective, region = sum_k_lift(problem.item_rows, k, problem.simplex)
+    solution = solve_lp(objective, region)
+    res = linprog(
+        -objective, A_ub=region.a_ub, b_ub=region.b_ub, A_eq=region.a_eq, b_eq=region.b_eq,
+        bounds=np.column_stack([region.lb, region.ub]), method="highs-ipm",
+        options={"presolve": False, "primal_feasibility_tolerance": lp.FEAS_TOL,
+                 "dual_feasibility_tolerance": lp.OPT_TOL},
+    )
+    assert res.status == 0 and solution.status is LPStatus.OPTIMAL
+    assert np.array_equal(solution.point, res.x)
+    assert solution.value == float(objective @ res.x)
+    assert solution.iterations == res.nit
+    face = lp.optimal_face(region, res.ineqlin.marginals, res.lower.marginals + res.upper.marginals)
+    for key in ("b_eq", "b_ub", "lb", "ub"):
+        assert np.array_equal(getattr(solution.face, key), getattr(face, key))
+    for key in ("a_eq", "a_ub"):
+        assert np.array_equal(getattr(solution.face, key).toarray(), getattr(face, key).toarray())
+
+
 def test_highs_runs_at_the_tolerances_of_the_solver_contract(monkeypatch):
     """FEAS_TOL and OPT_TOL, which every output file prints, are the ones
-    HiGHS is given: read back from a WarmLP's HiGHS instance and from
-    solve_lp's linprog options, both set apart from HiGHS's defaults."""
+    HiGHS is given, set apart from HiGHS's defaults: read back from every
+    LP instance ``lp`` makes, a WarmLP's dual simplex one and solve_lp's IPX
+    one, each with the method its entry point fixes."""
     monkeypatch.setattr(lp, "FEAS_TOL", 3e-7)
     monkeypatch.setattr(lp, "OPT_TOL", 2e-7)
-    made, options = [], []
-    real_highs, real_linprog = lp._silent_highs, lp.linprog
+    made, real_highs = [], lp._silent_highs
 
     def silent_highs(model, **kwargs):
         made.append(real_highs(model, **kwargs))
         return made[-1]
 
-    def linprog(*args, **kwargs):
-        options.append(kwargs["options"])
-        return real_linprog(*args, **kwargs)
-
     monkeypatch.setattr(lp, "_silent_highs", silent_highs)
-    monkeypatch.setattr(lp, "linprog", linprog)
     WarmLP(np.ones(2), SIMPLEX2)
-    keys = ("primal_feasibility_tolerance", "dual_feasibility_tolerance")
-    assert [made[0].getOptionValue(key)[1] for key in keys] == [3e-7, 2e-7]
     assert solve_lp(np.ones(2), SIMPLEX2).status is LPStatus.OPTIMAL
-    assert [options[0][key] for key in keys] == [3e-7, 2e-7]
+    keys = ("solver", "presolve", "primal_feasibility_tolerance", "dual_feasibility_tolerance")
+    assert [[highs.getOptionValue(key)[1] for key in keys] for highs in made] == [
+        ["simplex", "choose", 3e-7, 2e-7],
+        ["ipm", "off", 3e-7, 2e-7],
+    ]
 
 
 def test_only_lp_imports_the_private_highs_binding():
@@ -300,3 +338,15 @@ def test_only_lp_imports_the_private_highs_binding():
             importers.append(path.name)
     assert sorted(set(importers)) == ["lp.py"]
     assert sorted(set(readers)) == ["lp.py"]
+
+
+def test_no_module_calls_linprog():
+    """Every LP is solved on ``lp``'s one HiGHS model, so no module of the
+    package calls scipy's ``linprog``: a second LP path cannot come back
+    unnoticed."""
+    callers = []
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "fairrec").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "linprog":
+                callers.append(path.name)
+    assert callers == []

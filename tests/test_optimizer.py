@@ -835,7 +835,8 @@ def test_warm_sweep_recovers_after_a_failed_gamma(monkeypatch, measure):
 
     def fail_fourth(self, b_ub):
         calls.append(1)
-        if len(calls) == 4:
+        # The first solve is IF*'s, so the fifth is the fourth gamma's.
+        if len(calls) == 5:
             return lp.LPSolution(lp.LPStatus.FAILED, message="injected failure")
         return real(self, b_ub)
 
@@ -850,52 +851,31 @@ def test_warm_sweep_recovers_after_a_failed_gamma(monkeypatch, measure):
 
 
 @LP_MEASURES
-def test_uf_star_calls_on_one_problem_share_its_program(worked_instance, monkeypatch, measure):
-    programs = []
-    real_init = lp.WarmLP.__init__
-
-    def counted_init(self, *args, **kwargs):
-        programs.append(1)
-        real_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(lp.WarmLP, "__init__", counted_init)
+def test_uf_star_calls_on_one_problem_share_its_program(worked_instance, highs_models, measure):
     p = Problem(worked_instance, measure=measure)
     first = compute_uf_star(p, 0.5)
     second = compute_uf_star(p, 0.5)
-    assert len(programs) == 1
+    # IF*'s one cold model, then the one warm program both calls re-solve.
+    assert [solver for solver, _, _ in highs_models] == ["ipm", "simplex"]
     assert abs(first.value - second.value) <= 1e-12
 
 
-def test_sum_k_sweep_is_one_warm_program_sized_by_types(monkeypatch):
+def test_sum_k_sweep_is_one_warm_program_sized_by_types(highs_models):
     """IF* is the one cold solve; every gamma < 1 re-solves one WarmLP, and
-    gamma = 1 solves one on IF*'s optimal face.  Both sizes depend on the
-    types, not on how many users each holds."""
-    cold, programs = [], []
-    real_solve, real_init = lp.solve_lp, lp.WarmLP.__init__
-
-    def counted_solve(objective, region):
-        cold.append(region.num_vars)
-        return real_solve(objective, region)
-
-    def counted_init(self, objective, region, **kwargs):
-        programs.append((region.num_vars, region.b_ub.size))
-        real_init(self, objective, region, **kwargs)
-
-    monkeypatch.setattr(lp, "solve_lp", counted_solve)
-    monkeypatch.setattr(lp.WarmLP, "__init__", counted_init)
+    gamma = 1 solves one on IF*'s optimal face.  All three sizes depend on
+    the types, not on how many users each holds."""
     rng = np.random.default_rng(20)
     types = random_positive_matrix(rng, 20, 30)
     sizes = []
     for m in (200, 20_000):
         labels = np.concatenate([np.arange(20), rng.integers(0, 20, m - 20)])
-        cold.clear()
-        programs.clear()
+        highs_models.clear()
         curve = tradeoff_sweep(
             UtilityMatrix(types[labels]), np.linspace(0.0, 1.0, 11), measure=FairnessMeasure(MeasureKind.SUM_K_MIN, 10)
         )
         assert all(r.status == "ok" for r in curve.rows)
-        assert len(cold) == 1 and len(programs) == 2
-        sizes.append(list(programs))
+        assert [solver for solver, _, _ in highs_models] == ["ipm", "simplex", "simplex"]
+        sizes.append(list(highs_models))
     assert sizes[0] == sizes[1]
 
 
@@ -941,29 +921,16 @@ def test_full_fairness_point_that_misses_if_star_fails_typed(worked_instance, mo
     assert err.value.status is lp.LPStatus.FAILED
 
 
-def test_max_min_sweep_solves_one_cold_program_and_a_small_face_program(monkeypatch):
-    """IF* is the sweep's one linprog call, and UF*(1)'s HiGHS model holds
+def test_max_min_sweep_solves_one_cold_program_and_a_small_face_program(highs_models):
+    """IF* is the sweep's one IPX model, and UF*(1)'s HiGHS model holds
     only the free columns of IF*'s optimal face, not all K*n policy entries."""
-    linprog_calls, model_columns = [], []
-    real_linprog, real_model = lp.linprog, lp._highs_lp
-
-    def counted_linprog(*args, **kwargs):
-        linprog_calls.append(1)
-        return real_linprog(*args, **kwargs)
-
-    def counted_model(cost, a, *args):
-        model_columns.append(a.shape[1])
-        return real_model(cost, a, *args)
-
-    monkeypatch.setattr(lp, "linprog", counted_linprog)
-    monkeypatch.setattr(lp, "_highs_lp", counted_model)
     k = n = 40
     curve = tradeoff_sweep(UtilityMatrix(random_positive_matrix(np.random.default_rng(40), k, n)), np.linspace(0.0, 1.0, 11))
     assert all(r.status == "ok" for r in curve.rows)
-    assert len(linprog_calls) == 1
-    # The warm UF* program over (x, t), then the program on IF*'s face.
-    assert len(model_columns) == 2 and model_columns[0] == k * n + 1
-    assert model_columns[1] <= k + n + 2
+    # IF*'s program and the warm UF* program, both over (x, t), then the program on IF*'s face.
+    assert [solver for solver, _, _ in highs_models] == ["ipm", "simplex", "simplex"]
+    assert [columns for _, columns, _ in highs_models[:2]] == [k * n + 1, k * n + 1]
+    assert highs_models[2][1] <= k + n + 2
 
 
 def _record_warm_solves(monkeypatch) -> tuple[list, list]:
