@@ -38,7 +38,6 @@ from .optimizer import (
     TradeoffRow,
     UfStarResult,
     compute_uf_star,
-    expand_policy,
     misestimated_users,
     price_of_fairness,
     price_of_misestimation,
@@ -77,7 +76,6 @@ __all__ = [
     "UfStarResult",
     "UtilityMatrix",
     "compute_uf_star",
-    "expand_policy",
     "gen_homogeneous",
     "gen_misestimation",
     "gen_two_type",

@@ -180,7 +180,7 @@ def cmd_tradeoff(args) -> int:
     # The digest of the m x n float64 bytes, fed a block of users at a time.
     digest = hashlib.sha256()
     for s in range(0, w.m, WRITE_BLOCK):
-        digest.update(w.rows_of(slice(s, s + WRITE_BLOCK)))
+        digest.update(w.rows[w.type_of[s : s + WRITE_BLOCK]])
     cfg["matrix_sha256"] = digest.hexdigest()[:16]
     header, rows = tradeoff_csv_rows(curve)
     write_rows_csv(args.out, header, rows, provenance_lines("tradeoff", cfg, getattr(args, "seed", None)))

@@ -96,8 +96,8 @@ class UtilityMatrix:
     Without it each row is one user's, and users whose rows are equal share
     a type.  Either way types are numbered in order of first occurrence and
     rows no user has are dropped, however the matrix was built.  ``values``
-    is gathered from the type rows when first read, and ``rows_of`` gives
-    some users' rows without that gather.  Matrices compare by identity.
+    is gathered from the type rows when first read.  Matrices compare by
+    identity.
     """
 
     rows: np.ndarray
@@ -140,10 +140,6 @@ class UtilityMatrix:
     @cached_property
     def values(self) -> np.ndarray:
         return _freeze(self.rows[self.type_of])
-
-    def rows_of(self, users) -> np.ndarray:
-        """The utility rows of ``users``, an index array or a slice."""
-        return self.rows[self.type_of[users]]
 
     @property
     def m(self) -> int:

@@ -159,13 +159,6 @@ def _violation(region: Region, x: np.ndarray) -> float:
     )
 
 
-def _check_objective(objective: Any, region: Region) -> np.ndarray:
-    objective = np.asarray(objective, dtype=float)
-    if objective.shape != (region.num_vars,):
-        raise ValueError(f"objective has shape {objective.shape}, expected ({region.num_vars},)")
-    return objective
-
-
 def optimal_face(region: Region, row_dual: Any, col_dual: Any) -> Region:
     """The optimal face of a maximization over ``region``, from one optimal
     dual signed for the minimized negation: ``row_dual`` starting with the
@@ -198,23 +191,19 @@ _BASIS_STATUS = (highs.HighsBasisStatus.kLower, highs.HighsBasisStatus.kBasic,
                  highs.HighsBasisStatus.kUpper, highs.HighsBasisStatus.kZero)
 
 
-def _highs_lp(cost, a: csc_array, lb, ub, row_lower, row_upper) -> tuple:
-    """HiGHS model of ``min cost @ x``, ``row_lower <= a @ x <= row_upper``,
-    ``lb <= x <= ub``, as the arguments of ``passModel``'s array form: column-wise
-    (1), minimized (1), no offset, every column continuous.  Handing HiGHS
-    arrays spares the per-entry copy into a ``HighsLp``."""
-    num_row, num_col = a.shape
-    floats = [np.ascontiguousarray(v, dtype=np.float64) for v in (cost, lb, ub, row_lower, row_upper, a.data)]
-    starts, index = (np.ascontiguousarray(v, dtype=np.int32) for v in (a.indptr, a.indices))
-    return (num_col, num_row, a.nnz, 1, 1, 0.0, *floats[:5], starts, index, floats[5], np.zeros(num_col, dtype=np.int32))
-
-
-def _silent_highs(model: tuple, **options) -> Any:
-    """A HiGHS instance holding ``model``, silenced first: HiGHS logs to fd 1."""
+def _silent_highs(cost, a: csc_array, lb, ub, row_lower, row_upper, **options) -> Any:
+    """A HiGHS instance, silenced first (HiGHS logs to fd 1), holding ``min
+    cost @ x``, ``row_lower <= a @ x <= row_upper``, ``lb <= x <= ub`` through
+    ``passModel``'s array form: column-wise (1), minimized (1), no offset,
+    every column continuous.  Arrays spare a per-entry copy into a ``HighsLp``."""
     solver = highs._Highs()
     for key, value in {"output_flag": False, "log_to_console": False, **options}.items():
         solver.setOptionValue(key, value)
-    if solver.passModel(*model) == highs.HighsStatus.kError:
+    num_row, num_col = a.shape
+    floats = [np.ascontiguousarray(v, dtype=np.float64) for v in (cost, lb, ub, row_lower, row_upper, a.data)]
+    starts, index = (np.ascontiguousarray(v, dtype=np.int32) for v in (a.indptr, a.indices))
+    if solver.passModel(num_col, num_row, a.nnz, 1, 1, 0.0, *floats[:5], starts, index, floats[5],
+                        np.zeros(num_col, dtype=np.int32)) == highs.HighsStatus.kError:
         raise ValueError("HiGHS rejected the model")
     return solver
 
@@ -233,17 +222,19 @@ class WarmLP:
     """
 
     def __init__(self, objective: np.ndarray, region: Region, *, _ipx: bool = False):
-        self.objective = objective = _check_objective(objective, region)
+        self.objective = objective = np.asarray(objective, dtype=float)
+        if objective.shape != (region.num_vars,):
+            raise ValueError(f"objective has shape {objective.shape}, expected ({region.num_vars},)")
         keep = self._keep = region.lb < region.ub
         self.region, self._base = region, np.where(keep, 0.0, region.lb)
         a = csc_array(vstack((region.a_ub, region.a_eq)))
         self._shift = a @ self._base
         lower = np.concatenate([np.full(region.b_ub.size, -np.inf), region.b_eq]) - self._shift
         upper = np.concatenate([region.b_ub, region.b_eq]) - self._shift
-        model = _highs_lp(-objective[keep], a[:, keep], region.lb[keep], region.ub[keep], lower, upper)
         # Presolve removes nothing from the IPX programs; it only costs time.
         method = {"solver": "ipm", "presolve": "off"} if _ipx else {"solver": "simplex"}
-        self._highs = _silent_highs(model, **method, simplex_strategy=1,
+        self._highs = _silent_highs(-objective[keep], a[:, keep], region.lb[keep], region.ub[keep], lower, upper,
+                                    **method, simplex_strategy=1,
                                     primal_feasibility_tolerance=FEAS_TOL, dual_feasibility_tolerance=OPT_TOL)
 
     def solve(self, b_ub: Any) -> LPSolution:
@@ -256,9 +247,12 @@ class WarmLP:
         status = self._highs.getModelStatus()
         message = self._highs.modelStatusToString(status)
         info = self._highs.getInfo()
-        # Each method counts in its own field and leaves the other at 0.
-        iterations = info.simplex_iteration_count or info.ipm_iteration_count
-        if status != highs.HighsModelStatus.kOptimal:
+        # Each method counts in its own field and leaves the other at 0; an
+        # empty model, every column fixed, reports -1 in both.  Its one point
+        # is the fixed one: optimal if it meets the rows, else infeasible.
+        iterations = max(info.simplex_iteration_count or info.ipm_iteration_count, 0)
+        empty = status == highs.HighsModelStatus.kModelEmpty
+        if status != highs.HighsModelStatus.kOptimal and not empty:
             solution = LPSolution(_HIGHS_STATUS.get(status, LPStatus.FAILED), message=message)
         else:
             x = self._base.copy()
@@ -268,7 +262,8 @@ class WarmLP:
                 vertex = info.basis_validity == highs.kBasisValidityValid
                 return LPSolution(LPStatus.OPTIMAL, x, float(self.objective @ x), vertex, message, iterations=iterations)
             solution = LPSolution(
-                LPStatus.FAILED, message=f"reported optimum violates constraints by {viol:.3e}"
+                LPStatus.INFEASIBLE if empty else LPStatus.FAILED,
+                message=f"{'the fixed point' if empty else 'reported optimum'} violates constraints by {viol:.3e}",
             )
         # A basis that ended anywhere but at a checked optimum is no start.
         self.clear_basis()
@@ -283,7 +278,11 @@ class WarmLP:
         variables and rows of ``[a_ub; a_eq]`` are basic.  Every other row
         sits at its bound (a ``<=`` row at b_ub), every other variable at its
         lower bound, or at zero if that is -inf.  Raises LPSolverError with
-        status FAILED if HiGHS rejects the basis."""
+        status FAILED if HiGHS rejects the basis.  HiGHS rejects only a basis
+        with the wrong number of basic variables: it takes a square but
+        singular one and repairs it inside ``run()``, so a wrong start costs
+        iterations only, and iterations where none were due (at gamma = 0,
+        say) are its one trace."""
         cols = np.where(np.isfinite(self.region.lb), 0, 3)
         rows = np.repeat([2, 0], [self.region.b_ub.size, self.region.b_eq.size])
         cols[basic_cols], rows[basic_rows] = 1, 1
@@ -321,10 +320,9 @@ def solve_qp(c: np.ndarray, g: np.ndarray, h: np.ndarray) -> tuple[LPSolution, f
     |z + c - g.T @ y|, sign max(y, 0) or complementarity |y (g @ z - h)| error."""
     d = c.size
     inf = np.full(d, np.inf)
-    model = _highs_lp(c, csc_array(g), -inf, inf, np.full(h.size, -np.inf), h)
     # The identity Hessian (lower-triangular, format 1) is positive definite,
     # so HiGHS's default 1e-7 regularization would only move the answer.
-    solver = _silent_highs(model, qp_regularization_value=0.0)
+    solver = _silent_highs(c, csc_array(g), -inf, inf, np.full(h.size, -np.inf), h, qp_regularization_value=0.0)
     diagonal = np.arange(d + 1, dtype=np.int32)
     solver.passHessian(d, d, 1, diagonal, diagonal[:d], np.ones(d))
     solver.run()

@@ -99,13 +99,6 @@ def _coefficient_rows(coef: np.ndarray, by_item: bool = False) -> coo_array:
     return coo_array((coef.ravel(), (row, idx)), shape=(num_rows, k * n))
 
 
-def _validate_measure(measure: FairnessMeasure, m: int, n: int) -> None:
-    if measure.k > m:
-        raise ValueError(f"k = {measure.k} exceeds the population of {m} users")
-    if measure.k > n:
-        raise ValueError(f"k = {measure.k} exceeds the catalog of {n} items")
-
-
 def _tie_break(tie_break, measure: FairnessMeasure) -> TieBreak:
     tie_break = TieBreak(tie_break)
     if tie_break is TieBreak.CANONICAL and measure.kind is not MeasureKind.MAX_MIN:
@@ -176,7 +169,10 @@ class Problem:
     favourite_rows: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        _validate_measure(self.measure, self.w.m, self.w.n)
+        if self.measure.k > self.w.m:
+            raise ValueError(f"k = {self.measure.k} exceeds the population of {self.w.m} users")
+        if self.measure.k > self.w.n:
+            raise ValueError(f"k = {self.measure.k} exceeds the catalog of {self.w.n} items")
         model = self.model or ItemUtilityModel()
         counts = reduce_by_types(self.w)
         wt, (k, n) = self.w.rows, self.w.rows.shape

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import _check_values
+from .analytic import MisestSpec, TwoTypeSpec
 from .core import UtilityMatrix
 
 
@@ -32,9 +32,7 @@ def gen_homogeneous(v, m: int) -> UtilityMatrix:
 
 def gen_two_type(v, alpha: float, m: int) -> UtilityMatrix:
     """Mirrored two-type population: round-half-up(alpha*m) rows of v, the rest reversed."""
-    v = _check_values(v)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
+    v = TwoTypeSpec(v, alpha).v
     if m < 2:
         raise ValueError(f"a two-type population needs at least 2 users, got {m}")
     n1 = _round_half_up(alpha * m)
@@ -65,9 +63,7 @@ def gen_misestimation(v, beta: float, m: int, seed: int = 0) -> MisestimationDat
     and nothing else.  ``w`` holds the true types, v and v reversed, and
     ``w_hat`` the estimated ones, which add their average.
     """
-    v = _check_values(v)
-    if not 0.0 < beta < 0.5:
-        raise ValueError(f"beta must lie strictly in (0, 1/2), got {beta}")
+    v = MisestSpec(v, beta).v
     nk = _round_half_up(beta * m)
     cold = m - 2 * nk
     if nk < 1:

@@ -5,6 +5,7 @@ per series, a small legend.  Output is deterministic for identical input.
 """
 from __future__ import annotations
 
+from itertools import groupby
 from math import isfinite
 from xml.sax.saxutils import escape
 
@@ -87,17 +88,10 @@ def line_chart(
         )
     for idx, (name, ys) in enumerate(series.items()):
         color = COLORS[idx % len(COLORS)]
-        run = []
-        chunks = []
-        for xv, yv in zip(x, ys):
-            if isfinite(yv):
-                run.append(f"{px(xv):.2f},{py(float(yv)):.2f}")
-            elif run:
-                chunks.append(run)
-                run = []
-        if run:
-            chunks.append(run)
-        for chunk in chunks:
+        for finite, run in groupby(zip(x, ys), key=lambda p: isfinite(p[1])):
+            if not finite:
+                continue
+            chunk = [f"{px(xv):.2f},{py(float(yv)):.2f}" for xv, yv in run]
             if len(chunk) == 1:
                 cx, cy = chunk[0].split(",")
                 out.append(f'<circle cx="{cx}" cy="{cy}" r="3" fill="{color}"/>')

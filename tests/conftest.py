@@ -29,9 +29,9 @@ def highs_models(monkeypatch):
 
     models, real = [], lp._silent_highs
 
-    def recorded(model, **options):
-        models.append((options.get("solver"), model[0], model[1]))
-        return real(model, **options)
+    def recorded(cost, a, *bounds, **options):
+        models.append((options.get("solver"), a.shape[1], a.shape[0]))
+        return real(cost, a, *bounds, **options)
 
     monkeypatch.setattr(lp, "_silent_highs", recorded)
     return models

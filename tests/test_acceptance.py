@@ -21,7 +21,6 @@ from fairrec.optimizer import (
     Scope,
     TieBreak,
     compute_uf_star,
-    expand_policy,
     price_of_fairness,
     price_of_misestimation,
     tradeoff_sweep,
@@ -54,7 +53,7 @@ def test_criterion_01_unconstrained_optimum_is_perfect_and_deterministic():
         res = compute_uf_star(problem, 0.0)
         worst_value_gap = max(worst_value_gap, abs(res.value - 1.0))
         favorites = np.argmax(w.values, axis=1)
-        mass = RecommendationPolicy(expand_policy(res.rows_by_type, problem.w)).rows[np.arange(m), favorites]
+        mass = RecommendationPolicy(res.rows_by_type[problem.w.type_of]).rows[np.arange(m), favorites]
         worst_favorite_mass = min(worst_favorite_mass, float(mass.min()))
     elapsed = time.perf_counter() - t0
     ok = worst_value_gap < 1e-9 and worst_favorite_mass > 1.0 - 1e-9 and elapsed < 10.0
@@ -80,7 +79,7 @@ def test_criterion_02_item_optimum_equalizes_item_utilities():
     for w in instances:
         problem = Problem(w)
         res = problem.if_star
-        i_vals = item_utility_vector(RecommendationPolicy(expand_policy(res.rows_by_type, problem.w)), w)
+        i_vals = item_utility_vector(RecommendationPolicy(res.rows_by_type[problem.w.type_of]), w)
         worst = max(worst, float(i_vals.max() - i_vals.min()))
     report(
         "criterion 2: all items collect equal utility at the item optimum",

@@ -31,7 +31,7 @@ SIMPLEX2 = simplex(2)
 
 
 def test_maxmin_of_coordinates_on_simplex_is_half():
-    value, point, _ = solve_maxmin_linear(np.eye(2), SIMPLEX2)
+    value, point, _ = sum_k_smallest_epigraph(np.eye(2), 1, SIMPLEX2)
     assert abs(value - 0.5) < 1e-12
     assert np.allclose(point, [0.5, 0.5], atol=1e-12)
 
@@ -50,7 +50,7 @@ def test_infeasible_program_raises_with_status():
     # x >= 2 and x <= 1
     region = Region(1, a_ub=[[-1.0], [1.0]], b_ub=[-2.0, 1.0])
     with pytest.raises(LPSolverError) as err:
-        solve_maxmin_linear(np.array([[1.0]]), region)
+        sum_k_smallest_epigraph(np.array([[1.0]]), 1, region)
     assert err.value.status is LPStatus.INFEASIBLE
 
 
@@ -62,8 +62,8 @@ def test_unbounded_program_is_reported():
 def test_identical_instances_solve_bitwise_identically():
     rng = np.random.default_rng(11)
     rows = rng.uniform(0.0, 1.0, size=(5, 4))
-    _, p1, _ = solve_maxmin_linear(rows, simplex(4))
-    _, p2, _ = solve_maxmin_linear(rows.copy(), simplex(4))
+    _, p1, _ = sum_k_smallest_epigraph(rows, 1, simplex(4))
+    _, p2, _ = sum_k_smallest_epigraph(rows.copy(), 1, simplex(4))
     assert np.array_equal(p1, p2)
 
 
@@ -84,7 +84,7 @@ def test_maxmin_matches_dense_grid_search(seed):
     rng = np.random.default_rng(seed)
     n = rng.integers(2, 5)
     rows = rng.uniform(0.0, 1.0, size=(rng.integers(2, 7), n))
-    value, point, _ = solve_maxmin_linear(rows, simplex(n))
+    value, point, _ = sum_k_smallest_epigraph(rows, 1, simplex(n))
     step = 0.005 if n <= 3 else 0.02
     grid_value = grid_maxmin(rows, simplex_grid(int(n), step))
     # every grid point is feasible, and the grid is step-dense in L1
@@ -109,7 +109,7 @@ def test_reported_values_are_attained_by_returned_points(seed):
     rng = np.random.default_rng(200 + seed)
     rows = rng.uniform(0.0, 1.0, size=(5, 4))
     region = simplex(4)
-    value, point, _ = solve_maxmin_linear(rows, region)
+    value, point, _ = sum_k_smallest_epigraph(rows, 1, region)
     assert value == float(np.min(rows @ point))
     value, point, _ = sum_k_smallest_epigraph(rows, 2, region)
     assert value == float(np.sort(rows @ point)[:2].sum())
@@ -130,7 +130,7 @@ def test_constraint_validation():
 
 def test_var_bounds_are_honored():
     region = Region(2, a_eq=[[1.0, 1.0]], b_eq=[1.0], lb=[0.3, 0.0])
-    value, point, _ = solve_maxmin_linear(np.array([[0.0, 1.0]]), region)
+    value, point, _ = sum_k_smallest_epigraph(np.array([[0.0, 1.0]]), 1, region)
     assert abs(point[0] - 0.3) < 1e-12
     assert abs(value - 0.7) < 1e-12
 
@@ -138,13 +138,13 @@ def test_var_bounds_are_honored():
 def test_sum_k_floor_keeps_smallest_rows_above_bound():
     # Every coordinate must stay at 0.3 or more, so x0 tops out at 0.7.
     region = sum_k_smallest_floor(np.eye(2), 1, 0.3, SIMPLEX2)
-    value, point, _ = solve_maxmin_linear(np.eye(region.num_vars)[:1], region)
+    value, point, _ = sum_k_smallest_epigraph(np.eye(region.num_vars)[:1], 1, region)
     assert abs(value - 0.7) < 1e-12
     assert abs(point[1] - 0.3) < 1e-12
     # The two smallest coordinates sum to 1 on the simplex; a floor above that is empty.
     with pytest.raises(LPSolverError) as err:
         region = sum_k_smallest_floor(np.eye(2), 2, 1.5, SIMPLEX2)
-        solve_maxmin_linear(np.eye(region.num_vars)[:1], region)
+        sum_k_smallest_epigraph(np.eye(region.num_vars)[:1], 1, region)
     assert err.value.status is LPStatus.INFEASIBLE
 
 
@@ -213,6 +213,20 @@ def test_warm_program_substitutes_fixed_columns_out():
         assert np.allclose(sol.point, [b - 0.8, 1.8 - b, 0.8], atol=1e-12)
         assert abs(sol.value - solve_lp(np.array([1.0, 0.0, 0.0]), replace(region, b_ub=[b])).value) < 1e-12
     assert np.array_equal(warm.optimal_face().lb, [0.0, 0.0, 0.8])
+
+
+def test_program_with_every_variable_fixed_solves_at_the_fixed_point():
+    # Every column is substituted out, so HiGHS holds a model with no columns.
+    region = Region(2, a_eq=[[1.0, 1.0]], b_eq=[1.0], lb=[0.5, 0.5], ub=[0.5, 0.5])
+    sol = solve_lp(np.array([1.0, 2.0]), region)
+    assert sol.status is LPStatus.OPTIMAL
+    assert np.array_equal(sol.point, [0.5, 0.5]) and sol.value == 1.5
+    assert _violation(sol.face, sol.point) == 0.0
+    assert solve_lp(np.array([1.0, 2.0]), replace(region, b_eq=[2.0])).status is LPStatus.INFEASIBLE
+    # A warm program: x0 + x1 <= b holds the fixed point for b = 1.5, not for b = 0.5.
+    warm = WarmLP(np.ones(2), Region(2, a_ub=[[1.0, 1.0]], b_ub=[1.5], lb=[0.5, 0.5], ub=[0.5, 0.5]))
+    assert [warm.solve([b]).status for b in (1.5, 0.5, 1.5)] == [LPStatus.OPTIMAL, LPStatus.INFEASIBLE,
+                                                                   LPStatus.OPTIMAL]
 
 
 def test_start_from_the_optimal_basis_takes_no_iterations():
@@ -300,8 +314,8 @@ def test_highs_runs_at_the_tolerances_of_the_solver_contract(monkeypatch):
     monkeypatch.setattr(lp, "OPT_TOL", 2e-7)
     made, real_highs = [], lp._silent_highs
 
-    def silent_highs(model, **kwargs):
-        made.append(real_highs(model, **kwargs))
+    def silent_highs(*model, **kwargs):
+        made.append(real_highs(*model, **kwargs))
         return made[-1]
 
     monkeypatch.setattr(lp, "_silent_highs", silent_highs)
@@ -350,3 +364,16 @@ def test_no_module_calls_linprog():
             if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "linprog":
                 callers.append(path.name)
     assert callers == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """No module of the package imports a ``_``-prefixed name from another
+    of its modules, so each rule has one owner that others reach through
+    its public names (dunders such as ``__version__`` are public)."""
+    imports = []
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "fairrec").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("fairrec")):
+                imports += [(path.name, alias.name) for alias in node.names
+                            if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert imports == []

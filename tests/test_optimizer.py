@@ -115,7 +115,7 @@ def test_worked_instance_item_optimum(worked_instance):
     problem = Problem(worked_instance)
     res = problem.if_star
     assert abs(res.value - 3.0 / 7.0) < 1e-9
-    i_vals = item_utility_vector(RecommendationPolicy(expand_policy(res.rows_by_type, problem.w)), worked_instance)
+    i_vals = item_utility_vector(RecommendationPolicy(res.rows_by_type[problem.w.type_of]), worked_instance)
     assert np.allclose(i_vals, 3.0 / 7.0, atol=1e-7)
     assert res.lp_solution is not None and res.lp_solution.is_vertex
 
@@ -304,7 +304,7 @@ def test_item_equality_at_item_optimum():
         w = UtilityMatrix(random_positive_matrix(rng, 7, 4))
         problem = Problem(w)
         res = problem.if_star
-        i_vals = item_utility_vector(RecommendationPolicy(expand_policy(res.rows_by_type, problem.w)), w)
+        i_vals = item_utility_vector(RecommendationPolicy(res.rows_by_type[problem.w.type_of]), w)
         assert i_vals.max() - i_vals.min() < 1e-6
 
 
@@ -315,7 +315,7 @@ def test_constraint_target_is_met_along_gamma():
     for gamma in (0.3, 0.8, 1.0):
         problem = Problem(w)
         res = compute_uf_star(problem, gamma)
-        achieved = item_utility_vector(RecommendationPolicy(expand_policy(res.rows_by_type, problem.w)), w).min()
+        achieved = item_utility_vector(RecommendationPolicy(res.rows_by_type[problem.w.type_of]), w).min()
         assert achieved >= gamma * if_star - 1e-6
 
 
@@ -429,7 +429,7 @@ def test_nash_constrained_curve_on_worked_instance(worked_instance):
         values.append(res.value)
         if gamma > 0:
             # certificate: scaled item log-welfare stays above the target
-            policy = RecommendationPolicy(expand_policy(res.rows_by_type, problem.w))
+            policy = RecommendationPolicy(res.rows_by_type[problem.w.type_of])
             i_vals = item_utility_vector(policy, worked_instance)
             assert np.log(i_vals).sum() >= res.if_target - 1e-6 * (1 + abs(res.if_target))
     assert abs(values[0]) < 1e-12
@@ -688,7 +688,7 @@ def test_sweep_records_failures_and_continues(worked_instance, monkeypatch):
 def test_policies_evaluate_consistently(worked_instance):
     problem = Problem(worked_instance)
     res = compute_uf_star(problem, 1.0)
-    u = user_utility_vector(RecommendationPolicy(expand_policy(res.rows_by_type, problem.w)), worked_instance)
+    u = user_utility_vector(RecommendationPolicy(res.rows_by_type[problem.w.type_of]), worked_instance)
     assert abs(u.min() - res.value) < 1e-9
 
 
@@ -1045,8 +1045,8 @@ def _per_user_pom(w, w_hat, gamma, scope, measure, tie_break=TieBreak.SOLVER):
     ref_p, est_p = Problem(w, measure=measure), Problem(w_hat, measure=measure)
     ref = compute_uf_star(ref_p, gamma, tie_break=tie_break)
     est = compute_uf_star(est_p, gamma, tie_break=tie_break)
-    u_ref = user_utility_vector(RecommendationPolicy(expand_policy(ref.rows_by_type, ref_p.w)), w)
-    u_est = user_utility_vector(RecommendationPolicy(expand_policy(est.rows_by_type, est_p.w)), w)
+    u_ref = user_utility_vector(RecommendationPolicy(ref.rows_by_type[ref_p.w.type_of]), w)
+    u_est = user_utility_vector(RecommendationPolicy(est.rows_by_type[est_p.w.type_of]), w)
     if scope is Scope.MISESTIMATED_GROUP:
         group = misestimated_users(w, w_hat)
         u_ref, u_est = u_ref[group], u_est[group]
