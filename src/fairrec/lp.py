@@ -31,6 +31,7 @@ iterations HiGHS took and whether HiGHS holds a valid basis for it.
 """
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any
@@ -38,7 +39,7 @@ from typing import Any
 import numpy as np
 from scipy.optimize import linprog  # noqa: F401  Unused; perfbench wraps ``lp.linprog`` by name.
 from scipy.optimize._highspy import _core as highs
-from scipy.sparse import coo_array, csc_array, issparse, vstack
+from scipy.sparse import coo_array, csc_array, issparse
 
 # Feasibility and optimality tolerances of the solver contract.
 FEAS_TOL = 1e-7
@@ -151,10 +152,10 @@ def _violation(region: Region, x: np.ndarray) -> float:
     """Largest constraint or bound violation at x."""
     return float(
         max(
-            np.max(region.a_ub @ x - region.b_ub, initial=0.0),
-            np.max(np.abs(region.a_eq @ x - region.b_eq), initial=0.0),
-            np.max(region.lb - x, initial=0.0),
-            np.max(x - region.ub, initial=0.0),
+            (region.a_ub @ x - region.b_ub).max(initial=0.0),
+            np.abs(region.a_eq @ x - region.b_eq).max(initial=0.0),
+            (region.lb - x).max(initial=0.0),
+            (x - region.ub).max(initial=0.0),
         )
     )
 
@@ -165,15 +166,25 @@ def optimal_face(region: Region, row_dual: Any, col_dual: Any) -> Region:
     ``<=`` rows', ``col_dual`` the reduced costs.  By complementary slackness
     it is the feasible set with each ``<=`` row of nonzero dual made an
     equality and each variable of nonzero reduced cost fixed at its bound.
-    A zero dual read as nonzero would cut the face, so FACE_TOL stays small."""
+    A zero dual read as nonzero would cut the face, so FACE_TOL stays small.
+    The tight rows follow the equalities, entries row by row as in CSR."""
     tight = np.abs(np.asarray(row_dual)[: region.b_ub.size]) > FACE_TOL
     cost = np.asarray(col_dual)
     bound = np.where(cost > 0, region.lb, region.ub)
     fixed = (np.abs(cost) > FACE_TOL) & np.isfinite(bound)
-    a_ub = region.a_ub.tocsr()
+    eq, ub, nv = region.a_eq, region.a_ub, region.num_vars
+    order = np.lexsort((ub.col, ub.row))
+    row, col, data = ub.row[order], ub.col[order], ub.data[order]
+    moved, num_tight = tight[row], int(tight.sum())
+    # Each <= row's number in the face: below the equalities if tight, else among the loose rows.
+    row = np.where(tight, np.cumsum(tight) - 1 + eq.shape[0], np.cumsum(~tight) - 1)[row]
+    a_eq = coo_array((np.concatenate([eq.data, data[moved]]),
+                      (np.concatenate([eq.row, row[moved]]), np.concatenate([eq.col, col[moved]]))),
+                     shape=(eq.shape[0] + num_tight, nv))
+    a_ub = coo_array((data[~moved], (row[~moved], col[~moved])), shape=(ub.shape[0] - num_tight, nv))
     return Region(
-        region.num_vars, vstack((region.a_eq, a_ub[tight])), np.concatenate([region.b_eq, region.b_ub[tight]]),
-        a_ub[~tight], region.b_ub[~tight], np.where(fixed, bound, region.lb), np.where(fixed, bound, region.ub),
+        nv, a_eq, np.concatenate([region.b_eq, region.b_ub[tight]]),
+        a_ub, region.b_ub[~tight], np.where(fixed, bound, region.lb), np.where(fixed, bound, region.ub),
     )
 
 
@@ -191,18 +202,18 @@ _BASIS_STATUS = (highs.HighsBasisStatus.kLower, highs.HighsBasisStatus.kBasic,
                  highs.HighsBasisStatus.kUpper, highs.HighsBasisStatus.kZero)
 
 
-def _silent_highs(cost, a: csc_array, lb, ub, row_lower, row_upper, **options) -> Any:
+def _silent_highs(cost, lb, ub, row_lower, row_upper, starts, index, value, **options) -> Any:
     """A HiGHS instance, silenced first (HiGHS logs to fd 1), holding ``min
     cost @ x``, ``row_lower <= a @ x <= row_upper``, ``lb <= x <= ub`` through
-    ``passModel``'s array form: column-wise (1), minimized (1), no offset,
-    every column continuous.  Arrays spare a per-entry copy into a ``HighsLp``."""
+    ``passModel``'s array form: column-wise (1), ``a`` as CSC arrays, minimized
+    (1), no offset, every column continuous.  Arrays spare a per-entry copy into a ``HighsLp``."""
     solver = highs._Highs()
-    for key, value in {"output_flag": False, "log_to_console": False, **options}.items():
-        solver.setOptionValue(key, value)
-    num_row, num_col = a.shape
-    floats = [np.ascontiguousarray(v, dtype=np.float64) for v in (cost, lb, ub, row_lower, row_upper, a.data)]
-    starts, index = (np.ascontiguousarray(v, dtype=np.int32) for v in (a.indptr, a.indices))
-    if solver.passModel(num_col, num_row, a.nnz, 1, 1, 0.0, *floats[:5], starts, index, floats[5],
+    for key, setting in {"output_flag": False, "log_to_console": False, **options}.items():
+        solver.setOptionValue(key, setting)
+    num_col, num_row = len(cost), len(row_lower)
+    floats = [np.ascontiguousarray(v, dtype=np.float64) for v in (cost, lb, ub, row_lower, row_upper, value)]
+    starts, index = (np.ascontiguousarray(v, dtype=np.int32) for v in (starts, index))
+    if solver.passModel(num_col, num_row, index.size, 1, 1, 0.0, *floats[:5], starts, index, floats[5],
                         np.zeros(num_col, dtype=np.int32)) == highs.HighsStatus.kError:
         raise ValueError("HiGHS rejected the model")
     return solver
@@ -227,22 +238,34 @@ class WarmLP:
             raise ValueError(f"objective has shape {objective.shape}, expected ({region.num_vars},)")
         keep = self._keep = region.lb < region.ub
         self.region, self._base = region, np.where(keep, 0.0, region.lb)
-        a = csc_array(vstack((region.a_ub, region.a_eq)))
-        self._shift = a @ self._base
-        lower = np.concatenate([np.full(region.b_ub.size, -np.inf), region.b_eq]) - self._shift
+        ub, eq = region.a_ub, region.a_eq
+        num_row = ub.shape[0] + eq.shape[0]
+        # The entries of [a_ub; a_eq] as CSC holds them: by column, then row, duplicates summed.
+        key, entry = np.unique(np.concatenate([ub.col, eq.col]).astype(np.int64) * num_row
+                               + np.concatenate([ub.row, eq.row + ub.shape[0]]), return_inverse=True)
+        data = np.bincount(entry, weights=np.concatenate([ub.data, eq.data]), minlength=key.size)
+        col, row = np.divmod(key, num_row)
+        # Each row sums its columns in turn, as a CSC matvec does.
+        self._shift = np.bincount(row, weights=data * self._base[col], minlength=num_row)
+        lower = np.concatenate([np.full(ub.shape[0], -np.inf), region.b_eq]) - self._shift
         upper = np.concatenate([region.b_ub, region.b_eq]) - self._shift
+        starts, kept = np.concatenate([[0], np.bincount(col, minlength=keep.size)[keep].cumsum()]), keep[col]
         # Presolve removes nothing from the IPX programs; it only costs time.
         method = {"solver": "ipm", "presolve": "off"} if _ipx else {"solver": "simplex"}
-        self._highs = _silent_highs(-objective[keep], a[:, keep], region.lb[keep], region.ub[keep], lower, upper,
-                                    **method, simplex_strategy=1,
+        self._highs = _silent_highs(-objective[keep], region.lb[keep], region.ub[keep], lower, upper,
+                                    starts, row[kept], data[kept], **method, simplex_strategy=1,
                                     primal_feasibility_tolerance=FEAS_TOL, dual_feasibility_tolerance=OPT_TOL)
 
     def solve(self, b_ub: Any) -> LPSolution:
         """Maximize over the region with its ``<=`` right-hand sides set to b_ub."""
-        region = replace(self.region, b_ub=np.array(b_ub, dtype=float))
-        for row in np.flatnonzero(region.b_ub != self.region.b_ub):
-            self._highs.changeRowBounds(int(row), -np.inf, float(region.b_ub[row] - self._shift[row]))
-        self.region = region
+        b_ub, old = np.array(b_ub, dtype=float), self.region.b_ub
+        if b_ub.shape != old.shape:
+            raise ValueError(f"b_ub has shape {b_ub.shape}, expected {old.shape}")
+        for row in np.flatnonzero(b_ub != old):
+            self._highs.changeRowBounds(int(row), -np.inf, float(b_ub[row] - self._shift[row]))
+        # The region with b_ub swapped in; the rest of it was checked at build.
+        self.region = copy(self.region)
+        object.__setattr__(self.region, "b_ub", b_ub)
         self._highs.run()
         status = self._highs.getModelStatus()
         message = self._highs.modelStatusToString(status)
@@ -322,7 +345,9 @@ def solve_qp(c: np.ndarray, g: np.ndarray, h: np.ndarray) -> tuple[LPSolution, f
     inf = np.full(d, np.inf)
     # The identity Hessian (lower-triangular, format 1) is positive definite,
     # so HiGHS's default 1e-7 regularization would only move the answer.
-    solver = _silent_highs(c, csc_array(g), -inf, inf, np.full(h.size, -np.inf), h, qp_regularization_value=0.0)
+    a = csc_array(g)
+    solver = _silent_highs(c, -inf, inf, np.full(h.size, -np.inf), h, a.indptr, a.indices, a.data,
+                           qp_regularization_value=0.0)
     diagonal = np.arange(d + 1, dtype=np.int32)
     solver.passHessian(d, d, 1, diagonal, diagonal[:d], np.ones(d))
     solver.run()

@@ -12,6 +12,7 @@ the benchmark under ``perfbench/`` wraps it; nothing in this package calls it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -100,7 +101,7 @@ class ConcaveResult:
 def _fw_gap(grad: np.ndarray, x: np.ndarray, shape: tuple[int, int]) -> float:
     """max over the simplex rows of grad . (y - x): the Frank-Wolfe gap at x."""
     g, xr = grad.reshape(shape), x.reshape(shape)
-    return float(np.sum(g.max(axis=1) - np.einsum("ij,ij->i", g, xr)))
+    return float((g.max(axis=1) - np.einsum("ij,ij->i", g, xr)).sum())
 
 
 def _normalize_rows(x: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -132,14 +133,14 @@ def _newton_step(x, shape, t, f, floor=None):
         a, wa, ax, slack, rho = floor
         cols.append(a.T * (np.sqrt(rho * wa / slack) / ax))
         h.append(np.zeros(wa.size))
-    w = (x[:, None] * np.hstack(cols)).reshape(k, n, -1)
+    w = (x[:, None] * np.concatenate(cols, axis=1)).reshape(k, n, -1)
     # Householder vector per row, x_k / |x_k| + e_1 scaled to norm sqrt(2):
     # its reflection sends x_k to a multiple of e_1, so the other n - 1
     # coordinates span the null space of x_k . u_k = 0.
     xr = x.reshape(k, n)
-    refl = xr / np.linalg.norm(xr, axis=1, keepdims=True)
+    refl = xr / np.sqrt((xr * xr).sum(axis=1, keepdims=True))
     refl[:, 0] += 1.0
-    refl *= np.sqrt(2.0) / np.linalg.norm(refl, axis=1, keepdims=True)
+    refl *= np.sqrt(2.0) / np.sqrt((refl * refl).sum(axis=1, keepdims=True))
     w = (w - refl[:, :, None] * np.einsum("kj,kjm->km", refl, w)[:, None, :])[:, 1:, :].reshape(k * (n - 1), -1)
     one = (1.0 - refl * refl.sum(axis=1, keepdims=True))[:, 1:].ravel()
     basis, sv, vt = np.linalg.svd(w, full_matrices=False)
@@ -155,7 +156,7 @@ def _newton_step(x, shape, t, f, floor=None):
         h_z = np.concatenate([np.zeros(c.size), np.sqrt(wa * slack / rho)])
         z, proj = w @ h_z, vt @ h_z
         az = basis @ (sv / (1.0 + sv**2) * proj)  # (I + W W^T)^-1 z
-        den = slack**2 / rho + float(np.sum(shrink * proj**2))
+        den = slack**2 / rho + float((shrink * proj**2).sum())
         red += az * ((slack - z @ red) / den)
     # One round of iterative refinement.  The residual is grouped so that its
     # rounding lies in the stiff directions, which the solve damps.
@@ -166,7 +167,7 @@ def _newton_step(x, shape, t, f, floor=None):
     if floor is not None:
         corr -= az * ((z @ corr) / den)
     red += corr
-    red = np.hstack([np.zeros((k, 1)), red.reshape(k, n - 1)])
+    red = np.concatenate([np.zeros((k, 1)), red.reshape(k, n - 1)], axis=1)
     u = (red - refl * np.einsum("kj,kj->k", refl, red)[:, None]).ravel()
     dx = x * u
     r_f = (b @ dx) / bx
@@ -177,6 +178,8 @@ def _newton_step(x, shape, t, f, floor=None):
     return dx, decrement
 
 
+# A trial step may leave the log domain: its d_phi is then not finite, and the step halves.
+@np.errstate(invalid="ignore", divide="ignore")
 def nash_concave_solve(
     objective: LogObjective,
     shape: tuple[int, int],
@@ -257,16 +260,15 @@ def nash_concave_solve(
         dx, decrement = _newton_step(x, shape, t, (b, c, bx), floor)
         # Backtracking line search on phi = -t F - sum log x - rho log(G - tau).
         neg = dx < 0
-        step = min(1.0, 0.99 * float(np.min(-x[neg] / dx[neg]))) if neg.any() else 1.0
+        step = min(1.0, 0.99 * float((-x[neg] / dx[neg]).min())) if neg.any() else 1.0
         while step >= MIN_STEP:
             d = step * dx
-            d -= x * np.repeat(d.reshape(k, n).sum(axis=1), n)  # keep each row's sum
-            with np.errstate(invalid="ignore", divide="ignore"):
-                d_phi = -t * float(c @ np.log1p((b @ d) / bx)) - float(np.sum(np.log1p(d / x)))
-                if floor is not None:
-                    d_g = float(wa @ np.log1p((a @ d) / ax))
-                    d_phi -= rho * np.log1p(d_g / slack)
-            if np.isfinite(d_phi) and (polish or d_phi <= -ARMIJO * step * decrement):
+            d -= x * d.reshape(k, n).sum(axis=1).repeat(n)  # keep each row's sum
+            d_phi = -t * float(c @ np.log1p((b @ d) / bx)) - float(np.log1p(d / x).sum())
+            if floor is not None:
+                d_g = float(wa @ np.log1p((a @ d) / ax))
+                d_phi -= rho * np.log1p(d_g / slack)
+            if isfinite(d_phi) and (polish or d_phi <= -ARMIJO * step * decrement):
                 break
             step *= 0.5
         else:

@@ -287,13 +287,19 @@ def _argmax_mixing_rows(wt: np.ndarray) -> np.ndarray:
     return ties / ties.sum(axis=1, keepdims=True)
 
 
+def _null_space(a: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of a's null space by one SVD, at np.linalg.matrix_rank's default tolerance."""
+    _, sv, vt = np.linalg.svd(a)
+    return vt[np.count_nonzero(sv > sv.max(initial=0.0) * (max(a.shape) * np.finfo(float).eps)) :].T
+
+
 def min_norm_face_point(
     target: np.ndarray, face: lp.Region, point: np.ndarray, gamma: float
 ) -> np.ndarray:
     """Nearest point to ``target`` of ``face``, with the variables past
     ``target`` (the epigraph t) held at their values in ``point``.
 
-    An orthonormal null-space basis N (by SVD) of the face's equalities on
+    An orthonormal null-space basis N (by one SVD) of the face's equalities on
     the free entries writes their affine set as ``point + N z``.  An empty N
     means the face is the vertex ``point``.  If the projection of ``target``
     onto the affine set meets every inequality, it is the answer; otherwise
@@ -303,8 +309,12 @@ def min_norm_face_point(
     """
     n = target.size
     free = np.flatnonzero(face.lb[:n] < face.ub[:n])
-    eq = face.a_eq.tocsc()[:, free].toarray()
-    basis = np.linalg.svd(eq)[2][np.linalg.matrix_rank(eq) :].T
+    a, column = face.a_eq, np.full(face.num_vars, -1)
+    column[free] = np.arange(free.size)
+    on = column[a.col] >= 0
+    eq = np.zeros((a.shape[0], free.size))
+    np.add.at(eq, (a.row[on], column[a.col[on]]), a.data[on])
+    basis = _null_space(eq)
     x, proj = np.array(point, dtype=float), np.array(point, dtype=float)
     proj[free] += basis @ (basis.T @ (target[free] - x[free]))
     if basis.shape[1] == 0 or lp._violation(face, proj) <= lp.FACE_TOL:

@@ -29,9 +29,9 @@ def highs_models(monkeypatch):
 
     models, real = [], lp._silent_highs
 
-    def recorded(cost, a, *bounds, **options):
-        models.append((options.get("solver"), a.shape[1], a.shape[0]))
-        return real(cost, a, *bounds, **options)
+    def recorded(cost, lb, ub, row_lower, *model, **options):
+        models.append((options.get("solver"), len(cost), len(row_lower)))
+        return real(cost, lb, ub, row_lower, *model, **options)
 
     monkeypatch.setattr(lp, "_silent_highs", recorded)
     return models

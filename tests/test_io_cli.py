@@ -2,7 +2,11 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -782,3 +786,27 @@ def test_cli_misest_requires_scope():
     with pytest.raises(SystemExit) as err:
         run(["misest", "--values", "3,2,1", "--beta", "0.4", "--users", "10"])
     assert err.value.code == 2
+
+
+def test_importing_the_cli_loads_no_network_module():
+    """The chart's XML escaping is svg's own: ``xml.sax.saxutils`` would load
+    ``urllib.request``, ``http.client`` and ``ssl`` (``urllib.parse`` is
+    scipy's own import)."""
+    code = ("import sys, fairrec.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in ('ssl', 'http')"
+            " or m == 'urllib.request' or m.startswith('xml.sax')))")
+    src = str(Path(fairrec.io.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
+
+
+def test_chart_text_is_escaped_as_xml_sax_escapes_it():
+    from xml.sax.saxutils import escape
+
+    from fairrec.svg import line_chart
+
+    texts = dict(title="R&D <1> & >2 &amp;", x_label="x<&>", y_label="<y> & z")
+    chart = line_chart([0.0, 0.5, 1.0], {"a&b <c>": [1.0, 2.0, 0.5], "plain": [0.2, float("nan"), 0.4]}, **texts)
+    assert "R&amp;D &lt;1&gt; &amp; &gt;2 &amp;amp;</text>" in chart
+    for text in (*texts.values(), "a&b <c>"):
+        assert f">{escape(text)}</text>" in chart

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_array, csc_array, vstack
 
 from oracles import grid_maxmin, simplex_grid
 
@@ -227,6 +228,105 @@ def test_program_with_every_variable_fixed_solves_at_the_fixed_point():
     warm = WarmLP(np.ones(2), Region(2, a_ub=[[1.0, 1.0]], b_ub=[1.5], lb=[0.5, 0.5], ub=[0.5, 0.5]))
     assert [warm.solve([b]).status for b in (1.5, 0.5, 1.5)] == [LPStatus.OPTIMAL, LPStatus.INFEASIBLE,
                                                                    LPStatus.OPTIMAL]
+
+
+def test_warm_solve_rejects_a_b_ub_of_the_wrong_length():
+    warm = WarmLP(np.ones(2), Region(2, a_ub=[[1.0, 1.0]], b_ub=[1.5], ub=[1.0, 1.0]))
+    for b_ub in ([], [1.0, 2.0], [[1.5]]):
+        with pytest.raises(ValueError, match="b_ub has shape"):
+            warm.solve(b_ub)
+    assert warm.solve([1.5]).status is LPStatus.OPTIMAL
+
+
+def _stacked_model(objective, region):
+    """The HiGHS model of ``WarmLP``, built as scipy stacks, converts and
+    slices it: ``[a_ub; a_eq]`` as CSC, fixed columns substituted out."""
+    keep = region.lb < region.ub
+    a = csc_array(vstack((region.a_ub, region.a_eq)))
+    shift = a @ np.where(keep, 0.0, region.lb)
+    lower = np.concatenate([np.full(region.b_ub.size, -np.inf), region.b_eq]) - shift
+    upper = np.concatenate([region.b_ub, region.b_eq]) - shift
+    a = a[:, keep]
+    return -objective[keep], region.lb[keep], region.ub[keep], lower, upper, a.indptr, a.indices, a.data
+
+
+def test_highs_receives_the_model_scipy_would_stack(monkeypatch):
+    """Every array ``_silent_highs`` receives from a ``WarmLP`` (cost, bounds,
+    row bounds and the CSC starts, indices and values) equals, bit for bit,
+    the model built by ``csc_array(vstack((a_ub, a_eq)))[:, keep]``: for
+    IF*, ``uf_program`` and ``face_program`` under max-min and sum-k, a
+    region with a fixed column and a duplicated entry, and an all-fixed one."""
+    from fairrec.core import FairnessMeasure, MeasureKind, UtilityMatrix
+    from fairrec.optimizer import Problem
+
+    built, received = [], []
+    real_init, real_highs = WarmLP.__init__, lp._silent_highs
+
+    def init(self, objective, region, **kwargs):
+        built.append((np.asarray(objective, dtype=float), region))
+        real_init(self, objective, region, **kwargs)
+
+    def silent_highs(*model, **options):
+        received.append(model)
+        return real_highs(*model, **options)
+
+    monkeypatch.setattr(WarmLP, "__init__", init)
+    monkeypatch.setattr(lp, "_silent_highs", silent_highs)
+    rng = np.random.default_rng(39)
+    w = UtilityMatrix(rng.uniform(0.1, 1.0, (5, 4)), type_of=np.repeat(np.arange(5), [2, 1, 3, 1, 2]))
+    for measure in (FairnessMeasure(), FairnessMeasure(MeasureKind.SUM_K_MIN, 3)):
+        p = Problem(w, measure=measure)
+        p.uf_program, p.face_program  # IF* is solved on the way to its face
+    duplicated = coo_array(([1.0, 2.0, 0.5, 0.25], ([0, 0, 1, 0], [1, 1, 0, 1])), shape=(2, 3))
+    WarmLP(np.ones(3), Region(3, a_eq=[[1.0, 1.0, 1.0]], b_eq=[1.0], a_ub=duplicated, b_ub=[0.9, 0.6],
+                              lb=[0.0, 0.0, 0.2], ub=[1.0, np.inf, 0.2]))
+    WarmLP(np.ones(2), Region(2, a_eq=[[1.0, 1.0]], b_eq=[1.0], lb=[0.5, 0.5], ub=[0.5, 0.5]))
+    assert len(received) == len(built) == 2 * 3 + 2
+    assert sum(region.lb[region.lb == region.ub].size > 0 for _, region in built) >= 4
+    dtypes = (np.float64,) * 5 + (np.int32, np.int32, np.float64)
+    for (objective, region), model in zip(built, received):
+        for got, want, dtype in zip(model, _stacked_model(objective, region), dtypes):
+            assert np.asarray(got, dtype=dtype).tobytes() == np.asarray(want, dtype=dtype).tobytes()
+
+
+def _stacked_face(region, row_dual, col_dual):
+    """``optimal_face`` as rows moved by ``vstack`` and CSR row indexing."""
+    tight = np.abs(np.asarray(row_dual)[: region.b_ub.size]) > lp.FACE_TOL
+    cost = np.asarray(col_dual)
+    bound = np.where(cost > 0, region.lb, region.ub)
+    fixed = (np.abs(cost) > lp.FACE_TOL) & np.isfinite(bound)
+    a_ub = region.a_ub.tocsr()
+    return Region(
+        region.num_vars, vstack((region.a_eq, a_ub[tight])), np.concatenate([region.b_eq, region.b_ub[tight]]),
+        a_ub[~tight], region.b_ub[~tight], np.where(fixed, bound, region.lb), np.where(fixed, bound, region.ub),
+    )
+
+
+def test_optimal_face_moves_rows_as_vstack_does():
+    """The mask-built face equals the stacked one row for row, and its
+    entries come in the same order, so ``_violation`` sums them alike: on
+    random duals around FACE_TOL, with no tight row and with every row tight."""
+    from fairrec.core import FairnessMeasure, MeasureKind, UtilityMatrix
+    from fairrec.optimizer import Problem
+
+    rng = np.random.default_rng(7)
+    w = UtilityMatrix(rng.uniform(0.1, 1.0, (4, 5)))
+    region = Problem(w, measure=FairnessMeasure(MeasureKind.SUM_K_MIN, 2)).uf_program.region
+    m, nv = region.b_ub.size, region.num_vars
+    levels = [0.0, 1e-12, lp.FACE_TOL, 2e-9, -0.5, 3.0]
+    duals = [(rng.choice(levels, m + region.b_eq.size), rng.choice(levels, nv)) for _ in range(20)]
+    duals += [(np.zeros(m), np.zeros(nv)), (np.ones(m), -np.ones(nv))]
+    x = rng.uniform(0.0, 1.0, nv)
+    for row_dual, col_dual in duals:
+        face, want = lp.optimal_face(region, row_dual, col_dual), _stacked_face(region, row_dual, col_dual)
+        for key in ("b_eq", "b_ub", "lb", "ub"):
+            assert np.array_equal(getattr(face, key), getattr(want, key))
+        for key in ("a_eq", "a_ub"):
+            got, ref = getattr(face, key), getattr(want, key)
+            assert got.shape == ref.shape
+            for part in ("row", "col", "data"):
+                assert np.array_equal(getattr(got, part), getattr(ref, part))
+        assert _violation(face, x) == _violation(want, x)
 
 
 def test_start_from_the_optimal_basis_takes_no_iterations():

@@ -195,6 +195,28 @@ def test_canonical_faces_of_positive_dimension_split_copied_items(monkeypatch):
     assert calls, "every face was short-circuited; the QP path went untested"
 
 
+def test_one_svd_rank_is_matrix_rank_on_positive_dimension_faces(monkeypatch):
+    """The face point reads the rank of the face's equalities from the one
+    SVD that gives their null space; on the positive-dimension faces of the
+    copied-item instances it is ``np.linalg.matrix_rank``'s."""
+    seen, real = [], opt._null_space
+
+    def recorded(a):
+        seen.append((a, real(a)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(opt, "_null_space", recorded)
+    for seed in range(10):
+        tradeoff_sweep(UtilityMatrix(duplicated_item_matrix(seed)), np.linspace(0.0, 1.0, 11),
+                       tie_break=TieBreak.CANONICAL)
+    positive = [(a, basis) for a, basis in seen if basis.shape[1] > 0]
+    assert len(positive) >= 20
+    for a, basis in positive:
+        assert a.shape[1] - basis.shape[1] == np.linalg.matrix_rank(a)
+        assert np.allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-12)
+        assert np.max(np.abs(a @ basis)) <= 1e-12
+
+
 def test_canonical_point_faces_are_the_solver_vertex(monkeypatch):
     """postsolve_small's 10 x 10 instances: every optimal face at gamma > 0
     is a single point, so no QP is built and canonical is the vertex."""
