@@ -65,17 +65,18 @@ def _summary(runs: list[dict], metrics: list[dict], workloads: list[str]) -> dic
                 out["median_by_side"].setdefault(side, {}).setdefault(wl, {})[m["name"]] = float(med)
                 out["spread_by_side"].setdefault(side, {}).setdefault(wl, {})[m["name"]] = {
                     "q1": float(q1), "q3": float(q3), "min": min(v), "max": max(v)}
+    median, spread = out["median_by_side"], out["spread_by_side"]
     for wl in workloads:
         for m in metrics:
-            parent, change = values["parent", wl, m["name"]], values["change", wl, m["name"]]
-            sign = 1.0 if m["better"] == "higher" else -1.0
+            name, sign = m["name"], 1.0 if m["better"] == "higher" else -1.0
+            parent, change = values["parent", wl, name], values["change", wl, name]
             wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-            spread = out["spread_by_side"]["parent"][wl][m["name"]]
-            gap = sign * (out["median_by_side"]["change"][wl][m["name"]] - out["median_by_side"]["parent"][wl][m["name"]])
-            out["wins"].setdefault(wl, {})[m["name"]] = wins
-            out["gain_rule"].setdefault(wl, {})[m["name"]] = {
-                "pairs": len(parent), "wins": wins, "median_gain": gap, "parent_iqr": spread["q3"] - spread["q1"],
-                "met": wins >= 0.9 * len(parent) and gap > spread["q3"] - spread["q1"]}
+            gap = sign * (median["change"][wl][name] - median["parent"][wl][name])
+            iqr = spread["parent"][wl][name]["q3"] - spread["parent"][wl][name]["q1"]
+            out["wins"].setdefault(wl, {})[name] = wins
+            out["gain_rule"].setdefault(wl, {})[name] = {
+                "pairs": len(parent), "wins": wins, "median_gain": gap, "parent_iqr": iqr,
+                "met": wins >= 0.9 * len(parent) and gap > iqr}
     return out
 
 
@@ -93,6 +94,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
 
+    change = _git("rev-parse", "HEAD") + (" plus uncommitted changes" if _git("status", "--porcelain") else "")
     runs, machine = [], None
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.parent], capture_output=True, check=True)
@@ -111,7 +113,7 @@ def main(argv=None) -> int:
         "command": f"perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
         "machine": machine,
         "parent_commit": _git("rev-parse", args.parent),
-        "change": _git("rev-parse", "HEAD") + (" plus uncommitted changes" if _git("status", "--porcelain") else ""),
+        "change": change,
         **_summary(runs, bench["end_to_end"], workloads),
         "runs": runs,
     }
