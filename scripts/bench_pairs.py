@@ -13,9 +13,9 @@ odd ones.  A run is
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
-in that side's root, with T the ``run_seconds`` of BENCHMARK.json unless
-``--seconds`` is given, and its last output line is kept whole under
-``runs``.  For each workload and end-to-end metric of BENCHMARK.json the file
+in that side's root, for every workload W of BENCHMARK.json, with T its
+``run_seconds``, and its last output line is kept whole under ``runs``.
+For each workload and end-to-end metric of BENCHMARK.json the file
 gives each side's median, quartiles, min and max, the pairs the change won
 (better in the metric's direction; ties count for neither), and whether
 the gain rule holds: the change wins at least nine tenths of the pairs, and
@@ -42,10 +42,10 @@ def _git(*args: str) -> str:
     return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True, check=True).stdout.strip()
 
 
-def _run(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def _run(root: Path, workload: str, seed: int, seconds: int) -> tuple[dict, dict]:
     """The result line and the machine of one benchmark run in ``root``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", f"{seconds:g}", "--trace", "0"]
+           "--seconds", str(seconds), "--trace", "0"]
     lines = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True).stdout.splitlines()
     detail = json.loads(lines[-2].split("perfbench detail: ", 1)[1])
     return json.loads(lines[-1]), detail["machine"]
@@ -85,14 +85,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="the parent commit")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--workload", action="append", choices=[w["name"] for w in bench["workloads"]],
-                        help="repeat for several; default: every workload")
     parser.add_argument("--seed", type=int, default=0, help="the first pair's seed")
-    parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--description", default="")
     args = parser.parse_args(argv)
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    workloads, seconds = [w["name"] for w in bench["workloads"]], bench["run_seconds"]
+    seeds = f"{args.seed}-{args.seed + args.pairs - 1}"
 
     change = _git("rev-parse", "HEAD") + (" plus uncommitted changes" if _git("status", "--porcelain") else "")
     runs, machine = [], None
@@ -104,13 +101,14 @@ def main(argv=None) -> int:
         for i in range(args.pairs):
             for wl in workloads:
                 for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                    result, machine = _run(roots[side], wl, args.seed + i, args.seconds)
+                    result, machine = _run(roots[side], wl, args.seed + i, seconds)
                     runs.append({"side": side, "wl": wl, "seed": args.seed + i, "r": result})
                     print(f"pair {i} {wl} {side}: op_s_p50 {result['metrics']['op_s_p50']['value']:.4f}",
                           file=sys.stderr)
     report = {
-        "description": args.description,
-        "command": f"perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
+        "description": f"{args.pairs} alternating pairs on seeds {seeds}, the parent from git archive of "
+                       f"{args.parent} and the change from the working tree, parent first in even pairs",
+        "command": f"perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
         "machine": machine,
         "parent_commit": _git("rev-parse", args.parent),
         "change": change,

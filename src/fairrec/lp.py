@@ -167,14 +167,16 @@ def optimal_face(region: Region, row_dual: Any, col_dual: Any) -> Region:
     it is the feasible set with each ``<=`` row of nonzero dual made an
     equality and each variable of nonzero reduced cost fixed at its bound.
     A zero dual read as nonzero would cut the face, so FACE_TOL stays small.
-    The tight rows follow the equalities, entries row by row as in CSR."""
+    The tight rows follow the equalities."""
     tight = np.abs(np.asarray(row_dual)[: region.b_ub.size]) > FACE_TOL
     cost = np.asarray(col_dual)
     bound = np.where(cost > 0, region.lb, region.ub)
     fixed = (np.abs(cost) > FACE_TOL) & np.isfinite(bound)
     eq, ub, nv = region.a_eq, region.a_ub, region.num_vars
-    order = np.lexsort((ub.col, ub.row))
-    row, col, data = ub.row[order], ub.col[order], ub.data[order]
+    # The entries of a_ub as CSR holds them: by row, then column, duplicates summed.
+    key, entry = np.unique(ub.row.astype(np.int64) * nv + ub.col, return_inverse=True)
+    data = np.bincount(entry, weights=ub.data, minlength=key.size).astype(float, copy=False)
+    row, col = np.divmod(key, nv)
     moved, num_tight = tight[row], int(tight.sum())
     # Each <= row's number in the face: below the equalities if tight, else among the loose rows.
     row = np.where(tight, np.cumsum(tight) - 1 + eq.shape[0], np.cumsum(~tight) - 1)[row]

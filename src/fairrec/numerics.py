@@ -178,8 +178,6 @@ def _newton_step(x, shape, t, f, floor=None):
     return dx, decrement
 
 
-# A trial step may leave the log domain: its d_phi is then not finite, and the step halves.
-@np.errstate(invalid="ignore", divide="ignore")
 def nash_concave_solve(
     objective: LogObjective,
     shape: tuple[int, int],
@@ -261,21 +259,22 @@ def nash_concave_solve(
         # Backtracking line search on phi = -t F - sum log x - rho log(G - tau).
         neg = dx < 0
         step = min(1.0, 0.99 * float((-x[neg] / dx[neg]).min())) if neg.any() else 1.0
-        while step >= MIN_STEP:
-            d = step * dx
-            d -= x * d.reshape(k, n).sum(axis=1).repeat(n)  # keep each row's sum
-            d_phi = -t * float(c @ np.log1p((b @ d) / bx)) - float(np.log1p(d / x).sum())
-            if floor is not None:
-                d_g = float(wa @ np.log1p((a @ d) / ax))
-                d_phi -= rho * np.log1p(d_g / slack)
-            if isfinite(d_phi) and (polish or d_phi <= -ARMIJO * step * decrement):
-                break
-            step *= 0.5
-        else:
-            if decrement > CENTERED:
-                break  # no decrease along a step that promises one: stalled
-            decrement = 0.0  # centered up to rounding: stay; t grows, now or after POLISH_STEPS
-            continue
+        with np.errstate(invalid="ignore", divide="ignore"):  # a trial off the log domain halves the step
+            while step >= MIN_STEP:
+                d = step * dx
+                d -= x * d.reshape(k, n).sum(axis=1).repeat(n)  # keep each row's sum
+                d_phi = -t * float(c @ np.log1p((b @ d) / bx)) - float(np.log1p(d / x).sum())
+                if floor is not None:
+                    d_g = float(wa @ np.log1p((a @ d) / ax))
+                    d_phi -= rho * np.log1p(d_g / slack)
+                if isfinite(d_phi) and (polish or d_phi <= -ARMIJO * step * decrement):
+                    break
+                step *= 0.5
+            else:
+                if decrement > CENTERED:
+                    break  # no decrease along a step that promises one: stalled
+                decrement = 0.0  # centered up to rounding: stay; t grows, now or after POLISH_STEPS
+                continue
         delta += d
         x = x0 + delta
         bx = b @ x

@@ -304,29 +304,35 @@ def _stacked_face(region, row_dual, col_dual):
 
 def test_optimal_face_moves_rows_as_vstack_does():
     """The mask-built face equals the stacked one row for row, and its
-    entries come in the same order, so ``_violation`` sums them alike: on
-    random duals around FACE_TOL, with no tight row and with every row tight."""
+    entries come in the same order, duplicates summed, so ``_violation``
+    sums them alike: on a ``uf_program`` region and on one with duplicated
+    ``<=`` entries, for random duals around FACE_TOL, with no tight row and
+    with every row tight."""
     from fairrec.core import FairnessMeasure, MeasureKind, UtilityMatrix
     from fairrec.optimizer import Problem
 
     rng = np.random.default_rng(7)
     w = UtilityMatrix(rng.uniform(0.1, 1.0, (4, 5)))
-    region = Problem(w, measure=FairnessMeasure(MeasureKind.SUM_K_MIN, 2)).uf_program.region
-    m, nv = region.b_ub.size, region.num_vars
+    duplicated = coo_array(([1.0, 2.0, 0.5, 0.25], ([0, 0, 1, 0], [1, 1, 0, 1])), shape=(2, 3))
+    regions = [Problem(w, measure=FairnessMeasure(MeasureKind.SUM_K_MIN, 2)).uf_program.region,
+               Region(3, a_eq=[[1.0, 1.0, 1.0]], b_eq=[1.0], a_ub=duplicated, b_ub=[0.9, 0.6],
+                      lb=[0.0, 0.0, 0.2], ub=[1.0, np.inf, 0.2])]
     levels = [0.0, 1e-12, lp.FACE_TOL, 2e-9, -0.5, 3.0]
-    duals = [(rng.choice(levels, m + region.b_eq.size), rng.choice(levels, nv)) for _ in range(20)]
-    duals += [(np.zeros(m), np.zeros(nv)), (np.ones(m), -np.ones(nv))]
-    x = rng.uniform(0.0, 1.0, nv)
-    for row_dual, col_dual in duals:
-        face, want = lp.optimal_face(region, row_dual, col_dual), _stacked_face(region, row_dual, col_dual)
-        for key in ("b_eq", "b_ub", "lb", "ub"):
-            assert np.array_equal(getattr(face, key), getattr(want, key))
-        for key in ("a_eq", "a_ub"):
-            got, ref = getattr(face, key), getattr(want, key)
-            assert got.shape == ref.shape
-            for part in ("row", "col", "data"):
-                assert np.array_equal(getattr(got, part), getattr(ref, part))
-        assert _violation(face, x) == _violation(want, x)
+    for region in regions:
+        m, nv = region.b_ub.size, region.num_vars
+        duals = [(rng.choice(levels, m + region.b_eq.size), rng.choice(levels, nv)) for _ in range(20)]
+        duals += [(np.zeros(m), np.zeros(nv)), (np.ones(m), -np.ones(nv))]
+        x = rng.uniform(0.0, 1.0, nv)
+        for row_dual, col_dual in duals:
+            face, want = lp.optimal_face(region, row_dual, col_dual), _stacked_face(region, row_dual, col_dual)
+            for key in ("b_eq", "b_ub", "lb", "ub"):
+                assert np.array_equal(getattr(face, key), getattr(want, key))
+            for key in ("a_eq", "a_ub"):
+                got, ref = getattr(face, key), getattr(want, key)
+                assert got.shape == ref.shape and got.dtype == ref.dtype
+                for part in ("row", "col", "data"):
+                    assert np.array_equal(getattr(got, part), getattr(ref, part))
+            assert _violation(face, x) == _violation(want, x)
 
 
 def test_start_from_the_optimal_basis_takes_no_iterations():
